@@ -46,6 +46,7 @@ from .oracle import (
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
+    verify_radii,
     verify_unique_window,
 )
 from .tracefile import TraceFormatError, parse, read_file, serialize, write_file
@@ -90,6 +91,7 @@ __all__ = [
     "table_reach",
     "verify_decomposition",
     "verify_gap_growth",
+    "verify_radii",
     "verify_unique_window",
     "write_file",
 ]

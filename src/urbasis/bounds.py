@@ -132,7 +132,9 @@ def growth_report(trace: BasisTrace, xs: Sequence[int]) -> list[BoundCheck]:
 
     Every sample gets a sqrt-cap check with r = 1 (the construction promises
     unique representation); greedy traces additionally get the log envelope.
-    Samples must lie in [first radius, 2 * final radius].
+    A trace counts as greedy when every recorded reach equals its stage's
+    radius, whatever its mode label says.  Samples must lie in
+    [first radius, 2 * final radius].
     """
     if not xs:
         return []
@@ -141,11 +143,12 @@ def growth_report(trace: BasisTrace, xs: Sequence[int]) -> list[BoundCheck]:
     for x in xs:
         if x < first or x > widest:
             raise ValueError(f"sample {x} outside [{first}, {widest}]")
+    greedy = all(s.reach == s.radius for s in trace.steps if s.reach is not None)
     final = trace.final.basis
     checks: list[BoundCheck] = []
     for x in xs:
         observed = final.counting(-x, x)
-        if trace.mode == "greedy":
+        if greedy:
             checks.append(log_envelope(x, observed))
         checks.append(sqrt_cap(1, x, observed))
     return checks

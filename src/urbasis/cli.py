@@ -30,6 +30,7 @@ from .oracle import (
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
+    verify_radii,
     verify_unique_window,
 )
 from .tracefile import TraceFormatError, read_file, serialize, write_file
@@ -164,6 +165,7 @@ def _run_checks(trace: BasisTrace, fast: bool) -> list[dict]:
 
     if len(trace.steps) >= 2:
         rows.append(_verdict_row(verify_gap_growth(trace)))
+    rows.append(_verdict_row(verify_radii(trace)))
     return rows
 
 

@@ -97,33 +97,59 @@ def initial_state() -> ConstructionStep:
     return ConstructionStep(k=1, basis=basis, radius=1, gap=gap, positive_branch=positive)
 
 
-def extend(step: ConstructionStep, reach: int, *, check_unique: bool = True) -> ConstructionStep:
+def _pair_sums(step: ConstructionStep) -> set[int]:
+    """Every pairwise sum a + a' (a <= a') of the stage's basis, as a plain set.
+
+    Raises RuntimeError when two pairs share a sum: the construction never
+    produces such a stage, so one reaching the builder is a bug.
+    """
+    elements = step.basis.elements
+    sums = {a + b for i, a in enumerate(elements) for b in elements[i:]}
+    n = len(elements)
+    if len(sums) != n * (n + 1) // 2:
+        raise RuntimeError(f"stage {step.k} already repeats a pairwise sum")
+    return sums
+
+
+def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) -> ConstructionStep:
     """Extend one stage: place the pair realizing the missing value +-gap.
 
     The two new elements are {gap + 3*reach, -3*reach} when +gap is missing
     and the negated pair otherwise; reach must be at least the current
-    radius.  With check_unique on, a pairwise-distinct-sums check runs on
-    the result (equivalent to rep_count <= 1 everywhere) and an internal
-    failure raises, since it would mean a bug rather than bad input.
+    radius.
+
+    `sums` is the set of pairwise sums of step.basis.  A driver passes the
+    same set at every stage and extend adds, in place, the 4k + 3 sums the
+    new pair e1 < e2 contributes: old set + e1, old set + e2, and
+    {2*e1, e1 + e2, 2*e2}.  A stage then costs O(k) instead of a rebuild
+    of the whole sumset.  When omitted, the set is built from step.basis.
+    The set must grow by exactly 4k + 3, which is equivalent to every
+    representation staying unique; a failure raises RuntimeError, since it
+    would mean a bug rather than bad input, and leaves `sums` part-updated.
+    The gap search resumes at step.gap: the sums only grow, so the gap
+    never decreases.
     """
     if reach < step.radius:
         raise ValueError(f"reach {reach} below radius {step.radius} at stage {step.k}")
     far = step.gap + 3 * reach
     if step.positive_branch:
-        new = (-3 * reach, far)
+        e1, e2 = -3 * reach, far
     else:
-        new = (-far, 3 * reach)
-    basis = step.basis.union(new)
-    if len(basis) != len(step.basis) + 2 or basis.max_abs() != far:
+        e1, e2 = -far, 3 * reach
+    old = step.basis.elements
+    if not (e1 < old[0] and old[-1] < e2 and max(-e1, e2) == far):
         raise RuntimeError(f"extension of stage {step.k} misplaced its new pair")
-    sums = basis.self_sumset()
-    if check_unique:
-        n = len(basis)
-        if len(sums) != n * (n + 1) // 2:
-            raise RuntimeError(f"extension of stage {step.k} collided two pairwise sums")
-    gap, positive = min_abs_missing(sums)
+    if sums is None:
+        sums = _pair_sums(step)
+    before = len(sums)
+    sums.update([a + e1 for a in old])
+    sums.update([a + e2 for a in old])
+    sums.update((2 * e1, e1 + e2, 2 * e2))
+    if len(sums) != before + 2 * len(old) + 3:
+        raise RuntimeError(f"extension of stage {step.k} collided two pairwise sums")
+    gap, positive = min_abs_missing(sums, step.gap)
     return ConstructionStep(
-        k=step.k + 1, basis=basis, radius=far, gap=gap, positive_branch=positive
+        k=step.k + 1, basis=IntSet((e1,) + old + (e2,)), radius=far, gap=gap, positive_branch=positive
     )
 
 
@@ -291,28 +317,30 @@ class LogLogGrowth:
 # --- drivers ----------------------------------------------------------------
 
 
-def run_with_growth(policy: GrowthPolicy, k_max: int, *, check_unique: bool = True) -> BasisTrace:
+def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
     """Run the construction through stage k_max under the given policy.
 
     Stages 1..k_max-1 carry the reach that extended them; the final stage
     carries none.  Reaches below the stage radius are rejected by extend,
-    naming the stage.
+    naming the stage.  One pairwise-sum set, built for the seed stage, is
+    kept up to date by extend across all stages, so total work is O(K^2).
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     step = initial_state()
+    sums = _pair_sums(step)
     steps: list[ConstructionStep] = []
     while step.k < k_max:
         reach = policy.reach_for(step)
         steps.append(replace(step, reach=reach))
-        step = extend(step, reach, check_unique=check_unique)
+        step = extend(step, reach, sums=sums)
     steps.append(step)
     return BasisTrace(steps=tuple(steps), mode=policy.descriptor)
 
 
-def run_greedy(k_max: int, *, check_unique: bool = True) -> BasisTrace:
+def run_greedy(k_max: int) -> BasisTrace:
     """Densest variant: reach = radius at every stage."""
-    return run_with_growth(Greedy(), k_max, check_unique=check_unique)
+    return run_with_growth(Greedy(), k_max)
 
 
 def counting_profile(trace: BasisTrace, x: int) -> int:

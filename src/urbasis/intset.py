@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,21 @@ class IntSet:
         return max(-self.elements[0], self.elements[-1])
 
 
-def min_abs_missing(sums: IntSet) -> tuple[int, bool]:
-    """Smallest positive b such that b or -b is absent from `sums`.
+def min_abs_missing(sums: Container[int], start: int = 1) -> tuple[int, bool]:
+    """Smallest b >= start such that b or -b is absent from `sums`.
 
     Returns (b, positive_missing); positive_missing is True exactly when +b
-    is absent, which is also the tie-break when both signs are absent.  The
-    caller is expected to pass a pairwise-sum set containing 0, so the scan
-    starts at 1; it terminates because the set is finite.
+    is absent, which is also the tie-break when both signs are absent.
+    `sums` is any container supporting `in`, such as an IntSet or a plain
+    set; the caller is expected to pass a pairwise-sum set containing 0.
+    The scan starts at `start` (at least 1) and assumes, without checking,
+    that every b below it is present with both signs; a caller whose sums
+    only grow can therefore resume from the previous answer.  It
+    terminates because the set is finite.
     """
-    b = 1
+    if start < 1:
+        raise ValueError(f"start must be >= 1, got {start}")
+    b = start
     while b in sums and -b in sums:
         b += 1
     return b, b not in sums

@@ -91,8 +91,12 @@ def brute_rep_report(a: IntSet, lo: int, hi: int) -> RepReport:
 
 
 def default_window(trace: BasisTrace) -> tuple[int, int]:
-    """The widest window any pair sum of the final stage can reach."""
-    r = trace.final.radius
+    """The widest window any pair sum of the final stage can reach.
+
+    Taken from the final elements, not the recorded radius, so a wrong
+    radius cannot shrink the scan.
+    """
+    r = trace.final.basis.max_abs()
     return (-2 * r, 2 * r)
 
 
@@ -149,10 +153,11 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
 
     With e1, e2 the two added elements, the sums of the extended stage must
     be exactly  old sums  |_|  (old set + e1)  |_|  (old set + e2)  |_|
-    {2*e1, e1 + e2, 2*e2},  all four pairwise disjoint.  Inputs that are
-    not a legal extension (wrong stage index, added pair off the branch
-    rule, reach below radius) are refused with ValueError rather than
-    reported as failures.
+    {2*e1, e1 + e2, 2*e2},  all four pairwise disjoint.  The reach the
+    added pair implies must also equal the reach recorded on `prev`, when
+    one is recorded.  Inputs that are not a legal extension (wrong stage
+    index, added pair off the branch rule, reach below radius) are refused
+    with ValueError rather than reported as failures.
     """
     if nxt.k != prev.k + 1:
         raise ValueError(f"stages are not consecutive: {prev.k} then {nxt.k}")
@@ -173,6 +178,10 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
     reach = reach3 // 3
     if reach < prev.radius:
         raise ValueError(f"implied reach {reach} below radius {prev.radius}: extension precondition violated")
+    if prev.reach is not None and prev.reach != reach:
+        return Verdict(False, "decomposition", {
+            "reason": "reach-mismatch", "stage": prev.k, "recorded": prev.reach, "implied": reach,
+        })
 
     old = prev.basis.elements
     parts = {
@@ -201,6 +210,17 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
             "in_union": n in union,
         })
     return Verdict(True, "decomposition")
+
+
+def verify_radii(trace: BasisTrace) -> Verdict:
+    """Every stage's recorded radius equals max |a| over its elements."""
+    for step in trace.steps:
+        actual = step.basis.max_abs()
+        if step.radius != actual:
+            return Verdict(False, "radius", {
+                "reason": "radius-mismatch", "stage": step.k, "recorded": step.radius, "actual": actual,
+            })
+    return Verdict(True, "radius")
 
 
 def verify_gap_growth(trace: BasisTrace) -> Verdict:

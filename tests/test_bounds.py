@@ -1,6 +1,7 @@
 """Density bound predicates: frozen values, exactness, cross-checks."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -178,6 +179,11 @@ class TestGrowthReport:
     def test_greedy_reach_samples(self, greedy12):
         xs = [s.reach for s in greedy12.steps if s.reach is not None]
         assert all(c.holds for c in growth_report(greedy12, xs))
+
+    def test_greedy_decided_from_data_not_label(self):
+        trace = replace(run_greedy(3), mode="relabelled")
+        names = [c.name for c in growth_report(trace, [1, 4, 14])]
+        assert names.count("log-envelope") == 3
 
     def test_non_greedy_gets_cap_only(self, slow10):
         checks = growth_report(slow10, [slow10.steps[0].radius])

@@ -38,6 +38,17 @@ def dense_interval_trace(tmp_path, m):
     return path
 
 
+def rewrite_row(path, k, **fields):
+    """Overwrite fields of stage k in a trace file, keeping canonical layout."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    row = json.loads(lines[k])
+    row.update(fields)
+    lines[k] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestBuild:
     def test_greedy(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 3)
@@ -171,6 +182,31 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL rep-scan" in out
         assert "verification: FAIL" in out
+
+    def test_recorded_reach_mismatch_exit_1(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 6)
+        implied = read_file(path).step(3).reach
+        rewrite_row(path, 3, c=str(implied + 5))
+        capsys.readouterr()
+        assert run_cli("verify", path, "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        decomp = next(row for row in payload["checks"] if row["name"] == "decomposition")
+        assert decomp["witness"] == {
+            "reason": "reach-mismatch", "stage": 3, "recorded": implied + 5, "implied": implied,
+        }
+
+    def test_recorded_radius_mismatch_exit_1(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 6)
+        radius = read_file(path).final.radius
+        rewrite_row(path, 6, d="1")
+        capsys.readouterr()
+        assert run_cli("verify", path, "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        scan = next(row for row in payload["checks"] if row["name"] == "rep-scan")
+        assert scan["ok"] is True
+        assert scan["window"] == [-2 * radius, 2 * radius]
+        check = next(row for row in payload["checks"] if row["name"] == "radius")
+        assert check["witness"] == {"reason": "radius-mismatch", "stage": 6, "recorded": 1, "actual": radius}
 
     def test_truncated_file_exit_2(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 3)

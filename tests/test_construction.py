@@ -1,10 +1,13 @@
 """Staged construction: worked stages, drivers, growth policies."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbasis import (
+    ConstructionStep,
     ExplicitReaches,
     Greedy,
     GrowthConfigError,
@@ -69,10 +72,24 @@ class TestExtend:
         with pytest.raises(ValueError, match="stage 2"):
             extend(s2, 3)
 
-    def test_check_unique_can_be_disabled(self):
-        a = extend(initial_state(), 7, check_unique=False)
-        b = extend(initial_state(), 7)
-        assert a == b
+    def test_shared_sums_match_standalone(self):
+        s2 = extend(initial_state(), 1)
+        sums = set(s2.sums())
+        standalone = extend(s2, 7)
+        assert extend(s2, 7, sums=sums) == standalone
+        assert sums == set(standalone.sums())
+
+    def test_basis_repeating_a_sum_raises(self):
+        # 0 + 3 == 1 + 2
+        bad = ConstructionStep(k=2, basis=IntSet((0, 1, 2, 3)), radius=3, gap=4, positive_branch=True)
+        with pytest.raises(RuntimeError, match="stage 2"):
+            extend(bad, 3)
+
+    def test_new_pair_colliding_raises(self):
+        # a recorded gap of 0 places the pair at -3, 3, whose sum repeats 0 + 0
+        lying = replace(initial_state(), gap=0, positive_branch=True)
+        with pytest.raises(RuntimeError, match="collided"):
+            extend(lying, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=6))
@@ -109,8 +126,13 @@ class TestRunGreedy:
         with pytest.raises(ValueError):
             run_greedy(0)
 
-    def test_check_unique_off_same_trace(self):
-        assert run_greedy(8, check_unique=False) == run_greedy(8)
+    def test_driver_matches_standalone_chain(self):
+        s, steps = initial_state(), []
+        while s.k < 8:
+            steps.append(replace(s, reach=s.radius))
+            s = extend(s, s.radius)
+        steps.append(s)
+        assert run_greedy(8).steps == tuple(steps)
 
     def test_invariants_through_k12(self, greedy12):
         steps = greedy12.steps
@@ -135,6 +157,25 @@ class TestRunGreedy:
             half = step.k // 2
             for n in range(-half, half + 1):
                 assert step.basis.rep_count(n) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=8))
+    def test_driver_agrees_with_from_scratch_sums(self, slack):
+        """Reach lists of radius + slack, chosen by a replay that recomputes every sumset."""
+        a, reaches = {0, 1}, []
+        for extra in slack:
+            sums = {x + y for x in a for y in a}
+            b = 1
+            while b in sums and -b in sums:
+                b += 1
+            c = max(abs(v) for v in a) + extra
+            reaches.append(c)
+            a |= {b + 3 * c, -3 * c} if b not in sums else {-(b + 3 * c), 3 * c}
+        trace = run_with_growth(ExplicitReaches(tuple(reaches)), len(reaches) + 1)
+        for step in trace.steps:
+            step.validate()
+        assert [s.reach for s in trace.steps[:-1]] == reaches
+        assert trace.final.basis.elements == tuple(sorted(a))
 
 
 class TestGrowthPolicies:

@@ -141,6 +141,13 @@ class TestMinAbsMissing:
         # neither +3 nor -3 present: the positive side wins the tie
         assert min_abs_missing(IntSet((-2, -1, 0, 1, 2))) == (3, True)
 
+    def test_plain_set_and_resumed_start(self):
+        sums = set(A3.self_sumset())
+        assert min_abs_missing(sums) == min_abs_missing(sums, 5) == (5, True)
+        assert min_abs_missing(sums, 6) == (6, False)  # below start is not rechecked
+        with pytest.raises(ValueError):
+            min_abs_missing(sums, 0)
+
     @settings(max_examples=100)
     @given(small_sets)
     def test_b_is_minimal(self, a):

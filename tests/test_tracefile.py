@@ -1,5 +1,6 @@
 """Trace file format: round-trips, canonical bytes, malformed inputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,10 @@ class TestCanonicalBytes:
     def test_serialize_is_deterministic(self):
         trace = run_greedy(6)
         assert serialize(trace) == serialize(trace)
+
+    def test_greedy_k160_bytes_frozen(self):
+        digest = hashlib.sha256(serialize(run_greedy(160)).encode("utf-8")).hexdigest()
+        assert digest == "3d53872264286dfd27d9c5ee18c79c10588deca6607006fbbf4ed65a102a6fd2"
 
     def test_reserialize_after_parse_is_identical(self, slow10):
         text = serialize(slow10)
