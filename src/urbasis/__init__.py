@@ -46,6 +46,7 @@ from .oracle import (
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
+    verify_gaps,
     verify_radii,
     verify_unique_window,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "table_reach",
     "verify_decomposition",
     "verify_gap_growth",
+    "verify_gaps",
     "verify_radii",
     "verify_unique_window",
     "write_file",

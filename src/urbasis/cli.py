@@ -24,16 +24,17 @@ from .construction import (
 )
 from .oracle import (
     Verdict,
+    _stage_counts,
     brute_rep_report,
     default_window,
-    guaranteed_window,
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
+    verify_gaps,
     verify_radii,
     verify_unique_window,
 )
-from .tracefile import TraceFormatError, read_file, serialize, write_file
+from .tracefile import TraceFormatError, read_file, serialize, step_row, write_file
 
 
 class UsageError(Exception):
@@ -133,10 +134,10 @@ def _verdict_row(v: Verdict, **extra) -> dict:
     return row
 
 
-def _run_checks(trace: BasisTrace, fast: bool) -> list[dict]:
+def _run_checks(trace: BasisTrace) -> list[dict]:
     rows: list[dict] = []
 
-    lo, hi = guaranteed_window(trace) if fast else default_window(trace)
+    lo, hi = default_window(trace)
     report = brute_rep_report(trace.final.basis, lo, hi)
     violations = report.violations
     witness = None
@@ -152,9 +153,9 @@ def _run_checks(trace: BasisTrace, fast: bool) -> list[dict]:
 
     pair_total = len(trace.steps) - 1
     decomp_ok, decomp_witness = True, None
-    for prev, nxt in zip(trace.steps, trace.steps[1:]):
+    for nxt, (prev, counts, _) in zip(trace.steps[1:], _stage_counts(trace)):
         try:
-            verdict = verify_decomposition(prev, nxt)
+            verdict = verify_decomposition(prev, nxt, old_sums=counts.keys())
         except ValueError as e:
             decomp_ok, decomp_witness = False, {"refused": str(e), "stage": nxt.k}
             break
@@ -166,12 +167,13 @@ def _run_checks(trace: BasisTrace, fast: bool) -> list[dict]:
     if len(trace.steps) >= 2:
         rows.append(_verdict_row(verify_gap_growth(trace)))
     rows.append(_verdict_row(verify_radii(trace)))
+    rows.append(_verdict_row(verify_gaps(trace)))
     return rows
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     trace = read_file(args.trace)
-    rows = _run_checks(trace, args.fast)
+    rows = _run_checks(trace)
     ok = all(row["ok"] for row in rows)
     if args.format == "json":
         print(json.dumps({"ok": ok, "checks": rows}, sort_keys=True))
@@ -270,17 +272,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = json.dumps(values) if args.format == "json" else "\n".join(values)
     else:
         if args.format == "json":
-            rows = []
-            for s in trace.steps:
-                row = {
-                    "k": s.k,
-                    "elements": [str(a) for a in s.basis.elements],
-                    "d": str(s.radius), "b": str(s.gap),
-                    "branch": "positive" if s.positive_branch else "negative",
-                }
-                if s.reach is not None:
-                    row["c"] = str(s.reach)
-                rows.append(row)
+            rows = [step_row(s) for s in trace.steps]
             text = json.dumps({"mode": trace.mode, "steps": rows}, sort_keys=True)
         else:
             text = serialize(trace).rstrip("\n")
@@ -311,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-check a trace file by brute force")
     p_verify.add_argument("trace", metavar="TRACE")
-    p_verify.add_argument("--fast", action="store_true",
-                          help="scan only the window the construction guarantees")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

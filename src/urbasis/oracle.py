@@ -1,14 +1,22 @@
 """Brute-force verification, kept independent of the arithmetic kernel.
 
-Every check here recounts pair sums with its own explicit double loop
-rather than calling IntSet.sumset or IntSet.rep_count, so agreement
-between this module and the kernel is evidence, not tautology.
+Every check counts pair sums with its own explicit loops rather than
+calling IntSet.sumset or IntSet.rep_count, so agreement between this
+module and the kernel is evidence, not tautology.
+
+The per-stage checks read one live table from pair sum to count, walked
+across the stages of a trace (`_stage_counts`).  Moving to the next stage
+removes the pairs that use elements that left and adds the pairs that use
+elements that arrived.  A legal stage adds two elements, so it costs
+4k + 3 updates and a whole trace of K stages O(K^2), instead of the
+O(K^3) of recounting every stage.  A trace whose stages are not nested
+goes through the same updates, and its counts stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Iterator, Mapping
 
 from .construction import BasisTrace, ConstructionStep
 from .intset import IntSet
@@ -43,6 +51,44 @@ def _element_pairs_for(elements: tuple[int, ...], n: int) -> list[tuple[int, int
         for b in elements[i:]
         if a + b == n
     ]
+
+
+def _stage_counts(trace: BasisTrace) -> Iterator[tuple[ConstructionStep, dict[int, int], set[int]]]:
+    """Walk the stages in order, yielding (step, counts, doubled) for each.
+
+    `counts` maps every pair sum a + a' (a <= a') of step.basis to its
+    number of pairs; sums with no pair are absent, so its keys are exactly
+    the stage's pair sums.  `doubled` holds the sums counted at least
+    twice.  Both are the same objects at every stage and are updated in
+    place on the next iteration: read them before advancing.
+    """
+    counts: dict[int, int] = {}
+    doubled: set[int] = set()
+    live: set[int] = set()
+    for step in trace.steps:
+        target = set(step.basis.elements)
+        for x in [a for a in live if a not in target]:
+            for y in live:
+                s = x + y
+                c = counts[s]
+                if c == 1:
+                    del counts[s]
+                else:
+                    counts[s] = c - 1
+                    if c == 2:
+                        doubled.discard(s)
+            live.discard(x)
+        for x in step.basis.elements:
+            if x in live:
+                continue
+            live.add(x)
+            for y in live:
+                s = x + y
+                c = counts.get(s, 0) + 1
+                counts[s] = c
+                if c == 2:
+                    doubled.add(s)
+        yield step, counts, doubled
 
 
 @dataclass(frozen=True)
@@ -119,10 +165,15 @@ class Verdict:
 
 
 def verify_unique_window(trace: BasisTrace) -> Verdict:
-    """No sum is ever repeated, and stage 2k covers all of [-k, k] exactly once."""
-    for step in trace.steps:
-        counts = _pair_counts(step.basis.elements)
-        doubled = [n for n, c in counts.items() if c >= 2]
+    """No sum is ever repeated, and stage 2k covers all of [-k, k] exactly once.
+
+    A repeated sum at any stage outranks a gap in coverage: the witness is
+    the first stage with a doubled sum, else the first even stage whose
+    window holds a count other than 1.  Within a stage the witness is the
+    least n by smallest |n|, +n before -n.
+    """
+    uncovered = None
+    for step, counts, doubled in _stage_counts(trace):
         if doubled:
             n = min(doubled, key=_witness_order)
             return Verdict(False, "unique-window", {
@@ -131,33 +182,36 @@ def verify_unique_window(trace: BasisTrace) -> Verdict:
                 "n": n,
                 "pairs": _element_pairs_for(step.basis.elements, n),
             })
-    for step in trace.steps:
-        if step.k % 2:
+        if uncovered is not None or step.k % 2:
             continue
         half = step.k // 2
-        counts = _pair_counts(step.basis.elements, -half, half)
-        missing = [n for n in range(-half, half + 1) if counts.get(n, 0) != 1]
-        if missing:
-            n = min(missing, key=_witness_order)
-            return Verdict(False, "unique-window", {
-                "reason": "uncovered",
-                "stage": step.k,
-                "n": n,
-                "count": counts.get(n, 0),
-            })
+        window = sorted(range(-half, half + 1), key=_witness_order)
+        n = next((n for n in window if counts.get(n, 0) != 1), None)
+        if n is not None:
+            uncovered = {"reason": "uncovered", "stage": step.k, "n": n, "count": counts.get(n, 0)}
+    if uncovered is not None:
+        return Verdict(False, "unique-window", uncovered)
     return Verdict(True, "unique-window")
 
 
-def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdict:
+def verify_decomposition(
+    prev: ConstructionStep, nxt: ConstructionStep, *, old_sums: Collection[int] | None = None
+) -> Verdict:
     """The new sums split into three disjoint picture pieces.
 
-    With e1, e2 the two added elements, the sums of the extended stage must
-    be exactly  old sums  |_|  (old set + e1)  |_|  (old set + e2)  |_|
-    {2*e1, e1 + e2, 2*e2},  all four pairwise disjoint.  The reach the
-    added pair implies must also equal the reach recorded on `prev`, when
-    one is recorded.  Inputs that are not a legal extension (wrong stage
-    index, added pair off the branch rule, reach below radius) are refused
-    with ValueError rather than reported as failures.
+    With e1, e2 the two added elements, the sums of the extended stage are
+    old sums  |_|  (old set + e1)  |_|  (old set + e2)  |_|
+    {2*e1, e1 + e2, 2*e2}; the check is that these four parts are pairwise
+    disjoint.  Their union is the extended stage's sums by construction,
+    once the stages are nested.  The reach the added pair implies must also
+    equal the reach recorded on `prev`, when one is recorded.  Inputs that
+    are not a legal extension (wrong stage index, added pair off the branch
+    rule, reach below radius) are refused with ValueError rather than
+    reported as failures.
+
+    `old_sums` is the set of pair sums of prev.basis, for a caller that
+    already holds it, such as the keys of a live count table; it is taken
+    as given.  When omitted it is counted from prev.basis.
     """
     if nxt.k != prev.k + 1:
         raise ValueError(f"stages are not consecutive: {prev.k} then {nxt.k}")
@@ -185,7 +239,7 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
 
     old = prev.basis.elements
     parts = {
-        "old-sums": set(_pair_counts(old)),
+        "old-sums": set(_pair_counts(old)) if old_sums is None else old_sums,
         "shift-by-first": {a + e_neg for a in old},
         "shift-by-second": {a + e_pos for a in old},
         "new-pair-sums": {2 * e_neg, e_neg + e_pos, 2 * e_pos},
@@ -193,22 +247,13 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
     names = list(parts)
     for i, p in enumerate(names):
         for q in names[i + 1:]:
-            overlap = parts[p] & parts[q]
+            small, large = sorted((parts[p], parts[q]), key=len)
+            overlap = [n for n in small if n in large]
             if overlap:
                 n = min(overlap, key=_witness_order)
                 return Verdict(False, "decomposition", {
                     "reason": "overlap", "stage": nxt.k, "n": n, "parts": [p, q],
                 })
-    union = set().union(*parts.values())
-    full = set(_pair_counts(nxt.basis.elements))
-    if union != full:
-        n = min(union ^ full, key=_witness_order)
-        return Verdict(False, "decomposition", {
-            "reason": "union-mismatch",
-            "stage": nxt.k,
-            "n": n,
-            "in_union": n in union,
-        })
     return Verdict(True, "decomposition")
 
 
@@ -221,6 +266,31 @@ def verify_radii(trace: BasisTrace) -> Verdict:
                 "reason": "radius-mismatch", "stage": step.k, "recorded": step.radius, "actual": actual,
             })
     return Verdict(True, "radius")
+
+
+def verify_gaps(trace: BasisTrace) -> Verdict:
+    """Every stage's recorded gap b and branch match its pair sums.
+
+    The gap is the smallest |n| that is not a pair sum, +n tried before -n;
+    the branch is positive exactly when +n is the one missing.
+    """
+    for step, counts, _ in _stage_counts(trace):
+        n = 1
+        while n in counts and -n in counts:
+            n += 1
+        positive = n not in counts
+        if (step.gap, step.positive_branch) != (n, positive):
+            return Verdict(False, "gap", {
+                "reason": "gap-mismatch", "stage": step.k,
+                "recorded": _gap_fields(step.gap, step.positive_branch),
+                "actual": _gap_fields(n, positive),
+            })
+    return Verdict(True, "gap")
+
+
+def _gap_fields(gap: int, positive: bool) -> dict:
+    # the gap as its trace row records it
+    return {"b": gap, "branch": "positive" if positive else "negative"}
 
 
 def verify_gap_growth(trace: BasisTrace) -> Verdict:

@@ -32,20 +32,24 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def step_row(step: ConstructionStep) -> dict:
+    """The stage as one trace row: k as a number, every other integer as a decimal string."""
+    row = {
+        "k": step.k,
+        "elements": [str(a) for a in step.basis.elements],
+        "d": str(step.radius),
+        "b": str(step.gap),
+        "branch": "positive" if step.positive_branch else "negative",
+    }
+    if step.reach is not None:
+        row["c"] = str(step.reach)
+    return row
+
+
 def serialize(trace: BasisTrace) -> str:
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": trace.mode}
     lines = [_dump_line(header)]
-    for s in trace.steps:
-        row = {
-            "k": s.k,
-            "elements": [str(a) for a in s.basis.elements],
-            "d": str(s.radius),
-            "b": str(s.gap),
-            "branch": "positive" if s.positive_branch else "negative",
-        }
-        if s.reach is not None:
-            row["c"] = str(s.reach)
-        lines.append(_dump_line(row))
+    lines.extend(_dump_line(step_row(s)) for s in trace.steps)
     return "\n".join(lines) + "\n"
 
 

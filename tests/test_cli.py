@@ -128,7 +128,7 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli("verify", path) == 0
         out = capsys.readouterr().out
-        for name in ("rep-scan", "unique-window", "decomposition", "gap-growth"):
+        for name in ("rep-scan", "unique-window", "decomposition", "gap-growth", "radius", "gap"):
             assert f"PASS {name}" in out
         assert "verification: PASS" in out
 
@@ -137,13 +137,11 @@ class TestVerify:
         assert run_cli("verify", path) == 0
         assert "gap-growth" not in capsys.readouterr().out  # needs two stages
 
-    def test_fast_uses_guaranteed_window(self, tmp_path, capsys):
+    def test_fast_flag_rejected(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 5)
         capsys.readouterr()
-        assert run_cli("verify", path, "--fast", "--format", "json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        scan = next(row for row in payload["checks"] if row["name"] == "rep-scan")
-        assert scan["window"] == [-2, 2]
+        assert run_cli("verify", path, "--fast", "--format", "json") == 2
+        assert "--fast" in capsys.readouterr().err
 
     def test_default_window_is_twice_radius(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 4)
@@ -207,6 +205,24 @@ class TestVerify:
         assert scan["window"] == [-2 * radius, 2 * radius]
         check = next(row for row in payload["checks"] if row["name"] == "radius")
         assert check["witness"] == {"reason": "radius-mismatch", "stage": 6, "recorded": 1, "actual": radius}
+
+    @pytest.mark.parametrize("field", ["b", "branch"])
+    def test_recorded_final_gap_mismatch_exit_1(self, tmp_path, capsys, field):
+        path = build_greedy(tmp_path, 6)
+        final = read_file(path).final
+        actual = {"b": final.gap, "branch": "positive" if final.positive_branch else "negative"}
+        recorded = dict(actual)
+        if field == "b":
+            recorded["b"] += 1
+        else:
+            recorded["branch"] = "negative" if final.positive_branch else "positive"
+        rewrite_row(path, 6, b=str(recorded["b"]), branch=recorded["branch"])
+        capsys.readouterr()
+        assert run_cli("verify", path, "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["name"] for row in payload["checks"] if not row["ok"]] == ["gap"]
+        check = payload["checks"][-1]
+        assert check["witness"] == {"reason": "gap-mismatch", "stage": 6, "recorded": recorded, "actual": actual}
 
     def test_truncated_file_exit_2(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 3)
@@ -337,7 +353,7 @@ class TestPipeline:
     def test_build_verify_analyze_slow_growth(self, tmp_path, capsys):
         path = str(tmp_path / "slow.trace")
         assert run_cli("build", "--threshold", "loglog,2,4,3", "6", "-o", path) == 0
-        assert run_cli("verify", path, "--fast") == 0
+        assert run_cli("verify", path) == 0
         assert run_cli("analyze", path) == 0
 
     def test_rebuild_is_byte_identical(self, tmp_path):

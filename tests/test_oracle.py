@@ -15,12 +15,18 @@ from urbasis import (
     extend,
     guaranteed_window,
     initial_state,
+    min_abs_missing,
     pairs_for,
     run_greedy,
     verify_decomposition,
     verify_gap_growth,
+    verify_gaps,
     verify_unique_window,
 )
+from urbasis.cli import _run_checks
+from urbasis.oracle import _stage_counts
+
+import reference_oracle
 
 A2 = IntSet((-4, 0, 1, 3))
 
@@ -203,6 +209,123 @@ class TestGapGrowth:
         verdict = verify_gap_growth(BasisTrace(steps=tuple(steps), mode="corrupt"))
         assert not verdict
         assert verdict.witness["rule"] == "stage-2-gap"
+
+
+class TestGaps:
+    def test_greedy_passes(self, greedy12):
+        assert verify_gaps(greedy12)
+
+    def test_explicit_passes(self, slow10):
+        assert verify_gaps(slow10)
+
+    def test_detects_wrong_gap_mid_trace(self, greedy12):
+        steps = list(greedy12.steps)
+        steps[4] = replace(steps[4], gap=steps[4].gap + 1)
+        verdict = verify_gaps(BasisTrace(steps=tuple(steps), mode="corrupt"))
+        assert not verdict
+        branch = "positive" if steps[4].positive_branch else "negative"
+        assert verdict.witness == {
+            "reason": "gap-mismatch", "stage": 5,
+            "recorded": {"b": steps[4].gap, "branch": branch},
+            "actual": {"b": steps[4].gap - 1, "branch": branch},
+        }
+
+
+def _explicit_trace(rng, k_max):
+    """A legal trace whose reaches exceed the radius by a random slack."""
+    step, steps = initial_state(), []
+    for _ in range(k_max - 1):
+        reach = step.radius + rng.randint(0, 9)
+        steps.append(replace(step, reach=reach))
+        step = extend(step, reach)
+    steps.append(step)
+    return BasisTrace(steps=tuple(steps), mode="explicit")
+
+
+def _corrupt(rng, trace):
+    """One random edit to one stage, or to one stage and every later one."""
+    steps = list(trace.steps)
+    first = rng.randrange(len(steps))
+    last = rng.choice([first, len(steps) - 1])
+    kind = rng.choice(["tweak", "add", "drop", "b", "branch", "c", "d"])
+    value = rng.choice(steps[first].basis.elements)
+    delta = rng.choice([-3, -2, -1, 1, 2, 3])
+    reach = 2 * steps[first].basis.max_abs()
+    extra = rng.randint(-reach, reach)
+    for i in range(first, last + 1):
+        s = steps[i]
+        if kind == "tweak":
+            s = replace(s, basis=IntSet.of(a + delta if a == value else a for a in s.basis))
+        elif kind == "add":
+            s = replace(s, basis=s.basis.union((extra,)))
+        elif kind == "drop" and len(s.basis) > 1:
+            s = replace(s, basis=IntSet.of(a for a in s.basis if a != value))
+        elif kind == "b":
+            s = replace(s, gap=s.gap + delta)
+        elif kind == "branch":
+            s = replace(s, positive_branch=not s.positive_branch)
+        elif kind == "c":
+            s = replace(s, reach=(s.radius if s.reach is None else s.reach) + delta)
+        elif kind == "d":
+            s = replace(s, radius=s.radius + delta)
+        steps[i] = s
+    return BasisTrace(steps=tuple(steps), mode="corrupt")
+
+
+def _gap_fields(gap, positive):
+    return {"b": gap, "branch": "positive" if positive else "negative"}
+
+
+def _kernel_gap_row(trace):
+    """The `gap` row recomputed with the kernel's sumset and gap search."""
+    for s in trace.steps:
+        gap, positive = min_abs_missing(s.basis.self_sumset())
+        if (gap, positive) != (s.gap, s.positive_branch):
+            return {"name": "gap", "ok": False, "witness": {
+                "reason": "gap-mismatch", "stage": s.k,
+                "recorded": _gap_fields(s.gap, s.positive_branch), "actual": _gap_fields(gap, positive),
+            }}
+    return {"name": "gap", "ok": True, "witness": None}
+
+
+class TestAgainstReference:
+    """The live-table checks against the from-scratch recount they replaced."""
+
+    def test_corrupted_traces_give_identical_rows(self):
+        rng = random.Random(0xD1FF)
+        reasons = set()
+        for case in range(400):
+            k_max = rng.randint(2, 10)
+            trace = run_greedy(k_max) if case % 2 else _explicit_trace(rng, k_max)
+            for _ in range(rng.randint(1, 2)):
+                trace = _corrupt(rng, trace)
+            rows = {row["name"]: row for row in _run_checks(trace)}
+            ref = reference_oracle.verify_unique_window(trace)
+            assert rows["unique-window"] == {"name": "unique-window", "ok": ref.ok, "witness": ref.witness}
+            assert rows["decomposition"] == reference_oracle.decomposition_row(trace)
+            assert rows["gap"] == _kernel_gap_row(trace)
+            for name in ("unique-window", "decomposition", "gap"):
+                witness = rows[name]["witness"] or {}
+                reasons.add(witness.get("reason", "refused" if "refused" in witness else None))
+        assert reasons >= {
+            "repeated-sum", "uncovered", "reach-mismatch", "overlap", "refused", "gap-mismatch",
+        }
+
+    def test_live_table_matches_recount_at_every_stage(self):
+        rng = random.Random(0x7AB1E)
+        for _ in range(100):
+            trace = run_greedy(rng.randint(2, 10))
+            for _ in range(rng.randint(1, 3)):
+                trace = _corrupt(rng, trace)
+            for step, counts, doubled in _stage_counts(trace):
+                expected = reference_oracle._pair_counts(step.basis.elements)
+                assert counts == expected
+                assert doubled == {n for n, c in expected.items() if c >= 2}
+
+    def test_old_sums_keyword_matches_recount(self, greedy12):
+        for prev, nxt in zip(greedy12.steps, greedy12.steps[1:]):
+            old_sums = set(prev.basis.self_sumset())
+            assert verify_decomposition(prev, nxt, old_sums=old_sums) == verify_decomposition(prev, nxt)
 
 
 class TestDualRoute:
