@@ -36,6 +36,7 @@ from .construction import (
     run_with_growth,
     table_reach,
 )
+from .digits import DigitLimitError
 from .intset import IntSet, min_abs_missing
 from .oracle import (
     RepReport,
@@ -58,6 +59,7 @@ __all__ = [
     "BasisTrace",
     "BoundCheck",
     "ConstructionStep",
+    "DigitLimitError",
     "ExplicitReaches",
     "Greedy",
     "GrowthConfigError",

@@ -1,8 +1,8 @@
 """Command-line front end: build, verify, analyze, export.
 
 Exit codes: 0 success (all checks pass / all bounds hold), 1 a
-verification or bound failed, 2 bad usage, bad configuration, or a
-malformed trace file.
+verification or bound failed, 2 bad usage, bad configuration, a
+malformed trace file, or an integer past the decimal digit limit.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .construction import (
     run_with_growth,
     table_reach,
 )
+from .digits import DigitLimitError, decimal_int, decimal_io
 from .oracle import (
     Verdict,
     _stage_counts,
@@ -95,7 +96,7 @@ def _read_c_list(path: str) -> tuple[int, ...]:
         raise UsageError(f"cannot read reach list: {e}") from None
     cleaned = text.replace("[", " ").replace("]", " ").replace(",", " ")
     try:
-        values = tuple(int(tok) for tok in cleaned.split())
+        values = tuple(decimal_int(tok, f"an entry of reach list {path!r}") for tok in cleaned.split())
     except ValueError:
         raise UsageError(f"reach list {path!r} must contain only integers") from None
     if not values:
@@ -188,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_samples(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [decimal_int(tok, "a sample point") for tok in text.replace(",", " ").split()]
     except ValueError:
         raise UsageError(f"sample list must contain only integers: {text!r}") from None
 
@@ -198,7 +199,7 @@ def _parse_window(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise UsageError(f"window must be LO,HI: {text!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = (decimal_int(part, "a window bound") for part in parts)
     except ValueError:
         raise UsageError(f"window bounds must be integers: {text!r}") from None
     if lo > hi:
@@ -347,8 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_absorb_values(list(argv)))
     try:
-        return args.func(args)
-    except UsageError as e:
+        with decimal_io():
+            return args.func(args)
+    except (UsageError, DigitLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GrowthConfigError as e:

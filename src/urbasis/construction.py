@@ -10,11 +10,15 @@ desired.  Growth policies encapsulate that choice.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
+from mpmath import iv, libmp
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Union
 
+from .digits import decimal_io
 from .intset import IntSet, min_abs_missing
 
 
@@ -193,12 +197,12 @@ class ThresholdReach:
     `threshold(m)` is the least x from which the caller's growth budget
     allows m elements in [-x, x]; extending stage k must keep the count
     below 2k + 2, so reach = max(radius, threshold(2k + 2)).  The map must
-    be nondecreasing; that is checked as stages are visited in order.
+    be nondecreasing: past stage 1 each target is checked against the one
+    before it, so the policy holds no state and can be reused freely.
     """
 
     threshold: Callable[[int], int]
     label: str = "threshold"
-    _seen: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def descriptor(self) -> str:
@@ -207,10 +211,10 @@ class ThresholdReach:
     def reach_for(self, step: ConstructionStep) -> int:
         m = 2 * step.k + 2
         t = int(self.threshold(m))
-        prev = self._seen.get(m - 2)
-        if prev is not None and t < prev:
-            raise GrowthConfigError(f"threshold map decreases: t({m})={t} < t({m - 2})={prev}")
-        self._seen[m] = t
+        if step.k > 1:
+            prev = int(self.threshold(m - 2))
+            if t < prev:
+                raise GrowthConfigError(f"threshold map decreases: t({m})={t} < t({m - 2})={prev}")
         return max(step.radius, t)
 
 
@@ -233,23 +237,51 @@ def table_reach(table: Mapping[int, int], label: str | None = None) -> Threshold
 
 # --- built-in growth-budget families ---------------------------------------
 
-_EVAL_DPS = 60  # enough headroom that comparisons against integer targets are faithful
+_GUARD_DPS = 20  # digits carried beyond the integer part of a threshold or budget value
+_MAX_DOUBLINGS = 4  # precision doublings before an undecided threshold is an error
+MAX_THRESHOLD_DIGITS = 2_000_000  # decimal size past which a threshold is refused
 
 
-def _least_at_least(f: Callable[[int], mpmath.mpf], target: int) -> int:
-    """Smallest integer x >= 1 with f(x) >= target, for nondecreasing f."""
-    if f(1) >= target:
-        return 1
-    lo, hi = 1, 2
-    while f(hi) < target:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _dps_for(x: int) -> int:
+    """Working precision for a budget value at x: x's decimal digits plus guard digits."""
+    return x.bit_length() * 30103 // 100000 + 1 + _GUARD_DPS
+
+
+def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -> int:
+    """Least integer x >= 1 with scale * g(x + shift) + offset >= m, for g = ln or ln(ln).
+
+    Since scale > 0 this is x + shift >= E, with E = exp(t), or exp(exp(t))
+    when nested, and t = (m - offset) / scale.  E is enclosed by interval
+    arithmetic at a precision of its own digit count, ln(E) / ln(10), plus
+    guard digits; the least x is exact once both ends of the enclosure give
+    the same max(1, ceil(end) - shift).  Until then the precision doubles,
+    at most _MAX_DOUBLINGS times.
+    """
+    t = (m - offset) / scale  # a float estimate, used only to size the precision
+    try:
+        ln_e = math.exp(t) if nested else t
+    except OverflowError:
+        ln_e = math.inf
+    digits = max(ln_e, 0.0) / math.log(10)
+    if digits > MAX_THRESHOLD_DIGITS:
+        raise GrowthConfigError(
+            f"threshold({m}) has ~{digits:.3g} decimal digits, more than the limit of {MAX_THRESHOLD_DIGITS}"
+        )
+    dps = int(digits) + _GUARD_DPS
+    saved = iv.prec
+    try:
+        for _ in range(_MAX_DOUBLINGS + 1):
+            iv.dps = dps
+            e = iv.exp((iv.mpf(m) - offset) / scale)
+            if nested:
+                e = iv.exp(e)
+            lo, hi = (max(1, libmp.to_int(end, libmp.round_ceiling) - shift) for end in e._mpi_)
+            if lo == hi:
+                return lo
+            dps *= 2
+    finally:
+        iv.prec = saved
+    raise GrowthConfigError(f"threshold({m}) is still undecided at {dps // 2} digits of precision")
 
 
 @dataclass(frozen=True)
@@ -270,11 +302,12 @@ class LogGrowth:
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
             raise ValueError(f"budget defined for x >= 1, got {x}")
-        with mpmath.workdps(_EVAL_DPS):
+        with mpmath.workdps(_dps_for(x)):
             return mpmath.mpf(self.scale) * mpmath.ln(mpmath.mpf(x)) + self.offset
 
     def threshold(self, m: int) -> int:
-        return _least_at_least(self.value, m)
+        """Least x >= 1 with value(x) >= m, exact at any magnitude."""
+        return _least_x(m, self.scale, self.offset, nested=False, shift=0)
 
     def policy(self) -> ThresholdReach:
         return ThresholdReach(self.threshold, "threshold:" + self.descriptor)
@@ -304,11 +337,12 @@ class LogLogGrowth:
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
             raise ValueError(f"budget defined for x >= 1, got {x}")
-        with mpmath.workdps(_EVAL_DPS):
+        with mpmath.workdps(_dps_for(x)):
             return mpmath.mpf(self.scale) * mpmath.ln(mpmath.ln(mpmath.mpf(x) + self.shift)) + self.offset
 
     def threshold(self, m: int) -> int:
-        return _least_at_least(self.value, m)
+        """Least x >= 1 with value(x) >= m, exact at any magnitude."""
+        return _least_x(m, self.scale, self.offset, nested=True, shift=self.shift)
 
     def policy(self) -> ThresholdReach:
         return ThresholdReach(self.threshold, "threshold:" + self.descriptor)
@@ -324,18 +358,21 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
     carries none.  Reaches below the stage radius are rejected by extend,
     naming the stage.  One pairwise-sum set, built for the seed stage, is
     kept up to date by extend across all stages, so total work is O(K^2).
+    The run is one decimal_io() block: the mode string and error messages
+    quote stage integers in decimal.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    step = initial_state()
-    sums = _pair_sums(step)
-    steps: list[ConstructionStep] = []
-    while step.k < k_max:
-        reach = policy.reach_for(step)
-        steps.append(replace(step, reach=reach))
-        step = extend(step, reach, sums=sums)
-    steps.append(step)
-    return BasisTrace(steps=tuple(steps), mode=policy.descriptor)
+    with decimal_io():
+        step = initial_state()
+        sums = _pair_sums(step)
+        steps: list[ConstructionStep] = []
+        while step.k < k_max:
+            reach = policy.reach_for(step)
+            steps.append(replace(step, reach=reach))
+            step = extend(step, reach, sums=sums)
+        steps.append(step)
+        return BasisTrace(steps=tuple(steps), mode=policy.descriptor)
 
 
 def run_greedy(k_max: int) -> BasisTrace:

@@ -49,16 +49,10 @@ class IntSet:
     def union(self, values: Iterable[int]) -> "IntSet":
         return IntSet.of(self.elements + tuple(values))
 
-    def sumset(self, other: "IntSet") -> "IntSet":
-        """All pairwise sums {a + b : a in self, b in other}."""
-        return IntSet.of(a + b for a in self.elements for b in other.elements)
-
     def self_sumset(self) -> "IntSet":
-        return self.sumset(self)
-
-    def translate(self, offset: int) -> "IntSet":
-        """The set shifted by a constant; order is preserved."""
-        return IntSet(tuple(a + offset for a in self.elements))
+        """All pairwise sums {a + a' : a <= a' in self}."""
+        els = self.elements
+        return IntSet.of(a + b for i, a in enumerate(els) for b in els[i:])
 
     def rep_count(self, n: int) -> int:
         """Number of pairs a <= a' from the set with a + a' = n."""

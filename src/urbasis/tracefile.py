@@ -4,24 +4,21 @@ One JSON object per line: a header, then one row per stage in order.  All
 unbounded integers (elements, d, b, c) travel as decimal strings so no
 consumer needs big-int JSON; the stage index k stays a plain number.
 Serialization is canonical (sorted keys, fixed separators, trailing
-newline), so identical traces produce byte-identical files.
+newline), so identical traces produce byte-identical files.  Both
+directions run under the package's decimal digit limit (`digits`); a
+value past it raises DigitLimitError.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 
 from .construction import BasisTrace, ConstructionStep
+from .digits import decimal_int, decimal_io
 from .intset import IntSet
 
 FORMAT_NAME = "urbasis-trace"
 FORMAT_VERSION = "1"
-
-# The whole format is decimal strings of unbounded magnitude; the default
-# int<->str guard (4300 digits) is far too small for slow-growth traces.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
 
 
 class TraceFormatError(ValueError):
@@ -34,15 +31,16 @@ def _dump_line(obj: dict) -> str:
 
 def step_row(step: ConstructionStep) -> dict:
     """The stage as one trace row: k as a number, every other integer as a decimal string."""
-    row = {
-        "k": step.k,
-        "elements": [str(a) for a in step.basis.elements],
-        "d": str(step.radius),
-        "b": str(step.gap),
-        "branch": "positive" if step.positive_branch else "negative",
-    }
-    if step.reach is not None:
-        row["c"] = str(step.reach)
+    with decimal_io():
+        row = {
+            "k": step.k,
+            "elements": [str(a) for a in step.basis.elements],
+            "d": str(step.radius),
+            "b": str(step.gap),
+            "branch": "positive" if step.positive_branch else "negative",
+        }
+        if step.reach is not None:
+            row["c"] = str(step.reach)
     return row
 
 
@@ -57,12 +55,17 @@ def _parse_int(value, what: str, lineno: int) -> int:
     if not isinstance(value, str):
         raise TraceFormatError(f"line {lineno}: {what} must be a decimal string")
     try:
-        return int(value, 10)
+        return decimal_int(value, f"line {lineno}: {what}")
     except ValueError:
         raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {value!r}") from None
 
 
 def parse(text: str) -> BasisTrace:
+    with decimal_io():
+        return _parse(text)
+
+
+def _parse(text: str) -> BasisTrace:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TraceFormatError("empty trace file")
@@ -118,8 +121,9 @@ def parse(text: str) -> BasisTrace:
 
 
 def write_file(trace: BasisTrace, path: str) -> None:
+    text = serialize(trace)  # before opening, so a trace past the digit limit leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(trace))
+        fh.write(text)
 
 
 def read_file(path: str) -> BasisTrace:

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from urbasis import run_greedy, run_with_growth, table_reach
+from urbasis import digits, run_greedy, run_with_growth, table_reach
 from urbasis.cli import main, parse_threshold_spec
 from urbasis.construction import LogLogGrowth, ThresholdReach
 from urbasis.tracefile import read_file, serialize
+
+from budget_check import budget_at_least
 
 
 def run_cli(*argv):
@@ -356,8 +358,60 @@ class TestPipeline:
         assert run_cli("verify", path) == 0
         assert run_cli("analyze", path) == 0
 
+    def test_loglog_k12_session(self, tmp_path, capsys):
+        path = str(tmp_path / "k12.trace")
+        assert run_cli("build", "--threshold", "loglog,2,4,3", "12", "-o", path) == 0
+        assert run_cli("verify", path) == 0
+        assert run_cli("analyze", path, "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1], parse_int=str)
+        assert report["ok"] is True
+        trace = read_file(path)
+        assert trace.final.k == 12
+        budget = LogLogGrowth(2, 4, 3)
+        for step in trace.steps:
+            count = trace.final.basis.counting(-step.radius, step.radius)
+            assert budget_at_least(budget, step.radius, count), f"count over budget at stage {step.k}"
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         a = build_greedy(tmp_path, 7, "a.trace")
         b = build_greedy(tmp_path, 7, "b.trace")
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+class TestDigitLimit:
+    """Decimal I/O past the digit limit exits 2 naming the limit, lowered here to 5000."""
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self, monkeypatch):
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 5000)
+
+    def test_trace_value_past_limit(self, tmp_path, capsys):
+        reaches = tmp_path / "c.txt"
+        reaches.write_text("1\n4" + "0" * 4999 + "\n")  # a 5000-digit reach, a 5001-digit radius
+        out = tmp_path / "x.trace"
+        assert run_cli("build", "--c-list", str(reaches), "-o", str(out)) == 2
+        assert "more than 5000 decimal digits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reach_past_limit(self, tmp_path, capsys):
+        reaches = tmp_path / "c.txt"
+        reaches.write_text("1\n1" + "0" * 5000 + "\n")
+        assert run_cli("build", "--c-list", str(reaches), "-o", str(tmp_path / "x.trace")) == 2
+        err = capsys.readouterr().err
+        assert "reach list" in err and "more than 5000 decimal digits" in err
+        assert "only integers" not in err
+
+    def test_trace_file_value_past_limit(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 2)
+        rewrite_row(path, 2, d="1" + "0" * 5000)
+        assert run_cli("verify", path) == 2
+        assert "line 3: d has more than 5000 decimal digits" in capsys.readouterr().err
+
+    def test_values_at_limit_pass(self, tmp_path, capsys):
+        reaches = tmp_path / "c.txt"
+        reaches.write_text("1\n1" + "0" * 4998 + "\n")  # radius 3*10**4998 + b has 4999 digits
+        path = str(tmp_path / "x.trace")
+        assert run_cli("build", "--c-list", str(reaches), "-o", path) == 0
+        for command in ("verify", "analyze", "export"):
+            assert run_cli(command, path) == 0

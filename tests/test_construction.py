@@ -23,6 +23,9 @@ from urbasis import (
     run_with_growth,
     table_reach,
 )
+from urbasis import construction
+
+from budget_check import budget_at_least
 
 # the densest run, frozen: (elements, radius, gap, positive_branch)
 GREEDY_STAGES = [
@@ -214,6 +217,19 @@ class TestGrowthPolicies:
         greedy = run_greedy(4)
         assert [s.basis for s in trace.steps] == [s.basis for s in greedy.steps]
 
+    def test_reused_policy_gives_equal_traces(self):
+        policy = LogLogGrowth(2, 4, 3).policy()
+        first, second = run_with_growth(policy, 8), run_with_growth(policy, 8)
+        assert first == second
+        assert set(vars(policy)) == {"threshold", "label"}  # no state carried between runs
+
+    def test_decrease_checked_without_earlier_stages(self):
+        # stage 3 alone sees t(8) < t(6): the check needs no record of stage 2
+        policy = table_reach({6: 100, 8: 10})
+        step = ConstructionStep(k=3, basis=IntSet((-14, -4, 0, 1, 3, 12)), radius=14, gap=5, positive_branch=True)
+        with pytest.raises(GrowthConfigError, match="decreases"):
+            policy.reach_for(step)
+
 
 class TestBudgetFamilies:
     @pytest.mark.parametrize("family", [
@@ -221,18 +237,35 @@ class TestBudgetFamilies:
         LogLogGrowth(2, 4, 3),
         LogLogGrowth(1.5, 6, 1),
     ])
-    @pytest.mark.parametrize("m", [4, 6, 8, 12])
+    @pytest.mark.parametrize("m", [4, 6, 8, 12, 14, 16, 18, 20])
     def test_threshold_minimal(self, family, m):
-        """threshold(m) is the least x with budget >= m."""
+        """threshold(m) is the least x with budget >= m, decided at x's own digit count."""
         x = family.threshold(m)
-        assert family.value(x) >= m
-        assert x == 1 or family.value(x - 1) < m
+        assert budget_at_least(family, x, m)
+        assert x == 1 or not budget_at_least(family, x - 1, m)
 
     def test_known_loglog_thresholds(self):
         f = LogLogGrowth(2, 4, 3)
         assert f.threshold(4) == 1
         assert f.threshold(6) == 13
         assert f.threshold(8) == 1616
+
+    def test_threshold_below_offset_is_one(self):
+        assert LogGrowth(1, 4).threshold(4) == 1  # exp(0) = 1 exactly
+        assert LogGrowth(3, 10).threshold(4) == 1
+        assert LogLogGrowth(2, 30, 3).threshold(4) == 1
+
+    def test_threshold_past_digit_limit_refused(self):
+        with pytest.raises(GrowthConfigError, match="decimal digits"):
+            LogLogGrowth(2, 4, 3).threshold(60)
+        with pytest.raises(GrowthConfigError, match="decimal digits"):
+            LogGrowth(1e-300, 0).threshold(4)
+
+    def test_undecided_threshold_raises(self, monkeypatch):
+        # a 1295-digit answer at 5, 10, ..., 80 digits of precision stays undecided
+        monkeypatch.setattr(construction, "_GUARD_DPS", -1290)
+        with pytest.raises(GrowthConfigError, match="undecided"):
+            LogLogGrowth(2, 4, 3).threshold(20)
 
     def test_budget_respected_on_run(self):
         f = LogLogGrowth(2, 4, 3)

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbasis import (
+    DigitLimitError,
     ExplicitReaches,
     LogLogGrowth,
     TraceFormatError,
@@ -16,6 +20,8 @@ from urbasis import (
     run_greedy,
     run_with_growth,
 )
+import urbasis
+from urbasis import digits
 from urbasis.tracefile import parse, read_file, serialize, write_file
 
 
@@ -140,3 +146,27 @@ class TestMalformed:
         with pytest.raises(TraceFormatError, match="elements"):
             parse('{"format":"urbasis-trace","version":"1","mode":""}\n'
                   '{"k":1,"d":"1","b":"1","branch":"negative"}')
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+class TestDigitLimit:
+    def test_import_leaves_interpreter_limit(self):
+        code = ("import sys; before = sys.get_int_max_str_digits(); import urbasis.cli; "
+                "print(before == sys.get_int_max_str_digits())")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(urbasis.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "True"
+
+    def test_codec_restores_limit(self):
+        before = sys.get_int_max_str_digits()
+        trace = run_with_growth(ExplicitReaches((10**5000,)), 2)  # past the default 4300 digits
+        assert parse(serialize(trace)) == trace
+        assert sys.get_int_max_str_digits() == before
+
+    def test_past_limit_raises(self, monkeypatch):
+        text = serialize(run_with_growth(ExplicitReaches((10**5000,)), 2))
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 5000)
+        with pytest.raises(DigitLimitError, match="more than 5000 decimal digits"):
+            parse(text)
+        with pytest.raises(DigitLimitError, match="more than 5000 decimal digits"):
+            serialize(run_with_growth(ExplicitReaches((1, 4 * 10**4999)), 3))
