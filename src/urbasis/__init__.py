@@ -49,6 +49,7 @@ from .oracle import (
     verify_gap_growth,
     verify_gaps,
     verify_radii,
+    verify_trace,
     verify_unique_window,
 )
 from .tracefile import TraceFormatError, parse, read_file, serialize, write_file
@@ -96,6 +97,7 @@ __all__ = [
     "verify_gap_growth",
     "verify_gaps",
     "verify_radii",
+    "verify_trace",
     "verify_unique_window",
     "write_file",
 ]

@@ -23,18 +23,7 @@ from .construction import (
     table_reach,
 )
 from .digits import DigitLimitError, decimal_int, decimal_io
-from .oracle import (
-    Verdict,
-    _stage_counts,
-    brute_rep_report,
-    default_window,
-    pairs_for,
-    verify_decomposition,
-    verify_gap_growth,
-    verify_gaps,
-    verify_radii,
-    verify_unique_window,
-)
+from .oracle import brute_rep_report, verify_trace
 from .tracefile import TraceFormatError, read_file, serialize, step_row, write_file
 
 
@@ -129,52 +118,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verdict_row(v: Verdict, **extra) -> dict:
-    row = {"name": v.check, "ok": v.ok, "witness": v.witness}
-    row.update(extra)
-    return row
-
-
-def _run_checks(trace: BasisTrace) -> list[dict]:
-    rows: list[dict] = []
-
-    lo, hi = default_window(trace)
-    report = brute_rep_report(trace.final.basis, lo, hi)
-    violations = report.violations
-    witness = None
-    if violations:
-        n = violations[0]
-        witness = {"n": n, "count": report.count(n), "pairs": pairs_for(trace.final.basis, n)}
-    rows.append({
-        "name": "rep-scan", "ok": not violations, "witness": witness,
-        "window": [lo, hi], "violations": len(violations),
-    })
-
-    rows.append(_verdict_row(verify_unique_window(trace)))
-
-    pair_total = len(trace.steps) - 1
-    decomp_ok, decomp_witness = True, None
-    for nxt, (prev, counts, _) in zip(trace.steps[1:], _stage_counts(trace)):
-        try:
-            verdict = verify_decomposition(prev, nxt, old_sums=counts.keys())
-        except ValueError as e:
-            decomp_ok, decomp_witness = False, {"refused": str(e), "stage": nxt.k}
-            break
-        if not verdict:
-            decomp_ok, decomp_witness = False, verdict.witness
-            break
-    rows.append({"name": "decomposition", "ok": decomp_ok, "witness": decomp_witness, "pairs": pair_total})
-
-    if len(trace.steps) >= 2:
-        rows.append(_verdict_row(verify_gap_growth(trace)))
-    rows.append(_verdict_row(verify_radii(trace)))
-    rows.append(_verdict_row(verify_gaps(trace)))
-    return rows
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    trace = read_file(args.trace)
-    rows = _run_checks(trace)
+    rows = verify_trace(read_file(args.trace))
     ok = all(row["ok"] for row in rows)
     if args.format == "json":
         print(json.dumps({"ok": ok, "checks": rows}, sort_keys=True))

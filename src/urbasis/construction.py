@@ -101,20 +101,6 @@ def initial_state() -> ConstructionStep:
     return ConstructionStep(k=1, basis=basis, radius=1, gap=gap, positive_branch=positive)
 
 
-def _pair_sums(step: ConstructionStep) -> set[int]:
-    """Every pairwise sum a + a' (a <= a') of the stage's basis, as a plain set.
-
-    Raises RuntimeError when two pairs share a sum: the construction never
-    produces such a stage, so one reaching the builder is a bug.
-    """
-    elements = step.basis.elements
-    sums = {a + b for i, a in enumerate(elements) for b in elements[i:]}
-    n = len(elements)
-    if len(sums) != n * (n + 1) // 2:
-        raise RuntimeError(f"stage {step.k} already repeats a pairwise sum")
-    return sums
-
-
 def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) -> ConstructionStep:
     """Extend one stage: place the pair realizing the missing value +-gap.
 
@@ -126,7 +112,8 @@ def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) 
     same set at every stage and extend adds, in place, the 4k + 3 sums the
     new pair e1 < e2 contributes: old set + e1, old set + e2, and
     {2*e1, e1 + e2, 2*e2}.  A stage then costs O(k) instead of a rebuild
-    of the whole sumset.  When omitted, the set is built from step.basis.
+    of the whole sumset.  When omitted, the set is built from step.basis,
+    and a basis that already repeats a sum raises RuntimeError.
     The set must grow by exactly 4k + 3, which is equivalent to every
     representation staying unique; a failure raises RuntimeError, since it
     would mean a bug rather than bad input, and leaves `sums` part-updated.
@@ -134,7 +121,8 @@ def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) 
     never decreases.
     """
     if reach < step.radius:
-        raise ValueError(f"reach {reach} below radius {step.radius} at stage {step.k}")
+        with decimal_io():  # the message quotes the radius in decimal
+            raise ValueError(f"reach {reach} below radius {step.radius} at stage {step.k}")
     far = step.gap + 3 * reach
     if step.positive_branch:
         e1, e2 = -3 * reach, far
@@ -144,7 +132,9 @@ def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) 
     if not (e1 < old[0] and old[-1] < e2 and max(-e1, e2) == far):
         raise RuntimeError(f"extension of stage {step.k} misplaced its new pair")
     if sums is None:
-        sums = _pair_sums(step)
+        sums = set(step.sums())
+        if len(sums) != len(old) * (len(old) + 1) // 2:
+            raise RuntimeError(f"stage {step.k} already repeats a pairwise sum")
     before = len(sums)
     sums.update([a + e1 for a in old])
     sums.update([a + e2 for a in old])
@@ -365,7 +355,7 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     with decimal_io():
         step = initial_state()
-        sums = _pair_sums(step)
+        sums = set(step.sums())
         steps: list[ConstructionStep] = []
         while step.k < k_max:
             reach = policy.reach_for(step)

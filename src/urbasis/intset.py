@@ -12,6 +12,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
+from .digits import decimal_io
+
 
 @dataclass(frozen=True)
 class IntSet:
@@ -26,7 +28,8 @@ class IntSet:
             els = self.elements
         for prev, cur in zip(els, els[1:]):
             if prev >= cur:
-                raise ValueError(f"elements must be strictly increasing: {prev!r} then {cur!r}")
+                with decimal_io():  # the message quotes the elements in decimal
+                    raise ValueError(f"elements must be strictly increasing: {prev!r} then {cur!r}")
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntSet":

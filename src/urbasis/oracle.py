@@ -11,6 +11,9 @@ elements that arrived.  A legal stage adds two elements, so it costs
 4k + 3 updates and a whole trace of K stages O(K^2), instead of the
 O(K^3) of recounting every stage.  A trace whose stages are not nested
 goes through the same updates, and its counts stay exact.
+
+`verify_trace` runs every check in a fixed order and returns one row per
+check; `urbasis verify` only prints those rows.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
 from .construction import BasisTrace, ConstructionStep
+from .digits import decimal_io
 from .intset import IntSet
 
 
@@ -41,16 +45,8 @@ def _pair_counts(elements: tuple[int, ...], lo: int | None = None, hi: int | Non
 
 def pairs_for(a: IntSet, n: int) -> list[tuple[int, int]]:
     """All pairs a1 <= a2 from the set with a1 + a2 = n, by explicit enumeration."""
-    return _element_pairs_for(a.elements, n)
-
-
-def _element_pairs_for(elements: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    return [
-        (a, b)
-        for i, a in enumerate(elements)
-        for b in elements[i:]
-        if a + b == n
-    ]
+    els = a.elements
+    return [(x, y) for i, x in enumerate(els) for y in els[i:] if x + y == n]
 
 
 def _stage_counts(trace: BasisTrace) -> Iterator[tuple[ConstructionStep, dict[int, int], set[int]]]:
@@ -180,7 +176,7 @@ def verify_unique_window(trace: BasisTrace) -> Verdict:
                 "reason": "repeated-sum",
                 "stage": step.k,
                 "n": n,
-                "pairs": _element_pairs_for(step.basis.elements, n),
+                "pairs": pairs_for(step.basis, n),
             })
         if uncovered is not None or step.k % 2:
             continue
@@ -316,3 +312,51 @@ def verify_gap_growth(trace: BasisTrace) -> Verdict:
                 "rule": "even-stage-floor", "k": k, "gap": gaps[2 * k - 1],
             })
     return Verdict(True, "gap-growth")
+
+
+def _verdict_row(v: Verdict) -> dict:
+    return {"name": v.check, "ok": v.ok, "witness": v.witness}
+
+
+def verify_trace(trace: BasisTrace) -> list[dict]:
+    """Run every check on a trace, in order, and return one row per check.
+
+    A row holds the check's `name`, `ok` and `witness` (None on a pass),
+    as `verify --format json` prints them.  The checks: `rep-scan` over
+    the final stage's widest window (with its `window` and number of
+    `violations`), `unique-window`, `decomposition` of every consecutive
+    pair of stages (with the number of `pairs`; an input that is not a
+    legal extension fails with a `refused` witness naming the stage),
+    `gap-growth` when there are two stages or more, `radius` and `gap`.
+    """
+    basis = trace.final.basis
+    lo, hi = default_window(trace)
+    report = brute_rep_report(basis, lo, hi)
+    violations = report.violations
+    witness = None
+    if violations:
+        n = violations[0]
+        witness = {"n": n, "count": report.count(n), "pairs": pairs_for(basis, n)}
+    rows = [
+        {"name": "rep-scan", "ok": not violations, "witness": witness,
+         "window": [lo, hi], "violations": len(violations)},
+        _verdict_row(verify_unique_window(trace)),
+    ]
+
+    decomposition = {"name": "decomposition", "ok": True, "witness": None, "pairs": len(trace.steps) - 1}
+    with decimal_io():  # a refusal quotes stage integers in decimal
+        for nxt, (prev, counts, _) in zip(trace.steps[1:], _stage_counts(trace)):
+            try:
+                verdict = verify_decomposition(prev, nxt, old_sums=counts.keys())
+            except ValueError as e:
+                verdict = Verdict(False, "decomposition", {"refused": str(e), "stage": nxt.k})
+            if not verdict:
+                decomposition.update(ok=False, witness=verdict.witness)
+                break
+    rows.append(decomposition)
+
+    if len(trace.steps) >= 2:
+        rows.append(_verdict_row(verify_gap_growth(trace)))
+    rows.append(_verdict_row(verify_radii(trace)))
+    rows.append(_verdict_row(verify_gaps(trace)))
+    return rows

@@ -51,13 +51,23 @@ def serialize(trace: BasisTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+_QUOTE_CHARS = 40  # longest bad string an error message quotes in full
+
+
+def _quote(value) -> str:
+    """repr(value), or a long string's first characters and its length."""
+    if isinstance(value, str) and len(value) > _QUOTE_CHARS:
+        return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 def _parse_int(value, what: str, lineno: int) -> int:
     if not isinstance(value, str):
         raise TraceFormatError(f"line {lineno}: {what} must be a decimal string")
     try:
         return decimal_int(value, f"line {lineno}: {what}")
     except ValueError:
-        raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {value!r}") from None
+        raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {_quote(value)}") from None
 
 
 def parse(text: str) -> BasisTrace:
@@ -79,7 +89,7 @@ def _parse(text: str) -> BasisTrace:
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError("missing or unrecognized header line")
     if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported format version {header.get('version')!r}")
+        raise TraceFormatError(f"unsupported format version {_quote(header.get('version'))}")
     mode = header.get("mode", "")
     if not isinstance(mode, str):
         raise TraceFormatError("header mode must be a string")

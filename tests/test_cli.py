@@ -7,6 +7,7 @@ import pytest
 from urbasis import digits, run_greedy, run_with_growth, table_reach
 from urbasis.cli import main, parse_threshold_spec
 from urbasis.construction import LogLogGrowth, ThresholdReach
+from urbasis.oracle import verify_trace
 from urbasis.tracefile import read_file, serialize
 
 from budget_check import budget_at_least
@@ -238,6 +239,29 @@ class TestVerify:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run_cli("verify", str(tmp_path / "nope.trace")) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, field, message", [
+        (2, "d", "line 3: d is not a decimal integer"),
+        (0, "version", "unsupported format version"),
+    ], ids=["d", "version"])
+    def test_long_bad_value_message_is_bounded(self, tmp_path, capsys, line, field, message):
+        path = build_greedy(tmp_path, 2)
+        rewrite_row(path, line, **{field: "x" * 1_000_000})
+        capsys.readouterr()
+        assert run_cli("verify", path) == 2
+        err = capsys.readouterr().err
+        assert message in err and "(1000000 characters)" in err
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_json_checks_are_the_library_rows(self, tmp_path, capsys, corrupt):
+        path = build_greedy(tmp_path, 12)
+        if corrupt:
+            rewrite_row(path, 5, b=str(read_file(path).step(5).gap + 1))
+        capsys.readouterr()
+        assert run_cli("verify", path, "--format", "json") == (1 if corrupt else 0)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"] == json.loads(json.dumps(verify_trace(read_file(path))))
 
 
 class TestAnalyze:

@@ -75,6 +75,11 @@ class TestExtend:
         with pytest.raises(ValueError, match="stage 2"):
             extend(s2, 3)
 
+    def test_reach_below_radius_message_past_interpreter_digit_limit(self):
+        s2 = extend(initial_state(), 10**5000)
+        with pytest.raises(ValueError, match=r"reach 1 below radius 3000\d* at stage 2"):
+            extend(s2, 1)
+
     def test_shared_sums_match_standalone(self):
         s2 = extend(initial_state(), 1)
         sums = set(s2.sums())

@@ -22,6 +22,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntSet((1, 1))
 
+    def test_unsorted_message_past_interpreter_digit_limit(self):
+        with pytest.raises(ValueError, match="elements must be strictly increasing: 1000"):
+            IntSet((10**5000, 1))
+
     def test_of_sorts_and_dedups(self):
         assert IntSet.of([3, -4, 1, 0, 3]).elements == (-4, 0, 1, 3)
 

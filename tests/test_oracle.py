@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from urbasis import (
     BasisTrace,
+    ExplicitReaches,
     IntSet,
     brute_rep_report,
     default_window,
@@ -18,13 +19,14 @@ from urbasis import (
     min_abs_missing,
     pairs_for,
     run_greedy,
+    run_with_growth,
     verify_decomposition,
     verify_gap_growth,
     verify_gaps,
+    verify_radii,
     verify_unique_window,
 )
-from urbasis.cli import _run_checks
-from urbasis.oracle import _stage_counts
+from urbasis.oracle import _stage_counts, verify_trace
 
 import reference_oracle
 
@@ -231,6 +233,44 @@ class TestGaps:
         }
 
 
+class TestRadii:
+    def test_detects_wrong_radius_mid_trace(self, greedy4):
+        steps = list(greedy4.steps)
+        steps[2] = replace(steps[2], radius=steps[2].radius + 1)
+        verdict = verify_radii(BasisTrace(steps=tuple(steps)))
+        assert not verdict
+        assert verdict.witness == {
+            "reason": "radius-mismatch", "stage": 3,
+            "recorded": greedy4.step(3).radius + 1, "actual": greedy4.step(3).radius,
+        }
+
+
+class TestVerifyTrace:
+    def test_greedy_rows_in_order(self, greedy12):
+        rows = verify_trace(greedy12)
+        assert [row["name"] for row in rows] == [
+            "rep-scan", "unique-window", "decomposition", "gap-growth", "radius", "gap",
+        ]
+        assert all(row["ok"] and row["witness"] is None for row in rows)
+        assert rows[0]["window"] == list(default_window(greedy12)) and rows[0]["violations"] == 0
+        assert rows[2]["pairs"] == 11
+
+    def test_single_stage_has_no_gap_growth_row(self):
+        rows = verify_trace(run_greedy(1))
+        assert [row["name"] for row in rows] == ["rep-scan", "unique-window", "decomposition", "radius", "gap"]
+        assert rows[2]["pairs"] == 0
+
+    def test_refusal_message_past_interpreter_digit_limit(self):
+        trace = run_with_growth(ExplicitReaches((1, 10**5000)), 3)
+        steps = list(trace.steps)
+        steps[1] = replace(steps[1], positive_branch=not steps[1].positive_branch)
+        rows = {row["name"]: row for row in verify_trace(BasisTrace(steps=tuple(steps)))}
+        witness = rows["decomposition"]["witness"]
+        assert witness["stage"] == 3
+        assert witness["refused"].startswith("added pair [-3000")
+        assert witness["refused"].endswith("does not follow the branch rule for gap 2")
+
+
 def _explicit_trace(rng, k_max):
     """A legal trace whose reaches exceed the radius by a random slack."""
     step, steps = initial_state(), []
@@ -299,7 +339,7 @@ class TestAgainstReference:
             trace = run_greedy(k_max) if case % 2 else _explicit_trace(rng, k_max)
             for _ in range(rng.randint(1, 2)):
                 trace = _corrupt(rng, trace)
-            rows = {row["name"]: row for row in _run_checks(trace)}
+            rows = {row["name"]: row for row in verify_trace(trace)}
             ref = reference_oracle.verify_unique_window(trace)
             assert rows["unique-window"] == {"name": "unique-window", "ok": ref.ok, "witness": ref.witness}
             assert rows["decomposition"] == reference_oracle.decomposition_row(trace)
