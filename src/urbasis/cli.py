@@ -24,7 +24,7 @@ from .construction import (
 )
 from .digits import DigitLimitError, decimal_int, decimal_io
 from .oracle import brute_rep_report, verify_trace
-from .tracefile import TraceFormatError, read_file, serialize, step_row, write_file
+from .tracefile import TraceFormatError, read_file, serialize, step_rows, write_file
 
 
 class UsageError(Exception):
@@ -218,7 +218,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = json.dumps(values) if args.format == "json" else "\n".join(values)
     else:
         if args.format == "json":
-            rows = [step_row(s) for s in trace.steps]
+            rows = step_rows(trace.steps)
             text = json.dumps({"mode": trace.mode, "steps": rows}, sort_keys=True)
         else:
             text = serialize(trace).rstrip("\n")

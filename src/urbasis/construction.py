@@ -51,25 +51,26 @@ class ConstructionStep:
 
     def validate(self) -> None:
         """Raise ValueError if the stage's bookkeeping is inconsistent."""
-        if self.k < 1:
-            raise ValueError(f"stage index must be >= 1, got {self.k}")
-        if len(self.basis) != 2 * self.k:
-            raise ValueError(f"stage {self.k} should hold {2 * self.k} elements, has {len(self.basis)}")
-        if self.radius != self.basis.max_abs():
-            raise ValueError(f"stage {self.k} radius {self.radius} != max |a| = {self.basis.max_abs()}")
-        if self.radius in self.basis and -self.radius in self.basis:
-            raise ValueError(f"stage {self.k} contains both +-{self.radius}")
-        sums = self.sums()
-        gap, positive = min_abs_missing(sums)
-        if (gap, positive) != (self.gap, self.positive_branch):
-            raise ValueError(
-                f"stage {self.k} records gap={self.gap} "
-                f"({'+' if self.positive_branch else '-'}), recomputed {gap} ({'+' if positive else '-'})"
-            )
-        if not 1 <= self.gap <= 2 * self.radius - 1:
-            raise ValueError(f"stage {self.k} gap {self.gap} outside [1, {2 * self.radius - 1}]")
-        if self.reach is not None and self.reach < self.radius:
-            raise ValueError(f"stage {self.k} reach {self.reach} below radius {self.radius}")
+        with decimal_io():  # the messages quote stage integers in decimal
+            if self.k < 1:
+                raise ValueError(f"stage index must be >= 1, got {self.k}")
+            if len(self.basis) != 2 * self.k:
+                raise ValueError(f"stage {self.k} should hold {2 * self.k} elements, has {len(self.basis)}")
+            if self.radius != self.basis.max_abs():
+                raise ValueError(f"stage {self.k} radius {self.radius} != max |a| = {self.basis.max_abs()}")
+            if self.radius in self.basis and -self.radius in self.basis:
+                raise ValueError(f"stage {self.k} contains both +-{self.radius}")
+            sums = self.sums()
+            gap, positive = min_abs_missing(sums)
+            if (gap, positive) != (self.gap, self.positive_branch):
+                raise ValueError(
+                    f"stage {self.k} records gap={self.gap} "
+                    f"({'+' if self.positive_branch else '-'}), recomputed {gap} ({'+' if positive else '-'})"
+                )
+            if not 1 <= self.gap <= 2 * self.radius - 1:
+                raise ValueError(f"stage {self.k} gap {self.gap} outside [1, {2 * self.radius - 1}]")
+            if self.reach is not None and self.reach < self.radius:
+                raise ValueError(f"stage {self.k} reach {self.reach} below radius {self.radius}")
 
 
 @dataclass(frozen=True)

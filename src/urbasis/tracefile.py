@@ -7,11 +7,21 @@ Serialization is canonical (sorted keys, fixed separators, trailing
 newline), so identical traces produce byte-identical files.  Both
 directions run under the package's decimal digit limit (`digits`); a
 value past it raises DigitLimitError.
+
+Every v1 row repeats all of its stage's elements, and int<->str takes time
+quadratic in the digit count, so each direction converts each distinct
+integer once per call and reuses the result: `step_rows` keeps one
+int -> str dict, `parse` one str -> int dict, and the parsed rows share one
+int object per element.  `parse` accepts only the canonical text that
+`serialize` writes, ASCII `0` or `-?[1-9][0-9]*`, so any text it accepts
+re-serializes to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from typing import Iterable
 
 from .construction import BasisTrace, ConstructionStep
 from .digits import decimal_int, decimal_io
@@ -29,25 +39,39 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def step_row(step: ConstructionStep) -> dict:
-    """The stage as one trace row: k as a number, every other integer as a decimal string."""
+def step_rows(steps: Iterable[ConstructionStep]) -> list[dict]:
+    """The stages as trace rows: k as a number, every other integer as a decimal string.
+
+    Each distinct integer is converted to decimal once for the whole call.
+    """
+    texts: dict[int, str] = {}
+
+    def text(n: int) -> str:
+        s = texts.get(n)
+        if s is None:
+            s = texts[n] = str(n)
+        return s
+
+    rows = []
     with decimal_io():
-        row = {
-            "k": step.k,
-            "elements": [str(a) for a in step.basis.elements],
-            "d": str(step.radius),
-            "b": str(step.gap),
-            "branch": "positive" if step.positive_branch else "negative",
-        }
-        if step.reach is not None:
-            row["c"] = str(step.reach)
-    return row
+        for step in steps:
+            row = {
+                "k": step.k,
+                "elements": [text(a) for a in step.basis.elements],
+                "d": text(step.radius),
+                "b": text(step.gap),
+                "branch": "positive" if step.positive_branch else "negative",
+            }
+            if step.reach is not None:
+                row["c"] = text(step.reach)
+            rows.append(row)
+    return rows
 
 
 def serialize(trace: BasisTrace) -> str:
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": trace.mode}
     lines = [_dump_line(header)]
-    lines.extend(_dump_line(step_row(s)) for s in trace.steps)
+    lines.extend(_dump_line(row) for row in step_rows(trace.steps))
     return "\n".join(lines) + "\n"
 
 
@@ -61,13 +85,19 @@ def _quote(value) -> str:
     return repr(value)
 
 
-def _parse_int(value, what: str, lineno: int) -> int:
+_CANONICAL_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")  # what str(int) writes; no "-0"
+
+
+def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
+    """The integer a canonical decimal string spells, converted once per `ints` dict."""
     if not isinstance(value, str):
         raise TraceFormatError(f"line {lineno}: {what} must be a decimal string")
-    try:
-        return decimal_int(value, f"line {lineno}: {what}")
-    except ValueError:
-        raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {_quote(value)}") from None
+    n = ints.get(value)
+    if n is None:
+        if not _CANONICAL_DECIMAL.fullmatch(value):
+            raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {_quote(value)}")
+        n = ints[value] = decimal_int(value, f"line {lineno}: {what}")
+    return n
 
 
 def parse(text: str) -> BasisTrace:
@@ -85,7 +115,7 @@ def _parse(text: str) -> BasisTrace:
             rows.append(json.loads(ln))
         except json.JSONDecodeError as e:
             raise TraceFormatError(f"line {lineno}: not valid JSON ({e.msg})") from None
-    header, *step_rows = rows
+    header, *stage_rows = rows
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError("missing or unrecognized header line")
     if header.get("version") != FORMAT_VERSION:
@@ -93,11 +123,12 @@ def _parse(text: str) -> BasisTrace:
     mode = header.get("mode", "")
     if not isinstance(mode, str):
         raise TraceFormatError("header mode must be a string")
-    if not step_rows:
+    if not stage_rows:
         raise TraceFormatError("trace file has no stages")
 
+    ints: dict[str, int] = {}  # one int per distinct decimal string in the file
     steps: list[ConstructionStep] = []
-    for lineno, row in enumerate(step_rows, start=2):
+    for lineno, row in enumerate(stage_rows, start=2):
         if not isinstance(row, dict):
             raise TraceFormatError(f"line {lineno}: stage row must be an object")
         k = row.get("k")
@@ -108,22 +139,25 @@ def _parse(text: str) -> BasisTrace:
         raw = row.get("elements")
         if not isinstance(raw, list) or not raw:
             raise TraceFormatError(f"line {lineno}: elements must be a nonempty list")
-        values = [_parse_int(v, "element", lineno) for v in raw]
+        values = tuple(_parse_int(v, "element", lineno, ints) for v in raw)
         try:
-            basis = IntSet(tuple(values))
-        except ValueError as e:
-            raise TraceFormatError(f"line {lineno}: {e}") from None
+            basis = IntSet(values)
+        except ValueError:
+            i = next(i for i in range(len(values) - 1) if values[i] >= values[i + 1])
+            raise TraceFormatError(
+                f"line {lineno}: elements must be strictly increasing: {_quote(raw[i])} then {_quote(raw[i + 1])}"
+            ) from None
         branch = row.get("branch")
         if branch not in ("positive", "negative"):
             raise TraceFormatError(f"line {lineno}: branch must be 'positive' or 'negative'")
         reach = None
         if "c" in row:
-            reach = _parse_int(row["c"], "c", lineno)
+            reach = _parse_int(row["c"], "c", lineno, ints)
         steps.append(ConstructionStep(
             k=k,
             basis=basis,
-            radius=_parse_int(row.get("d"), "d", lineno),
-            gap=_parse_int(row.get("b"), "b", lineno),
+            radius=_parse_int(row.get("d"), "d", lineno, ints),
+            gap=_parse_int(row.get("b"), "b", lineno, ints),
             positive_branch=(branch == "positive"),
             reach=reach,
         ))

@@ -1,0 +1,52 @@
+"""Reference v1 trace codec that converts every integer on every row.
+
+This is the per-row codec `urbasis.tracefile` had before it converted each
+distinct integer once per call: `str()` on every element of every row when
+writing, `int()` on every element string when reading.  It shares no code
+with the package's codec beyond the trace classes, and it checks nothing
+but what a well-formed trace needs, so the tests compare the two only on
+traces the builder wrote.
+"""
+
+import json
+
+from urbasis import BasisTrace, ConstructionStep, IntSet
+from urbasis.digits import decimal_io
+
+
+def _dump_line(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def serialize(trace):
+    with decimal_io():
+        lines = [_dump_line({"format": "urbasis-trace", "version": "1", "mode": trace.mode})]
+        for step in trace.steps:
+            row = {
+                "k": step.k,
+                "elements": [str(a) for a in step.basis.elements],
+                "d": str(step.radius),
+                "b": str(step.gap),
+                "branch": "positive" if step.positive_branch else "negative",
+            }
+            if step.reach is not None:
+                row["c"] = str(step.reach)
+            lines.append(_dump_line(row))
+    return "\n".join(lines) + "\n"
+
+
+def parse(text):
+    with decimal_io():
+        header, *rows = [json.loads(ln) for ln in text.splitlines()]
+        steps = tuple(
+            ConstructionStep(
+                k=row["k"],
+                basis=IntSet(tuple(int(v) for v in row["elements"])),
+                radius=int(row["d"]),
+                gap=int(row["b"]),
+                positive_branch=row["branch"] == "positive",
+                reach=int(row["c"]) if "c" in row else None,
+            )
+            for row in rows
+        )
+    return BasisTrace(steps=steps, mode=header["mode"])

@@ -253,6 +253,26 @@ class TestVerify:
         assert message in err and "(1000000 characters)" in err
         assert len(err.encode()) < 1024
 
+    def test_long_ordering_message_is_bounded(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 2)
+        rewrite_row(path, 2, elements=["-4", "0", "2" + "0" * 99_999, "1" + "0" * 99_999])
+        capsys.readouterr()
+        assert run_cli("verify", path) == 2
+        err = capsys.readouterr().err
+        assert "line 3: elements must be strictly increasing" in err and "(100000 characters)" in err
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("text, replaces", [
+        (" -4", "-4"), ("-4 ", "-4"), ("-04", "-4"), ("-0_4", "-4"), ("-\uff14", "-4"), ("-0", "0"),
+    ], ids=["lead-space", "trail-space", "lead-zero", "underscore", "full-width", "minus-zero"])
+    def test_non_canonical_decimal_is_refused(self, tmp_path, capsys, text, replaces):
+        path = build_greedy(tmp_path, 2)
+        elements = [text if v == replaces else v for v in ["-4", "0", "1", "3"]]
+        rewrite_row(path, 2, elements=elements)
+        capsys.readouterr()
+        assert run_cli("verify", path) == 2
+        assert "line 3: element is not a decimal integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_json_checks_are_the_library_rows(self, tmp_path, capsys, corrupt):
         path = build_greedy(tmp_path, 12)

@@ -80,6 +80,11 @@ class TestExtend:
         with pytest.raises(ValueError, match=r"reach 1 below radius 3000\d* at stage 2"):
             extend(s2, 1)
 
+    def test_validate_message_past_interpreter_digit_limit(self):
+        s2 = extend(initial_state(), 10**5000)
+        with pytest.raises(ValueError, match=r"stage 2 radius 3\d+ != max \|a\| = 3\d+"):
+            replace(s2, radius=s2.radius + 1).validate()
+
     def test_shared_sums_match_standalone(self):
         s2 = extend(initial_state(), 1)
         sums = set(s2.sums())

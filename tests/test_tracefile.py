@@ -24,6 +24,8 @@ import urbasis
 from urbasis import digits
 from urbasis.tracefile import parse, read_file, serialize, write_file
 
+import reference_codec
+
 
 def explicit_trace(slack):
     """Build a trace from per-stage reach slack, collecting the reaches used."""
@@ -33,6 +35,28 @@ def explicit_trace(slack):
         reaches.append(s.radius + extra)
         s = extend(s, reaches[-1])
     return run_with_growth(ExplicitReaches(tuple(reaches)), len(slack) + 1)
+
+
+def powers_of_ten_trace():
+    """Reaches 10**e up to 5000 digits, so the later radii pass the interpreter's 4300-digit default."""
+    return run_with_growth(ExplicitReaches(tuple(10**e for e in (1, 3, 30, 300, 1000, 2500, 4000, 4999))), 9)
+
+
+def edit_rows(text, edits):
+    """The trace text with stage rows rewritten: {line number: function of the row dict}."""
+    lines = text.splitlines()
+    for lineno, edit in edits.items():
+        row = json.loads(lines[lineno - 1])
+        edit(row)
+        lines[lineno - 1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
+def set_element(old, new):
+    """A row edit that replaces the element string `old` with `new`."""
+    def edit(row):
+        row["elements"] = [new if v == old else v for v in row["elements"]]
+    return edit
 
 
 class TestRoundTrip:
@@ -91,6 +115,56 @@ class TestCanonicalBytes:
         assert isinstance(row["d"], str)
         assert len(row["d"]) > 1000  # slow-growth radii are huge
         assert int(row["d"]) == slow10.final.radius
+
+
+class TestMemoisedCodec:
+    """The codec converts each distinct integer once and matches the per-row reference."""
+
+    @pytest.mark.parametrize("name", ["greedy-160", "loglog-10", "powers-of-ten"])
+    def test_matches_per_row_reference(self, name, slow10):
+        trace = {"greedy-160": lambda: run_greedy(160), "loglog-10": lambda: slow10,
+                 "powers-of-ten": powers_of_ten_trace}[name]()
+        text = serialize(trace)
+        assert text == reference_codec.serialize(trace)
+        assert parse(text) == reference_codec.parse(text) == trace
+
+    def test_rows_share_one_int_per_element(self):
+        trace = parse(serialize(powers_of_ten_trace()))
+        final = {a: a for a in trace.final.basis.elements}
+        for step in trace.steps:
+            assert all(a is final[a] for a in step.basis.elements)
+
+    @pytest.mark.parametrize("value", [[-4], {"a": "-4"}], ids=["list", "object"])
+    def test_non_string_element(self, value):
+        text = edit_rows(serialize(run_greedy(2)), {3: set_element("-4", value)})
+        with pytest.raises(TraceFormatError, match="line 3: element must be a decimal string"):
+            parse(text)
+
+    def test_repeated_bad_string_reports_first_line(self):
+        text = edit_rows(serialize(run_greedy(4)), {3: set_element("0", "0x"), 5: set_element("0", "0x")})
+        with pytest.raises(TraceFormatError, match="line 3: element is not a decimal integer: '0x'"):
+            parse(text)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(2, "d"), (3, "b"), (3, "c"), (4, "elements")]),
+        st.one_of(st.integers(-10**6, 10**6).map(str), st.text(alphabet="-+0123456789 _\uff14", max_size=6)),
+    )
+    def test_accepted_text_reserializes_to_itself(self, field, value):
+        lineno, key = field
+
+        def edit(row):
+            if key == "elements":
+                row["elements"][0] = value  # the greedy K=3 row's least element, "-14"
+            else:
+                row[key] = value
+
+        text = edit_rows(serialize(run_greedy(3)), {lineno: edit})
+        try:
+            trace = parse(text)
+        except TraceFormatError:
+            return
+        assert serialize(trace) == text
 
 
 class TestMalformed:
@@ -170,3 +244,10 @@ class TestDigitLimit:
             parse(text)
         with pytest.raises(DigitLimitError, match="more than 5000 decimal digits"):
             serialize(run_with_growth(ExplicitReaches((1, 4 * 10**4999)), 3))
+
+    def test_repeated_value_past_limit_reports_first_line(self, monkeypatch):
+        big = "1" + "0" * 5000
+        text = edit_rows(serialize(run_greedy(4)), {3: set_element("-4", big), 5: set_element("-4", big)})
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 5000)
+        with pytest.raises(DigitLimitError, match="line 3: element has more than 5000 decimal digits"):
+            parse(text)
