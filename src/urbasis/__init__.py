@@ -43,7 +43,6 @@ from .oracle import (
     Verdict,
     brute_rep_report,
     default_window,
-    guaranteed_window,
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
@@ -77,7 +76,6 @@ __all__ = [
     "default_window",
     "extend",
     "growth_report",
-    "guaranteed_window",
     "halfline_cap",
     "halfline_lower",
     "initial_state",

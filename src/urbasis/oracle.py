@@ -12,8 +12,11 @@ elements that arrived.  A legal stage adds two elements, so it costs
 O(K^3) of recounting every stage.  A trace whose stages are not nested
 goes through the same updates, and its counts stay exact.
 
-`verify_trace` runs every check in a fixed order and returns one row per
-check; `urbasis verify` only prints those rows.
+The table is walked once per call (`_walk`): the unique-window,
+decomposition and gap checks all read it at every stage, and `rep-scan`
+reads the table left after the last stage, whose keys are every pair sum
+of the final set.  `verify_trace` runs every check in a fixed order and
+returns one row per check; `urbasis verify` only prints those rows.
 """
 
 from __future__ import annotations
@@ -142,12 +145,6 @@ def default_window(trace: BasisTrace) -> tuple[int, int]:
     return (-2 * r, 2 * r)
 
 
-def guaranteed_window(trace: BasisTrace) -> tuple[int, int]:
-    """Window in which the construction promises exactly one representation."""
-    half = trace.final.k // 2
-    return (-half, half)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one verification, with a witness when it fails."""
@@ -168,26 +165,7 @@ def verify_unique_window(trace: BasisTrace) -> Verdict:
     window holds a count other than 1.  Within a stage the witness is the
     least n by smallest |n|, +n before -n.
     """
-    uncovered = None
-    for step, counts, doubled in _stage_counts(trace):
-        if doubled:
-            n = min(doubled, key=_witness_order)
-            return Verdict(False, "unique-window", {
-                "reason": "repeated-sum",
-                "stage": step.k,
-                "n": n,
-                "pairs": pairs_for(step.basis, n),
-            })
-        if uncovered is not None or step.k % 2:
-            continue
-        half = step.k // 2
-        window = sorted(range(-half, half + 1), key=_witness_order)
-        n = next((n for n in window if counts.get(n, 0) != 1), None)
-        if n is not None:
-            uncovered = {"reason": "uncovered", "stage": step.k, "n": n, "count": counts.get(n, 0)}
-    if uncovered is not None:
-        return Verdict(False, "unique-window", uncovered)
-    return Verdict(True, "unique-window")
+    return _walk(trace)[0]["unique-window"]
 
 
 def verify_decomposition(
@@ -270,18 +248,7 @@ def verify_gaps(trace: BasisTrace) -> Verdict:
     The gap is the smallest |n| that is not a pair sum, +n tried before -n;
     the branch is positive exactly when +n is the one missing.
     """
-    for step, counts, _ in _stage_counts(trace):
-        n = 1
-        while n in counts and -n in counts:
-            n += 1
-        positive = n not in counts
-        if (step.gap, step.positive_branch) != (n, positive):
-            return Verdict(False, "gap", {
-                "reason": "gap-mismatch", "stage": step.k,
-                "recorded": _gap_fields(step.gap, step.positive_branch),
-                "actual": _gap_fields(n, positive),
-            })
-    return Verdict(True, "gap")
+    return _walk(trace)[0]["gap"]
 
 
 def _gap_fields(gap: int, positive: bool) -> dict:
@@ -314,6 +281,47 @@ def verify_gap_growth(trace: BasisTrace) -> Verdict:
     return Verdict(True, "gap-growth")
 
 
+def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[int]]:
+    """Walk the live table once; return each stage check's verdict and the final table.
+
+    The verdicts are keyed by check name: `unique-window`, `decomposition`
+    and `gap`.  `counts` and `doubled` are the final stage's, as
+    `_stage_counts` describes them.
+    """
+    steps = trace.steps
+    repeated = uncovered = decomposition = gap = None
+    with decimal_io():  # a decomposition refusal quotes stage integers in decimal
+        for i, (step, counts, doubled) in enumerate(_stage_counts(trace)):
+            if repeated is None and doubled:
+                n = min(doubled, key=_witness_order)
+                repeated = {"reason": "repeated-sum", "stage": step.k, "n": n, "pairs": pairs_for(step.basis, n)}
+            elif repeated is None and uncovered is None and step.k % 2 == 0:
+                half = step.k // 2
+                window = (n for n in range(-half, half + 1) if counts.get(n, 0) != 1)
+                n = min(window, key=_witness_order, default=None)
+                if n is not None:
+                    uncovered = {"reason": "uncovered", "stage": step.k, "n": n, "count": counts.get(n, 0)}
+            if decomposition is None and i + 1 < len(steps):
+                try:
+                    decomposition = verify_decomposition(step, steps[i + 1], old_sums=counts.keys()).witness
+                except ValueError as e:
+                    decomposition = {"refused": str(e), "stage": steps[i + 1].k}
+            if gap is None:
+                n = 1
+                while n in counts and -n in counts:
+                    n += 1
+                positive = n not in counts
+                if (step.gap, step.positive_branch) != (n, positive):
+                    gap = {
+                        "reason": "gap-mismatch", "stage": step.k,
+                        "recorded": _gap_fields(step.gap, step.positive_branch),
+                        "actual": _gap_fields(n, positive),
+                    }
+    witnesses = {"unique-window": repeated or uncovered, "decomposition": decomposition, "gap": gap}
+    verdicts = {check: Verdict(w is None, check, w) for check, w in witnesses.items()}
+    return verdicts, counts, doubled
+
+
 def _verdict_row(v: Verdict) -> dict:
     return {"name": v.check, "ok": v.ok, "witness": v.witness}
 
@@ -328,35 +336,23 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     pair of stages (with the number of `pairs`; an input that is not a
     legal extension fails with a `refused` witness naming the stage),
     `gap-growth` when there are two stages or more, `radius` and `gap`.
+    One walk of the live table feeds every check but `gap-growth` and
+    `radius`.
     """
-    basis = trace.final.basis
     lo, hi = default_window(trace)
-    report = brute_rep_report(basis, lo, hi)
-    violations = report.violations
+    verdicts, counts, doubled = _walk(trace)
     witness = None
-    if violations:
-        n = violations[0]
-        witness = {"n": n, "count": report.count(n), "pairs": pairs_for(basis, n)}
+    if doubled:  # every pair sum of the final set lies in [lo, hi]
+        n = min(doubled, key=_witness_order)
+        witness = {"n": n, "count": counts[n], "pairs": pairs_for(trace.final.basis, n)}
     rows = [
-        {"name": "rep-scan", "ok": not violations, "witness": witness,
-         "window": [lo, hi], "violations": len(violations)},
-        _verdict_row(verify_unique_window(trace)),
+        {"name": "rep-scan", "ok": not doubled, "witness": witness,
+         "window": [lo, hi], "violations": len(doubled)},
+        _verdict_row(verdicts["unique-window"]),
+        {**_verdict_row(verdicts["decomposition"]), "pairs": len(trace.steps) - 1},
     ]
-
-    decomposition = {"name": "decomposition", "ok": True, "witness": None, "pairs": len(trace.steps) - 1}
-    with decimal_io():  # a refusal quotes stage integers in decimal
-        for nxt, (prev, counts, _) in zip(trace.steps[1:], _stage_counts(trace)):
-            try:
-                verdict = verify_decomposition(prev, nxt, old_sums=counts.keys())
-            except ValueError as e:
-                verdict = Verdict(False, "decomposition", {"refused": str(e), "stage": nxt.k})
-            if not verdict:
-                decomposition.update(ok=False, witness=verdict.witness)
-                break
-    rows.append(decomposition)
-
     if len(trace.steps) >= 2:
         rows.append(_verdict_row(verify_gap_growth(trace)))
     rows.append(_verdict_row(verify_radii(trace)))
-    rows.append(_verdict_row(verify_gaps(trace)))
+    rows.append(_verdict_row(verdicts["gap"]))
     return rows

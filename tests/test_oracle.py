@@ -14,7 +14,6 @@ from urbasis import (
     brute_rep_report,
     default_window,
     extend,
-    guaranteed_window,
     initial_state,
     min_abs_missing,
     pairs_for,
@@ -26,6 +25,7 @@ from urbasis import (
     verify_radii,
     verify_unique_window,
 )
+import urbasis.oracle
 from urbasis.oracle import _stage_counts, verify_trace
 
 import reference_oracle
@@ -91,9 +91,6 @@ class TestRepReport:
 class TestWindows:
     def test_default_window(self, greedy4):
         assert default_window(greedy4) == (-94, 94)
-
-    def test_guaranteed_window(self, greedy4):
-        assert guaranteed_window(greedy4) == (-2, 2)
 
 
 class TestUniqueWindow:
@@ -270,6 +267,26 @@ class TestVerifyTrace:
         assert witness["refused"].startswith("added pair [-3000")
         assert witness["refused"].endswith("does not follow the branch rule for gap 2")
 
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["greedy-12", "corrupted"])
+    def test_walks_the_table_once(self, monkeypatch, corrupted):
+        trace = run_greedy(12)
+        if corrupted:
+            trace = _corrupt(random.Random(0), trace)
+        expected = verify_trace(trace)
+        assert expected[0]["ok"] is not corrupted  # the corrupted trace fails rep-scan
+        walks = []
+
+        def counted(t):
+            walks.append(t)
+            return _stage_counts(t)
+
+        def forbidden(*args):
+            raise AssertionError("rep-scan recounted the final set")
+        monkeypatch.setattr(urbasis.oracle, "_stage_counts", counted)
+        monkeypatch.setattr(urbasis.oracle, "brute_rep_report", forbidden)
+        assert verify_trace(trace) == expected
+        assert len(walks) == 1
+
 
 def _explicit_trace(rng, k_max):
     """A legal trace whose reaches exceed the radius by a random slack."""
@@ -312,6 +329,20 @@ def _corrupt(rng, trace):
     return BasisTrace(steps=tuple(steps), mode="corrupt")
 
 
+def _brute_rep_scan_row(trace):
+    """The `rep-scan` row counted from scratch over the final set's widest window."""
+    final = trace.final.basis
+    lo, hi = default_window(trace)
+    report = brute_rep_report(final, lo, hi)
+    violations = report.violations
+    witness = None
+    if violations:
+        n = violations[0]
+        witness = {"n": n, "count": report.count(n), "pairs": pairs_for(final, n)}
+    return {"name": "rep-scan", "ok": not violations, "witness": witness,
+            "window": [lo, hi], "violations": len(violations)}
+
+
 def _gap_fields(gap, positive):
     return {"b": gap, "branch": "positive" if positive else "negative"}
 
@@ -344,6 +375,7 @@ class TestAgainstReference:
             assert rows["unique-window"] == {"name": "unique-window", "ok": ref.ok, "witness": ref.witness}
             assert rows["decomposition"] == reference_oracle.decomposition_row(trace)
             assert rows["gap"] == _kernel_gap_row(trace)
+            assert rows["rep-scan"] == _brute_rep_scan_row(trace)
             for name in ("unique-window", "decomposition", "gap"):
                 witness = rows[name]["witness"] or {}
                 reasons.add(witness.get("reason", "refused" if "refused" in witness else None))
