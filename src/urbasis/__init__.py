@@ -12,8 +12,6 @@ exact predicates.
 from .bounds import (
     BoundCheck,
     growth_report,
-    halfline_cap,
-    halfline_lower,
     log_envelope,
     reach_envelope,
     sqrt_cap,
@@ -31,7 +29,6 @@ from .construction import (
     counting_profile,
     extend,
     initial_state,
-    piecewise_count,
     run_greedy,
     run_with_growth,
     table_reach,
@@ -76,14 +73,11 @@ __all__ = [
     "default_window",
     "extend",
     "growth_report",
-    "halfline_cap",
-    "halfline_lower",
     "initial_state",
     "log_envelope",
     "min_abs_missing",
     "pairs_for",
     "parse",
-    "piecewise_count",
     "reach_envelope",
     "read_file",
     "run_greedy",

@@ -1,10 +1,10 @@
-"""Closed-form density bounds as checkable predicates.
+"""Closed-form bounds as checkable predicates, all run by `urbasis analyze`.
 
-Each predicate returns a BoundCheck whose `holds` flag is decided in exact
-integer arithmetic: the log and square-root inequalities are transformed
-into equivalent power comparisons, so a pass can never be a rounding
-artifact.  The float `lower`/`upper` fields exist for display and plotting
-and are not consulted by the decision.
+`sqrt_cap` runs on every trace, `log_envelope` and `reach_envelope` on
+greedy ones.  Each predicate returns a BoundCheck whose `holds` flag is
+decided in exact integer arithmetic: the log and square-root inequalities
+are transformed into equivalent power comparisons, so a pass can never be
+a rounding artifact; the float `lower`/`upper` fields are for display only.
 """
 
 from __future__ import annotations
@@ -83,35 +83,6 @@ def sqrt_cap(r: int, x: int, observed: int) -> BoundCheck:
     return BoundCheck("sqrt-cap", x, observed, None, _sqrt_float(8 * r * x), holds)
 
 
-def halfline_lower(n0: int, x: int, observed: int) -> BoundCheck:
-    """Any set representing all integers >= n0 has at least 2*sqrt(x) - 1
-    elements in [0, x] once x >= n0^2.  Exactly: (observed + 1)^2 >= 4*x.
-    """
-    if n0 < 0:
-        raise ValueError(f"n0 must be nonnegative, got {n0}")
-    if x < n0 * n0 or x < 0:
-        raise ValueError(f"bound stated for x >= n0^2 = {n0 * n0} (and x >= 0), got {x}")
-    if observed < 0:
-        raise ValueError("observed count cannot be negative")
-    holds = (observed + 1) ** 2 >= 4 * x
-    return BoundCheck("halfline-lower", x, observed, 2 * _sqrt_float(x) - 1, None, holds)
-
-
-def halfline_cap(r: int, x: int, observed: int) -> BoundCheck:
-    """With at most r representations per integer, a set of nonnegative
-    integers has at most 2*sqrt(r*x) elements in [0, x] for x >= 1.
-    Exactly: observed^2 <= 4*r*x.
-    """
-    if r < 1:
-        raise ValueError(f"representation cap must be >= 1, got {r}")
-    if x < 1:
-        raise ValueError(f"cap stated for x >= 1, got {x}")
-    if observed < 0:
-        raise ValueError("observed count cannot be negative")
-    holds = observed * observed <= 4 * r * x
-    return BoundCheck("halfline-cap", x, observed, None, 2 * _sqrt_float(r * x), holds)
-
-
 def reach_envelope(k: int, reach: int) -> BoundCheck:
     """Exact two-sided envelope for the greedy reach at stage k:
     (3^k - 1) / 2  <=  reach  <=  (3 * 5^k + 5) / 20.
@@ -120,7 +91,7 @@ def reach_envelope(k: int, reach: int) -> BoundCheck:
     if k < 1:
         raise ValueError(f"stage index must be >= 1, got {k}")
     if reach < 1:
-        raise ValueError(f"reach must be >= 1, got {reach}")
+        raise ValueError(f"reach at stage {k} must be >= 1, got {reach}")
     lo = (3 ** k - 1) // 2
     hi = (3 * 5 ** k + 5) // 20
     holds = lo <= reach <= hi
@@ -128,16 +99,14 @@ def reach_envelope(k: int, reach: int) -> BoundCheck:
 
 
 def growth_report(trace: BasisTrace, xs: Sequence[int]) -> list[BoundCheck]:
-    """Evaluate the density bounds at the given sample points.
+    """Evaluate the bounds that `urbasis analyze` reports on a trace.
 
     Every sample gets a sqrt-cap check with r = 1 (the construction promises
-    unique representation); greedy traces additionally get the log envelope.
-    A trace counts as greedy when every recorded reach equals its stage's
-    radius, whatever its mode label says.  Samples must lie in
-    [first radius, 2 * final radius].
+    unique representation).  A greedy trace, one whose every recorded reach
+    equals its radius whatever the mode label says, also gets the log envelope
+    at each sample and then the reach envelope at each stage with a reach.
+    Samples must lie in [first radius, 2 * final radius].
     """
-    if not xs:
-        return []
     first = trace.steps[0].radius
     widest = 2 * trace.final.radius
     for x in xs:
@@ -151,4 +120,6 @@ def growth_report(trace: BasisTrace, xs: Sequence[int]) -> list[BoundCheck]:
         if greedy:
             checks.append(log_envelope(x, observed))
         checks.append(sqrt_cap(1, x, observed))
+    if greedy:
+        checks.extend(reach_envelope(s.k, s.reach) for s in trace.steps if s.reach is not None)
     return checks

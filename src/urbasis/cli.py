@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import BoundCheck, growth_report
@@ -159,9 +160,11 @@ def _default_samples(trace: BasisTrace) -> list[int]:
 
 
 def _bound_row(check: BoundCheck) -> dict:
+    # JSON has no infinity: a display bound past double range is written as null
+    lower, upper = (v if v is None or math.isfinite(v) else None for v in (check.lower, check.upper))
     return {
         "name": check.name, "x": check.x, "observed": check.observed,
-        "lower": check.lower, "upper": check.upper, "holds": check.holds,
+        "lower": lower, "upper": upper, "holds": check.holds,
     }
 
 
@@ -196,7 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload = {"ok": ok, "bounds": [_bound_row(c) for c in checks]}
         if rep_block is not None:
             payload["rep_window"] = rep_block
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         for c in checks:
             status = "HOLD" if c.holds else "VIOL"

@@ -378,20 +378,3 @@ def counting_profile(trace: BasisTrace, x: int) -> int:
         raise ValueError(f"x must be >= {first}, got {x}")
     return trace.final.basis.counting(-x, x)
 
-
-def piecewise_count(trace: BasisTrace, x: int) -> int:
-    """The count implied by stage bookkeeping alone, without scanning the set.
-
-    Between consecutive radii the count is 2k until the first new element
-    lands at 3*reach, then 2k + 1 until the next radius; from the final
-    radius on it stays 2K.  For valid traces this always agrees with
-    counting_profile, and the test suite enforces that.
-    """
-    first = trace.steps[0].radius
-    if x < first:
-        raise ValueError(f"x must be >= {first}, got {x}")
-    for step, nxt in zip(trace.steps, trace.steps[1:]):
-        if step.radius <= x < nxt.radius:
-            assert step.reach is not None
-            return 2 * step.k if x < 3 * step.reach else 2 * step.k + 1
-    return 2 * trace.final.k

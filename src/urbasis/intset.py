@@ -49,9 +49,6 @@ class IntSet:
         i = bisect_left(self.elements, value)
         return i < len(self.elements) and self.elements[i] == value
 
-    def union(self, values: Iterable[int]) -> "IntSet":
-        return IntSet.of(self.elements + tuple(values))
-
     def self_sumset(self) -> "IntSet":
         """All pairwise sums {a + a' : a <= a' in self}."""
         els = self.elements

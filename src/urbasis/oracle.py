@@ -1,8 +1,8 @@
 """Brute-force verification, kept independent of the arithmetic kernel.
 
 Every check counts pair sums with its own explicit loops rather than
-calling IntSet.sumset or IntSet.rep_count, so agreement between this
-module and the kernel is evidence, not tautology.
+calling IntSet.self_sumset or IntSet.rep_count, so agreement between
+this module and the kernel is evidence, not tautology.
 
 The per-stage checks read one live table from pair sum to count, walked
 across the stages of a trace (`_stage_counts`).  Moving to the next stage
@@ -96,8 +96,7 @@ class RepReport:
 
     `nonzero` holds only sums that occur; zero counts are implicit, which
     keeps reports usable for windows far too wide to materialize.  The
-    dense `counts` mapping and the `gaps` list are built on demand and are
-    meant for small windows only.
+    dense `counts` mapping is built on demand, for small windows only.
     """
 
     lo: int
@@ -116,11 +115,6 @@ class RepReport:
     @property
     def violations(self) -> tuple[int, ...]:
         return tuple(sorted((n for n, c in self.nonzero.items() if c >= 2), key=_witness_order))
-
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        absent = (n for n in range(self.lo, self.hi + 1) if n not in self.nonzero)
-        return tuple(sorted(absent, key=_witness_order))
 
     @property
     def gap_count(self) -> int:

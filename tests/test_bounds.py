@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from urbasis import (
     IntSet,
     growth_report,
-    halfline_cap,
-    halfline_lower,
     log_envelope,
     reach_envelope,
     run_greedy,
@@ -109,38 +107,6 @@ class TestSqrtCap:
         assert check.holds == (observed * observed <= 8 * r * x)
 
 
-class TestHalflineBounds:
-    def test_lower_known_point(self):
-        check = halfline_lower(0, 4, 4)
-        assert check.holds
-        assert check.lower == pytest.approx(3.0, rel=1e-9)
-
-    def test_lower_boundary(self):
-        assert halfline_lower(0, 4, 3).holds          # 16 >= 16
-        assert not halfline_lower(0, 4, 2).holds      # 9 < 16
-
-    def test_lower_rejects_small_x(self):
-        with pytest.raises(ValueError):
-            halfline_lower(3, 4, 10)
-
-    def test_cap_known_point(self):
-        check = halfline_cap(1, 4, 3)
-        assert check.holds
-        assert check.upper == pytest.approx(4.0, rel=1e-9)
-
-    def test_cap_boundary(self):
-        assert halfline_cap(1, 4, 4).holds            # 16 == 16
-        assert not halfline_cap(1, 4, 5).holds
-
-    def test_cap_rejects_zero_x(self):
-        with pytest.raises(ValueError):
-            halfline_cap(1, 0, 0)
-
-    def test_cap_rejects_bad_r(self):
-        with pytest.raises(ValueError):
-            halfline_cap(0, 4, 1)
-
-
 class TestReachEnvelope:
     @pytest.mark.parametrize("k,reach,expect", [
         (1, 1, True),
@@ -173,7 +139,8 @@ class TestGrowthReport:
     def test_greedy_all_hold(self):
         trace = run_greedy(3)
         checks = growth_report(trace, [1, 4, 14])
-        assert len(checks) == 6  # log envelope + sqrt cap per sample
+        assert len(checks) == 8  # log envelope + sqrt cap per sample, reach envelope per extended stage
+        assert {c.name for c in checks} == {"log-envelope", "sqrt-cap", "reach-envelope"}
         assert all(c.holds for c in checks)
 
     def test_greedy_reach_samples(self, greedy12):
@@ -189,8 +156,11 @@ class TestGrowthReport:
         checks = growth_report(slow10, [slow10.steps[0].radius])
         assert [c.name for c in checks] == ["sqrt-cap"]
 
-    def test_empty_samples(self, greedy12):
-        assert growth_report(greedy12, []) == []
+    def test_empty_samples(self, greedy12, slow10):
+        checks = growth_report(greedy12, [])
+        assert [(c.name, c.x) for c in checks] == [("reach-envelope", k) for k in range(1, 12)]
+        assert all(c.holds for c in checks)
+        assert growth_report(slow10, []) == []
 
     def test_rejects_out_of_range(self, greedy4):
         with pytest.raises(ValueError):

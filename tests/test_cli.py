@@ -8,7 +8,7 @@ from urbasis import digits, run_greedy, run_with_growth, table_reach
 from urbasis.cli import main, parse_threshold_spec
 from urbasis.construction import LogLogGrowth, ThresholdReach
 from urbasis.oracle import verify_trace
-from urbasis.tracefile import read_file, serialize
+from urbasis.tracefile import read_file, serialize, write_file
 
 from budget_check import budget_at_least
 
@@ -300,8 +300,8 @@ class TestAnalyze:
         assert run_cli("analyze", path, "--x", "1,4,14", "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert len(payload["bounds"]) == 6  # cap + envelope at each sample
-        assert {row["name"] for row in payload["bounds"]} == {"sqrt-cap", "log-envelope"}
+        assert len(payload["bounds"]) == 8  # cap + envelope at each sample, reach envelope at stages 1-2
+        assert {row["name"] for row in payload["bounds"]} == {"sqrt-cap", "log-envelope", "reach-envelope"}
 
     def test_sample_out_of_range(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 3)
@@ -333,6 +333,43 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "VIOL sqrt-cap x=50" in out
         assert "analysis: FAIL" in out
+
+    def test_reach_outside_envelope_exit_1(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 5)
+        rewrite_row(path, 3, c="20", d="20")  # stays greedy; the envelope at k=3 is [13, 19]
+        trace = read_file(path)
+        first, widest = trace.steps[0].radius, 2 * trace.final.radius
+        capsys.readouterr()
+        assert run_cli("analyze", path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""  # every default sample lies in [first radius, 2 * final radius]
+        lines = captured.out.splitlines()
+        samples = [int(line.split(" x=")[1].split()[0]) for line in lines[:-1] if "reach-envelope" not in line]
+        assert samples and all(first <= x <= widest for x in samples)
+        assert "VIOL reach-envelope x=3 observed=20 lower=13.000 upper=19.000" in lines
+        assert lines[-1] == "analysis: FAIL"
+
+    def test_nonpositive_reach_refused(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 5)
+        rewrite_row(path, 2, c="0", d="0")
+        capsys.readouterr()
+        assert run_cli("analyze", path, "--x", "1") == 2
+        assert capsys.readouterr().err == "error: reach at stage 2 must be >= 1, got 0\n"
+
+    def test_json_has_no_infinity(self, tmp_path, capsys, slow10):
+        path = str(tmp_path / "slow10.trace")
+        write_file(slow10, path)
+        capsys.readouterr()
+        assert run_cli("analyze", path) == 0
+        assert "upper=inf" in capsys.readouterr().out  # a sqrt-cap display bound past double range
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert run_cli("analyze", path, "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["ok"] is True
+        assert any(row["upper"] is None for row in payload["bounds"] if row["name"] == "sqrt-cap")
 
     def test_rep_violation_forces_exit_1(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 2)
