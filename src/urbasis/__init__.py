@@ -43,7 +43,6 @@ from .oracle import (
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
-    verify_gaps,
     verify_radii,
     verify_trace,
     verify_unique_window,
@@ -87,7 +86,6 @@ __all__ = [
     "table_reach",
     "verify_decomposition",
     "verify_gap_growth",
-    "verify_gaps",
     "verify_radii",
     "verify_trace",
     "verify_unique_window",

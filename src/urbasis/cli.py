@@ -168,6 +168,11 @@ def _bound_row(check: BoundCheck) -> dict:
     }
 
 
+def _display(v: float) -> str:
+    # a double carries ~17 significant digits: past 1e15, show them with an exponent
+    return f"{v:.3f}" if abs(v) < 1e15 else f"{v:.6e}"
+
+
 _DENSE_WINDOW_LIMIT = 20_001
 
 
@@ -203,8 +208,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         for c in checks:
             status = "HOLD" if c.holds else "VIOL"
-            lo_txt = "" if c.lower is None else f" lower={c.lower:.3f}"
-            hi_txt = "" if c.upper is None else f" upper={c.upper:.3f}"
+            lo_txt = "" if c.lower is None else f" lower={_display(c.lower)}"
+            hi_txt = "" if c.upper is None else f" upper={_display(c.upper)}"
             print(f"{status} {c.name} x={c.x} observed={c.observed}{lo_txt}{hi_txt}")
         if rep_block is not None:
             for n, c in rep_block["counts"].items():

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Union
 
 from .digits import decimal_io
-from .intset import IntSet, min_abs_missing
+from .intset import IntSet, PairSums, min_abs_missing
 
 
 class GrowthConfigError(ValueError):
@@ -46,9 +46,6 @@ class ConstructionStep:
     positive_branch: bool
     reach: int | None = None
 
-    def sums(self) -> IntSet:
-        return self.basis.self_sumset()
-
     def validate(self) -> None:
         """Raise ValueError if the stage's bookkeeping is inconsistent."""
         with decimal_io():  # the messages quote stage integers in decimal
@@ -60,7 +57,9 @@ class ConstructionStep:
                 raise ValueError(f"stage {self.k} radius {self.radius} != max |a| = {self.basis.max_abs()}")
             if self.radius in self.basis and -self.radius in self.basis:
                 raise ValueError(f"stage {self.k} contains both +-{self.radius}")
-            sums = self.sums()
+            sums = self.basis.self_sumset()
+            if len(sums) != self.k * (2 * self.k + 1):  # 2k elements give that many pairs
+                raise ValueError(f"stage {self.k} repeats a pairwise sum")
             gap, positive = min_abs_missing(sums)
             if (gap, positive) != (self.gap, self.positive_branch):
                 raise ValueError(
@@ -102,28 +101,27 @@ def initial_state() -> ConstructionStep:
     return ConstructionStep(k=1, basis=basis, radius=1, gap=gap, positive_branch=positive)
 
 
-def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) -> ConstructionStep:
+def extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     """Extend one stage: place the pair realizing the missing value +-gap.
 
     The two new elements are {gap + 3*reach, -3*reach} when +gap is missing
-    and the negated pair otherwise; reach must be at least the current
-    radius.
-
-    `sums` is the set of pairwise sums of step.basis.  A driver passes the
-    same set at every stage and extend adds, in place, the 4k + 3 sums the
-    new pair e1 < e2 contributes: old set + e1, old set + e2, and
-    {2*e1, e1 + e2, 2*e2}.  A stage then costs O(k) instead of a rebuild
-    of the whole sumset.  When omitted, the set is built from step.basis,
-    and a basis that already repeats a sum raises RuntimeError.
-    The set must grow by exactly 4k + 3, which is equivalent to every
-    representation staying unique; a failure raises RuntimeError, since it
-    would mean a bug rather than bad input, and leaves `sums` part-updated.
-    The gap search resumes at step.gap: the sums only grow, so the gap
-    never decreases.
+    and the negated pair otherwise; reach must be at least the radius, as
+    recorded and as max |a|.  RuntimeError, a bug rather than bad input,
+    means the basis already repeats a pairwise sum or the new pair would.
     """
-    if reach < step.radius:
+    nxt = _extend(step, reach)
+    n = len(step.basis)
+    if len(step.basis.self_sumset()) != n * (n + 1) // 2:  # _extend assumes the old sums are unique
+        raise RuntimeError(f"stage {step.k} already repeats a pairwise sum")
+    return nxt
+
+
+def _extend(step: ConstructionStep, reach: int) -> ConstructionStep:
+    # extend, for a basis whose pairwise sums are known to be unique
+    d = step.basis.max_abs()
+    if reach < max(step.radius, d):
         with decimal_io():  # the message quotes the radius in decimal
-            raise ValueError(f"reach {reach} below radius {step.radius} at stage {step.k}")
+            raise ValueError(f"reach {reach} below radius {max(step.radius, d)} at stage {step.k}")
     far = step.gap + 3 * reach
     if step.positive_branch:
         e1, e2 = -3 * reach, far
@@ -132,20 +130,18 @@ def extend(step: ConstructionStep, reach: int, *, sums: set[int] | None = None) 
     old = step.basis.elements
     if not (e1 < old[0] and old[-1] < e2 and max(-e1, e2) == far):
         raise RuntimeError(f"extension of stage {step.k} misplaced its new pair")
-    if sums is None:
-        sums = set(step.sums())
-        if len(sums) != len(old) * (len(old) + 1) // 2:
-            raise RuntimeError(f"stage {step.k} already repeats a pairwise sum")
-    before = len(sums)
-    sums.update([a + e1 for a in old])
-    sums.update([a + e2 for a in old])
-    sums.update((2 * e1, e1 + e2, 2 * e2))
-    if len(sums) != before + 2 * len(old) + 3:
+    # The new sums are the old ones, old + e1, old + e2 and 2*e1, e1 + e2, 2*e2.
+    # Take the positive branch (the other mirrors it), c = reach >= d and b = gap,
+    # which the placement check keeps >= 0.  The old sums lie in [-2d, 2d]; old + e1
+    # in [-3c-d, -3c+d], at or below -2d; old + e2 in [b+3c-d, b+3c+d], at or above
+    # 2d; 2*e1 and 2*e2 lie beyond those, and e1 < old < e2 keeps the new sums apart.
+    # The pieces touch only at -+2d, when c == d and both +-d are old elements; apart
+    # from that, e1 + e2 = b is the one new sum that can repeat an old one.
+    if e1 + e2 in PairSums(step.basis) or (reach == d and d in step.basis and -d in step.basis):
         raise RuntimeError(f"extension of stage {step.k} collided two pairwise sums")
-    gap, positive = min_abs_missing(sums, step.gap)
-    return ConstructionStep(
-        k=step.k + 1, basis=IntSet((e1,) + old + (e2,)), radius=far, gap=gap, positive_branch=positive
-    )
+    basis = IntSet((e1,) + old + (e2,))
+    gap, positive = min_abs_missing(PairSums(basis), step.gap)  # the sums only grow: resume at the old gap
+    return ConstructionStep(k=step.k + 1, basis=basis, radius=far, gap=gap, positive_branch=positive)
 
 
 # --- growth policies -------------------------------------------------------
@@ -212,7 +208,7 @@ class ThresholdReach:
 GrowthPolicy = Union[Greedy, ExplicitReaches, ThresholdReach]
 
 
-def table_reach(table: Mapping[int, int], label: str | None = None) -> ThresholdReach:
+def table_reach(table: Mapping[int, int]) -> ThresholdReach:
     """ThresholdReach backed by an explicit {target: least x} table."""
     frozen = dict(table)
 
@@ -221,9 +217,7 @@ def table_reach(table: Mapping[int, int], label: str | None = None) -> Threshold
             raise GrowthConfigError(f"threshold table has no entry for target {m}")
         return frozen[m]
 
-    if label is None:
-        label = "table:" + ";".join(f"{m}:{x}" for m, x in sorted(frozen.items()))
-    return ThresholdReach(lookup, label)
+    return ThresholdReach(lookup, "table:" + ";".join(f"{m}:{x}" for m, x in sorted(frozen.items())))
 
 
 # --- built-in growth-budget families ---------------------------------------
@@ -346,22 +340,19 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
     """Run the construction through stage k_max under the given policy.
 
     Stages 1..k_max-1 carry the reach that extended them; the final stage
-    carries none.  Reaches below the stage radius are rejected by extend,
-    naming the stage.  One pairwise-sum set, built for the seed stage, is
-    kept up to date by extend across all stages, so total work is O(K^2).
-    The run is one decimal_io() block: the mode string and error messages
-    quote stage integers in decimal.
+    carries none.  Each stage is checked and certified as extend does it,
+    without a set of pairwise sums.  The run is one decimal_io() block: the
+    mode string and error messages quote stage integers in decimal.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     with decimal_io():
         step = initial_state()
-        sums = set(step.sums())
         steps: list[ConstructionStep] = []
         while step.k < k_max:
             reach = policy.reach_for(step)
             steps.append(replace(step, reach=reach))
-            step = extend(step, reach, sums=sums)
+            step = _extend(step, reach)  # every stage's sums are unique by induction
         steps.append(step)
         return BasisTrace(steps=tuple(steps), mode=policy.descriptor)
 

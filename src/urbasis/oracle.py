@@ -236,15 +236,6 @@ def verify_radii(trace: BasisTrace) -> Verdict:
     return Verdict(True, "radius")
 
 
-def verify_gaps(trace: BasisTrace) -> Verdict:
-    """Every stage's recorded gap b and branch match its pair sums.
-
-    The gap is the smallest |n| that is not a pair sum, +n tried before -n;
-    the branch is positive exactly when +n is the one missing.
-    """
-    return _walk(trace)[0]["gap"]
-
-
 def _gap_fields(gap: int, positive: bool) -> dict:
     # the gap as its trace row records it
     return {"b": gap, "branch": "positive" if positive else "negative"}

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, output shapes, file handling."""
 
 import json
+import re
 
 import pytest
 
@@ -370,6 +371,21 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert payload["ok"] is True
         assert any(row["upper"] is None for row in payload["bounds"] if row["name"] == "sqrt-cap")
+
+    def test_large_text_bounds_keep_only_float_digits(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 40)
+        capsys.readouterr()
+        assert run_cli("analyze", path) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert run_cli("analyze", path, "--format", "json") == 0
+        rows = json.loads(capsys.readouterr().out)["bounds"]
+        assert len(lines) == len(rows)
+        texts = [(row[name], value) for line, row in zip(lines, rows)
+                 for name, value in re.findall(r"(lower|upper)=(\S+)", line)]
+        assert any(abs(v) >= 1e15 for v, _ in texts if v is not None)
+        for v, text in texts:  # .3f below 1e15, six significant decimals above
+            assert len(text) <= 20, text
+            assert text == "inf" if v is None else abs(float(text) - v) <= max(5e-4, 1e-6 * abs(v))
 
     def test_rep_violation_forces_exit_1(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 2)

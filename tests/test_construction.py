@@ -1,5 +1,7 @@
 """Staged construction: worked stages, drivers, growth policies."""
 
+import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -18,12 +20,14 @@ from urbasis import (
     counting_profile,
     extend,
     initial_state,
+    min_abs_missing,
     run_greedy,
     run_with_growth,
     table_reach,
 )
 from urbasis import construction
 
+import reference_kernel
 from budget_check import budget_at_least
 
 # the densest run, frozen: (elements, radius, gap, positive_branch)
@@ -46,6 +50,12 @@ class TestInitialState:
 
     def test_validates(self):
         initial_state().validate()
+
+    def test_validate_rejects_repeated_pair_sum(self):
+        # 3 = 0 + 3 = 1 + 2, while every other field is consistent
+        step = ConstructionStep(k=2, basis=IntSet((0, 1, 2, 3)), radius=3, gap=1, positive_branch=False)
+        with pytest.raises(ValueError, match="stage 2 repeats a pairwise sum"):
+            step.validate()
 
 
 class TestExtend:
@@ -84,13 +94,6 @@ class TestExtend:
         with pytest.raises(ValueError, match=r"stage 2 radius 3\d+ != max \|a\| = 3\d+"):
             replace(s2, radius=s2.radius + 1).validate()
 
-    def test_shared_sums_match_standalone(self):
-        s2 = extend(initial_state(), 1)
-        sums = set(s2.sums())
-        standalone = extend(s2, 7)
-        assert extend(s2, 7, sums=sums) == standalone
-        assert sums == set(standalone.sums())
-
     def test_basis_repeating_a_sum_raises(self):
         # 0 + 3 == 1 + 2
         bad = ConstructionStep(k=2, basis=IntSet((0, 1, 2, 3)), radius=3, gap=4, positive_branch=True)
@@ -102,6 +105,46 @@ class TestExtend:
         lying = replace(initial_state(), gap=0, positive_branch=True)
         with pytest.raises(RuntimeError, match="collided"):
             extend(lying, 1)
+
+    def test_pair_at_radius_touching_both_signs_raises(self):
+        # reach 5 places (-15, 16), which passes the placement check: -10 = -5 + -5 = 5 + -15
+        step = ConstructionStep(k=2, basis=IntSet((-5, 1, 5)), radius=5, gap=1, positive_branch=True)
+        with pytest.raises(RuntimeError, match="collided"):
+            extend(step, 5)
+        assert extend(step, 6).basis.elements == (-18, -5, 1, 5, 19)
+
+    def test_matches_set_based_reference_on_corrupted_steps(self):
+        """20,000 seeded steps: the certificate agrees with a kernel that keeps every pair sum.
+
+        The steps are greedy and explicit stages through K = 12 and small
+        bases holding both +-d, with the gap moved, the branch flipped or
+        the radius moved, and reaches around the recorded radius.  A reach
+        below max |a| is refused, which the reference allows when the
+        recorded radius is too small.
+        """
+        rng = random.Random(9)
+        stages = list(run_greedy(12).steps)
+        for _ in range(30):
+            s = initial_state()
+            while s.k < 12:
+                stages.append(s)
+                s = extend(s, s.radius + rng.choice((0, 1, 2, 5, 40)))
+        seen = {ValueError: 0, RuntimeError: 0, ConstructionStep: 0}
+        for _ in range(20_000):
+            step = rng.choice(stages) if rng.random() < 0.7 else _basis_with_both_signs(rng)
+            kind = rng.randrange(5)
+            if kind == 1:
+                step = replace(step, gap=step.gap + rng.choice((-3, -2, -1, 1, 2, 3)))
+            elif kind == 2:
+                step = replace(step, positive_branch=not step.positive_branch)
+            elif kind == 3:
+                step = replace(step, radius=step.radius + rng.choice((-3, -2, -1, 1, 2, 3)))
+            reach = step.radius + rng.choice((-1, 0, 0, 0, 1, 2, 7))
+            outcome = _outcome(extend, step, reach)
+            expected = ValueError if reach < step.basis.max_abs() else _outcome(reference_kernel.extend, step, reach)
+            assert outcome == expected, (step, reach)
+            seen[outcome if isinstance(outcome, type) else ConstructionStep] += 1
+        assert min(seen.values()) > 1000, seen
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=6))
@@ -116,6 +159,24 @@ class TestExtend:
             assert nxt.radius == s.gap + 3 * reach
             nxt.validate()
             s = nxt
+
+
+def _outcome(extend_fn, step, reach):
+    try:
+        return extend_fn(step, reach)
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+
+
+def _basis_with_both_signs(rng):
+    """A stage on a small basis holding both +-d, with unique pair sums and its true gap."""
+    while True:
+        d = rng.randrange(3, 40)
+        basis = IntSet.of([-d, d] + rng.sample(range(-d + 1, d), rng.randrange(1, 5)))
+        sums = basis.self_sumset()
+        if len(sums) == len(basis) * (len(basis) + 1) // 2:
+            gap, positive = min_abs_missing(sums)
+            return ConstructionStep(k=len(basis) // 2, basis=basis, radius=d, gap=gap, positive_branch=positive)
 
 
 class TestRunGreedy:
@@ -145,6 +206,16 @@ class TestRunGreedy:
             s = extend(s, s.radius)
         steps.append(s)
         assert run_greedy(8).steps == tuple(steps)
+
+    def test_build_keeps_no_pair_sum_set(self):
+        # keeping all 320,400 pair sums of K=400 peaks near 53 MB; the stages alone take ~1.5 MB
+        tracemalloc.start()
+        try:
+            run_greedy(400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     def test_invariants_through_k12(self, greedy12):
         steps = greedy12.steps

@@ -21,7 +21,6 @@ from urbasis import (
     run_with_growth,
     verify_decomposition,
     verify_gap_growth,
-    verify_gaps,
     verify_radii,
     verify_unique_window,
 )
@@ -210,20 +209,24 @@ class TestGapGrowth:
         assert verdict.witness["rule"] == "stage-2-gap"
 
 
+def _gap_row(trace):
+    return next(row for row in verify_trace(trace) if row["name"] == "gap")
+
+
 class TestGaps:
     def test_greedy_passes(self, greedy12):
-        assert verify_gaps(greedy12)
+        assert _gap_row(greedy12)["ok"]
 
     def test_explicit_passes(self, slow10):
-        assert verify_gaps(slow10)
+        assert _gap_row(slow10)["ok"]
 
     def test_detects_wrong_gap_mid_trace(self, greedy12):
         steps = list(greedy12.steps)
         steps[4] = replace(steps[4], gap=steps[4].gap + 1)
-        verdict = verify_gaps(BasisTrace(steps=tuple(steps), mode="corrupt"))
-        assert not verdict
+        row = _gap_row(BasisTrace(steps=tuple(steps), mode="corrupt"))
+        assert not row["ok"]
         branch = "positive" if steps[4].positive_branch else "negative"
-        assert verdict.witness == {
+        assert row["witness"] == {
             "reason": "gap-mismatch", "stage": 5,
             "recorded": {"b": steps[4].gap, "branch": branch},
             "actual": {"b": steps[4].gap - 1, "branch": branch},
