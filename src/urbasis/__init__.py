@@ -26,12 +26,12 @@ from .construction import (
     LogGrowth,
     LogLogGrowth,
     ThresholdReach,
+    ThresholdTable,
     counting_profile,
     extend,
     initial_state,
     run_greedy,
     run_with_growth,
-    table_reach,
 )
 from .digits import DigitLimitError
 from .intset import IntSet, min_abs_missing
@@ -65,6 +65,7 @@ __all__ = [
     "LogLogGrowth",
     "RepReport",
     "ThresholdReach",
+    "ThresholdTable",
     "TraceFormatError",
     "Verdict",
     "brute_rep_report",
@@ -83,7 +84,6 @@ __all__ = [
     "run_with_growth",
     "serialize",
     "sqrt_cap",
-    "table_reach",
     "verify_decomposition",
     "verify_gap_growth",
     "verify_radii",

@@ -17,11 +17,10 @@ from .construction import (
     BasisTrace,
     ExplicitReaches,
     Greedy,
-    GrowthConfigError,
     LogGrowth,
     LogLogGrowth,
+    ThresholdTable,
     run_with_growth,
-    table_reach,
 )
 from .digits import DigitLimitError, decimal_int, decimal_io
 from .oracle import brute_rep_report, verify_trace
@@ -40,37 +39,37 @@ def _parse_number(text: str, what: str) -> float:
 
 
 def parse_threshold_spec(spec: str):
-    """Parse a growth-budget spec into a threshold policy.
+    """Parse a growth-budget spec into a budget, itself a ThresholdReach policy.
 
     Accepted forms:
       log,SCALE,OFFSET            f(x) = SCALE*ln(x) + OFFSET
       loglog,SCALE,OFFSET[,SHIFT] f(x) = SCALE*ln(ln(x+SHIFT)) + OFFSET
-      table,M:X;M:X;...           explicit least-x table per even target M
+      table,M:X;M:X;...           explicit least-x table per even target M,
+                                  each target once, x not decreasing
     """
     family, _, rest = spec.partition(",")
     try:
         if family == "log":
             scale, offset = rest.split(",")
-            return LogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset")).policy()
+            return LogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset"))
         if family == "loglog":
             parts = rest.split(",")
             if len(parts) == 2:
                 scale, offset = parts
-                return LogLogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset")).policy()
+                return LogLogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset"))
             if len(parts) == 3:
                 scale, offset, shift = parts
-                return LogLogGrowth(
-                    _parse_number(scale, "scale"), _parse_number(offset, "offset"), int(shift)
-                ).policy()
+                return LogLogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset"), int(shift))
             raise ValueError("expected 2 or 3 parameters")
         if family == "table":
             table = {}
             for entry in rest.split(";"):
-                m, _, x = entry.partition(":")
-                table[int(m)] = int(x)
-            if not table:
-                raise ValueError("empty table")
-            return table_reach(table)
+                target, _, x = entry.partition(":")
+                m = int(target)
+                if m in table:
+                    raise ValueError(f"target {m} given twice")
+                table[m] = int(x)
+            return ThresholdTable(table)
     except UsageError:
         raise
     except ValueError as e:
@@ -111,7 +110,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError(f"K must be >= 1, got {k_max}")
     try:
         trace = run_with_growth(policy, k_max)
-    except (GrowthConfigError, ValueError) as e:
+    except ValueError as e:
         raise UsageError(str(e)) from None
     write_file(trace, args.output)
     final = trace.final
@@ -305,9 +304,6 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except (UsageError, DigitLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GrowthConfigError as e:
-        print(f"growth configuration error: {e}", file=sys.stderr)
         return 2
     except TraceFormatError as e:
         print(f"trace format error: {e}", file=sys.stderr)

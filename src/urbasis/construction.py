@@ -16,7 +16,7 @@ import mpmath
 from mpmath import iv, libmp
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .digits import decimal_io
 from .intset import IntSet, PairSums, min_abs_missing
@@ -167,7 +167,7 @@ class ExplicitReaches:
 
     @property
     def descriptor(self) -> str:
-        return "explicit:" + ",".join(str(v) for v in self.values)
+        return "explicit"
 
     def reach_for(self, step: ConstructionStep) -> int:
         if step.k > len(self.values):
@@ -177,47 +177,48 @@ class ExplicitReaches:
         return self.values[step.k - 1]
 
 
-@dataclass(frozen=True)
 class ThresholdReach:
-    """Reach from a target-indexed threshold map.
+    """Base of the growth budgets: reach = max(radius, threshold(2k + 2)).
 
-    `threshold(m)` is the least x from which the caller's growth budget
-    allows m elements in [-x, x]; extending stage k must keep the count
-    below 2k + 2, so reach = max(radius, threshold(2k + 2)).  The map must
-    be nondecreasing: past stage 1 each target is checked against the one
-    before it, so the policy holds no state and can be reused freely.
+    A subclass's `threshold(m)` is the least x from which its budget f
+    allows m elements in [-x, x], inverted once per stage.  The budget
+    claim does not need this map t to be monotone: if [-x, x] holds the
+    pairs of stages 1..J, then x >= 3*c_J >= t(2J + 2), so f(x) >= 2J + 2
+    >= count(x) for any nondecreasing f whose least-x map is t.  The log
+    families' t is the exact least x of an increasing f, and a
+    ThresholdTable is checked when built; only a caller-written subclass
+    goes unchecked.  Budgets hold no state and can be reused freely.
     """
 
-    threshold: Callable[[int], int]
-    label: str = "threshold"
+    def reach_for(self, step: ConstructionStep) -> int:
+        return max(step.radius, self.threshold(2 * step.k + 2))
+
+
+@dataclass(frozen=True)
+class ThresholdTable(ThresholdReach):
+    """An explicit {target: least x} table, refused if x decreases as the target grows."""
+
+    table: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        entries = sorted(self.table.items())
+        for (m0, x0), (m1, x1) in zip(entries, entries[1:]):
+            if x1 < x0:
+                with decimal_io():  # the message quotes table entries in decimal
+                    raise GrowthConfigError(f"threshold map decreases: t({m1})={x1} < t({m0})={x0}")
+        object.__setattr__(self, "table", dict(entries))
 
     @property
     def descriptor(self) -> str:
-        return self.label
+        return "table:" + ";".join(f"{m}:{x}" for m, x in self.table.items())
 
-    def reach_for(self, step: ConstructionStep) -> int:
-        m = 2 * step.k + 2
-        t = int(self.threshold(m))
-        if step.k > 1:
-            prev = int(self.threshold(m - 2))
-            if t < prev:
-                raise GrowthConfigError(f"threshold map decreases: t({m})={t} < t({m - 2})={prev}")
-        return max(step.radius, t)
+    def threshold(self, m: int) -> int:
+        if m not in self.table:
+            raise GrowthConfigError(f"threshold table has no entry for target {m}")
+        return self.table[m]
 
 
 GrowthPolicy = Union[Greedy, ExplicitReaches, ThresholdReach]
-
-
-def table_reach(table: Mapping[int, int]) -> ThresholdReach:
-    """ThresholdReach backed by an explicit {target: least x} table."""
-    frozen = dict(table)
-
-    def lookup(m: int) -> int:
-        if m not in frozen:
-            raise GrowthConfigError(f"threshold table has no entry for target {m}")
-        return frozen[m]
-
-    return ThresholdReach(lookup, "table:" + ";".join(f"{m}:{x}" for m, x in sorted(frozen.items())))
 
 
 # --- built-in growth-budget families ---------------------------------------
@@ -269,20 +270,27 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
     raise GrowthConfigError(f"threshold({m}) is still undecided at {dps // 2} digits of precision")
 
 
+def _check_budget(scale: float, offset: float) -> None:
+    for name, v in (("scale", scale), ("offset", offset)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if scale <= 0:
+        raise ValueError("scale must be positive for an unbounded budget")
+
+
 @dataclass(frozen=True)
-class LogGrowth:
+class LogGrowth(ThresholdReach):
     """Budget f(x) = scale * ln(x) + offset, for x >= 1."""
 
     scale: float = 1.0
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive for an unbounded budget")
+        _check_budget(self.scale, self.offset)
 
     @property
     def descriptor(self) -> str:
-        return f"log,{self.scale:g},{self.offset:g}"
+        return f"threshold:log,{self.scale:g},{self.offset:g}"
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
@@ -294,12 +302,9 @@ class LogGrowth:
         """Least x >= 1 with value(x) >= m, exact at any magnitude."""
         return _least_x(m, self.scale, self.offset, nested=False, shift=0)
 
-    def policy(self) -> ThresholdReach:
-        return ThresholdReach(self.threshold, "threshold:" + self.descriptor)
-
 
 @dataclass(frozen=True)
-class LogLogGrowth:
+class LogLogGrowth(ThresholdReach):
     """Budget f(x) = scale * ln(ln(x + shift)) + offset, for x >= 1.
 
     shift >= 1 keeps the inner log above 0 on the whole domain.
@@ -310,14 +315,13 @@ class LogLogGrowth:
     shift: int = 3
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive for an unbounded budget")
+        _check_budget(self.scale, self.offset)
         if self.shift < 1:
             raise ValueError("shift must be >= 1 to keep the inner log positive")
 
     @property
     def descriptor(self) -> str:
-        return f"loglog,{self.scale:g},{self.offset:g},{self.shift}"
+        return f"threshold:loglog,{self.scale:g},{self.offset:g},{self.shift}"
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
@@ -328,9 +332,6 @@ class LogLogGrowth:
     def threshold(self, m: int) -> int:
         """Least x >= 1 with value(x) >= m, exact at any magnitude."""
         return _least_x(m, self.scale, self.offset, nested=True, shift=self.shift)
-
-    def policy(self) -> ThresholdReach:
-        return ThresholdReach(self.threshold, "threshold:" + self.descriptor)
 
 
 # --- drivers ----------------------------------------------------------------

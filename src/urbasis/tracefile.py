@@ -12,9 +12,10 @@ Every v1 row repeats all of its stage's elements, and int<->str takes time
 quadratic in the digit count, so each direction converts each distinct
 integer once per call and reuses the result: `step_rows` keeps one
 int -> str dict, `parse` one str -> int dict, and the parsed rows share one
-int object per element.  `parse` accepts only the canonical text that
-`serialize` writes, ASCII `0` or `-?[1-9][0-9]*`, so any text it accepts
-re-serializes to the same bytes.
+int object per element.  `parse` accepts only the canonical integer text
+`serialize` writes, ASCII `0` or `-?[1-9][0-9]*`, so each integer
+re-serializes to the same digits; JSON spacing, unknown keys, blank lines
+and CRLF line ends are accepted and re-serialize to other bytes.
 """
 
 from __future__ import annotations

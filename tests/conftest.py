@@ -21,4 +21,4 @@ def greedy20():
 @pytest.fixture(scope="session")
 def slow10():
     # budget f(x) = 2*ln(ln(x+3)) + 4; reaches grow doubly exponentially
-    return run_with_growth(LogLogGrowth(2, 4, 3).policy(), 10)
+    return run_with_growth(LogLogGrowth(2, 4, 3), 10)

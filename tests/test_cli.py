@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from urbasis import digits, run_greedy, run_with_growth, table_reach
+from urbasis import ThresholdTable, digits, run_greedy, run_with_growth
 from urbasis.cli import main, parse_threshold_spec
-from urbasis.construction import LogLogGrowth, ThresholdReach
+from urbasis.construction import LogGrowth, LogLogGrowth, ThresholdReach
 from urbasis.oracle import verify_trace
 from urbasis.tracefile import read_file, serialize, write_file
 
@@ -66,13 +66,13 @@ class TestBuild:
         assert run_cli("build", "--c-list", str(reaches), "-o", path) == 0
         trace = read_file(path)
         assert trace.steps == run_greedy(3).steps
-        assert trace.mode == "explicit:1,4"
+        assert trace.mode == "explicit"
 
     def test_threshold_table(self, tmp_path, capsys):
         path = str(tmp_path / "out.trace")
         assert run_cli("build", "--threshold", "table,4:10;6:100", "3", "-o", path) == 0
         assert "K=3 radius=302" in capsys.readouterr().out
-        assert read_file(path) == run_with_growth(table_reach({4: 10, 6: 100}), 3)
+        assert read_file(path) == run_with_growth(ThresholdTable({4: 10, 6: 100}), 3)
 
     def test_threshold_loglog(self, tmp_path):
         path = str(tmp_path / "out.trace")
@@ -96,6 +96,26 @@ class TestBuild:
     def test_bad_threshold_k(self, tmp_path):
         assert run_cli("build", "--threshold", "log,2,2", "many", "-o", str(tmp_path / "x")) == 2
 
+    def test_decreasing_table_refused_before_its_target_is_read(self, tmp_path, capsys):
+        # K=2 reads only target 4; the table is refused when it is built
+        assert run_cli("build", "--threshold", "table,4:100;6:10", "2", "-o", str(tmp_path / "x")) == 2
+        assert "decreases" in capsys.readouterr().err
+
+    def test_repeated_table_target_refused(self, tmp_path, capsys):
+        assert run_cli("build", "--threshold", "table,4:10;4:20", "2", "-o", str(tmp_path / "x")) == 2
+        assert "target 4 given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, name", [
+        ("log,nan,0", "scale"),
+        ("loglog,inf,4", "scale"),
+        ("log,1,nan", "offset"),
+        ("log,1,-inf", "offset"),
+    ])
+    def test_non_finite_budget_parameter_refused(self, tmp_path, capsys, spec, name):
+        assert run_cli("build", "--threshold", spec, "4", "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert f"bad threshold spec {spec!r}" in err and f"{name} must be finite" in err
+
     def test_sources_mutually_exclusive(self, tmp_path):
         code = run_cli("build", "--greedy", "3", "--c-list", "c.txt", "-o", str(tmp_path / "x"))
         assert code == 2
@@ -108,16 +128,18 @@ class TestThresholdSpec:
     def test_loglog_spec(self):
         policy = parse_threshold_spec("loglog,2,4,3")
         assert isinstance(policy, ThresholdReach)
-        assert policy.label == "threshold:loglog,2,4,3"
+        assert policy.descriptor == "threshold:loglog,2,4,3"
 
     def test_default_shift(self):
-        assert parse_threshold_spec("loglog,2,4").label == LogLogGrowth(2.0, 4.0).policy().label
+        assert parse_threshold_spec("loglog,2,4") == LogLogGrowth(2.0, 4.0)
+        assert parse_threshold_spec("loglog,2,4").descriptor == LogLogGrowth(2.0, 4.0).descriptor
 
     def test_log_spec(self):
-        assert parse_threshold_spec("log,2,2").label == "threshold:log,2,2"
+        assert parse_threshold_spec("log,2,2") == LogGrowth(2.0, 2.0)
+        assert parse_threshold_spec("log,2,2").descriptor == "threshold:log,2,2"
 
     def test_table_spec(self):
-        assert parse_threshold_spec("table,4:1;6:13").label == "table:4:1;6:13"
+        assert parse_threshold_spec("table,4:1;6:13").descriptor == "table:4:1;6:13"
 
     def test_rejects_garbage(self):
         from urbasis.cli import UsageError

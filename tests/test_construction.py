@@ -1,5 +1,6 @@
 """Staged construction: worked stages, drivers, growth policies."""
 
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -17,13 +18,13 @@ from urbasis import (
     LogGrowth,
     LogLogGrowth,
     ThresholdReach,
+    ThresholdTable,
     counting_profile,
     extend,
     initial_state,
     min_abs_missing,
     run_greedy,
     run_with_growth,
-    table_reach,
 )
 from urbasis import construction
 
@@ -265,7 +266,7 @@ class TestGrowthPolicies:
     def test_explicit_matches_greedy(self):
         trace = run_with_growth(ExplicitReaches((1, 4)), 3)
         assert trace.steps == run_greedy(3).steps
-        assert trace.mode == "explicit:1,4"
+        assert trace.mode == "explicit"
 
     def test_explicit_list_too_short(self):
         with pytest.raises(GrowthConfigError, match="stage 2"):
@@ -276,39 +277,67 @@ class TestGrowthPolicies:
             run_with_growth(ExplicitReaches((1, 3)), 3)
 
     def test_table_thresholds(self):
-        trace = run_with_growth(table_reach({4: 10, 6: 100}), 3)
+        trace = run_with_growth(ThresholdTable({4: 10, 6: 100}), 3)
         assert [s.reach for s in trace.steps] == [10, 100, None]
         assert trace.final.basis.elements == (-302, -31, 0, 1, 30, 300)
 
     def test_table_missing_target(self):
         with pytest.raises(GrowthConfigError, match="target 6"):
-            run_with_growth(table_reach({4: 10}), 3)
+            run_with_growth(ThresholdTable({4: 10}), 3)
 
     def test_threshold_must_not_decrease(self):
         with pytest.raises(GrowthConfigError, match="decreases"):
-            run_with_growth(table_reach({4: 100, 6: 10}), 3)
+            ThresholdTable({4: 100, 6: 10})
 
     def test_zero_threshold_is_greedy(self):
-        trace = run_with_growth(ThresholdReach(lambda m: 0, "threshold:zero"), 5)
+        trace = run_with_growth(ThresholdTable({4: 0, 6: 0, 8: 0, 10: 0}), 5)
         assert [s.basis for s in trace.steps] == [s.basis for s in run_greedy(5).steps]
 
     def test_radius_dominates_small_thresholds(self):
-        trace = run_with_growth(table_reach({4: 1, 6: 1, 8: 1}), 4)
+        trace = run_with_growth(ThresholdTable({4: 1, 6: 1, 8: 1}), 4)
         greedy = run_greedy(4)
         assert [s.basis for s in trace.steps] == [s.basis for s in greedy.steps]
 
     def test_reused_policy_gives_equal_traces(self):
-        policy = LogLogGrowth(2, 4, 3).policy()
+        policy = LogLogGrowth(2, 4, 3)
         first, second = run_with_growth(policy, 8), run_with_growth(policy, 8)
         assert first == second
-        assert set(vars(policy)) == {"threshold", "label"}  # no state carried between runs
+        assert set(vars(policy)) == {"scale", "offset", "shift"}  # no state carried between runs
 
     def test_decrease_checked_without_earlier_stages(self):
-        # stage 3 alone sees t(8) < t(6): the check needs no record of stage 2
-        policy = table_reach({6: 100, 8: 10})
-        step = ConstructionStep(k=3, basis=IntSet((-14, -4, 0, 1, 3, 12)), radius=14, gap=5, positive_branch=True)
+        # the whole table is checked in target order when it is built, before any stage reads it
+        with pytest.raises(GrowthConfigError, match=r"t\(8\)=10 < t\(6\)=100"):
+            ThresholdTable({8: 10, 6: 100, 4: 1})
+
+    def test_decrease_message_quotes_long_entries(self):
+        # the table is checked outside any build, so it sets up its own decimal I/O
         with pytest.raises(GrowthConfigError, match="decreases"):
-            policy.reach_for(step)
+            ThresholdTable({4: 10**5000, 6: 1})
+
+    def test_table_copies_the_callers_mapping(self):
+        entries = {6: 100, 4: 10}
+        policy = ThresholdTable(entries)
+        entries[4] = 1000
+        assert policy.descriptor == "table:4:10;6:100"
+        assert policy.threshold(4) == 10
+
+    def test_budgets_are_threshold_policies(self):
+        for budget in (LogGrowth(3, 1), LogLogGrowth(2, 4, 3), ThresholdTable({4: 1})):
+            assert isinstance(budget, ThresholdReach)
+        assert LogGrowth(3, 1).descriptor == "threshold:log,3,1"
+        assert LogLogGrowth(2, 4, 3).descriptor == "threshold:loglog,2,4,3"
+
+    def test_one_inversion_per_stage(self, monkeypatch):
+        targets = []
+        least_x = construction._least_x
+
+        def counted(m, *args, **kwargs):
+            targets.append(m)
+            return least_x(m, *args, **kwargs)
+
+        monkeypatch.setattr(construction, "_least_x", counted)
+        run_with_growth(LogLogGrowth(2, 4, 3), 10)
+        assert targets == [4, 6, 8, 10, 12, 14, 16, 18, 20]  # 2k + 2 for stages 1..9, once each
 
 
 class TestBudgetFamilies:
@@ -349,7 +378,7 @@ class TestBudgetFamilies:
 
     def test_budget_respected_on_run(self):
         f = LogLogGrowth(2, 4, 3)
-        trace = run_with_growth(f.policy(), 5)
+        trace = run_with_growth(f, 5)
         samples = [1]
         for s in trace.steps[:-1]:
             samples += [s.reach, 3 * s.reach - 1, 3 * s.reach]
@@ -362,6 +391,17 @@ class TestBudgetFamilies:
             LogGrowth(0, 5)
         with pytest.raises(ValueError):
             LogLogGrowth(-1, 5)
+
+    @pytest.mark.parametrize("family", [LogGrowth, LogLogGrowth])
+    @pytest.mark.parametrize("scale, offset, name", [
+        (math.nan, 0, "scale"),
+        (math.inf, 4, "scale"),
+        (1, math.nan, "offset"),
+        (1, -math.inf, "offset"),
+    ])
+    def test_parameters_must_be_finite(self, family, scale, offset, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            family(scale, offset)
 
     def test_shift_keeps_domain_safe(self):
         with pytest.raises(ValueError):
