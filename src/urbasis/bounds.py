@@ -29,6 +29,8 @@ def _to_float(n) -> float:
 
 
 def _sqrt_float(n) -> float:
+    if n.bit_length() > 2048:  # sqrt(n) >= 2**1024, past the largest double
+        return math.inf
     if n > 10**300:
         return _to_float(math.isqrt(n))
     return math.sqrt(n)

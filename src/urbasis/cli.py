@@ -44,7 +44,7 @@ def parse_threshold_spec(spec: str):
     Accepted forms:
       log,SCALE,OFFSET            f(x) = SCALE*ln(x) + OFFSET
       loglog,SCALE,OFFSET[,SHIFT] f(x) = SCALE*ln(ln(x+SHIFT)) + OFFSET
-      table,M:X;M:X;...           explicit least-x table per even target M,
+      table,M:X;M:X;...           explicit least-x table per even target M >= 4,
                                   each target once, x not decreasing
     """
     family, _, rest = spec.partition(",")

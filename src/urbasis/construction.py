@@ -6,17 +6,23 @@ eventually gets exactly one representation a + a' (a <= a').  How far out
 the pair lands is the per-stage "reach"; choosing it as small as possible
 gives logarithmic density, choosing it huge makes the set as sparse as
 desired.  Growth policies encapsulate that choice.
+
+Only the log and log-log budgets need real arithmetic.  mpmath is imported
+inside the three functions that use it, `_least_x` and the two `value`
+methods, so it loads only when such a budget is inverted or valued; greedy,
+explicit and table builds, and every module that reads a trace, run on
+integers alone.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
-from mpmath import iv, libmp
-
 from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
+
+if TYPE_CHECKING:
+    import mpmath
 
 from .digits import decimal_io
 from .intset import IntSet, PairSums, min_abs_missing
@@ -196,15 +202,23 @@ class ThresholdReach:
 
 @dataclass(frozen=True)
 class ThresholdTable(ThresholdReach):
-    """An explicit {target: least x} table, refused if x decreases as the target grows."""
+    """An explicit {target: least x} table, refused if x decreases as the target grows.
+
+    A stage reads only the even target 2k + 2 >= 4, so any other target is refused.
+    """
 
     table: Mapping[int, int]
 
     def __post_init__(self) -> None:
         entries = sorted(self.table.items())
-        for (m0, x0), (m1, x1) in zip(entries, entries[1:]):
-            if x1 < x0:
-                with decimal_io():  # the message quotes table entries in decimal
+        with decimal_io():  # the messages quote table entries in decimal
+            for m, _ in entries:
+                if m < 4 or m % 2:
+                    raise GrowthConfigError(
+                        f"threshold table target {m} is never read: a stage asks only for even targets >= 4"
+                    )
+            for (m0, x0), (m1, x1) in zip(entries, entries[1:]):
+                if x1 < x0:
                     raise GrowthConfigError(f"threshold map decreases: t({m1})={x1} < t({m0})={x0}")
         object.__setattr__(self, "table", dict(entries))
 
@@ -243,6 +257,8 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
     the same max(1, ceil(end) - shift).  Until then the precision doubles,
     at most _MAX_DOUBLINGS times.
     """
+    from mpmath import iv, libmp
+
     t = (m - offset) / scale  # a float estimate, used only to size the precision
     try:
         ln_e = math.exp(t) if nested else t
@@ -270,6 +286,12 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
     raise GrowthConfigError(f"threshold({m}) is still undecided at {dps // 2} digits of precision")
 
 
+def _shortest(v: float) -> str:
+    # the shortest text that reads back as v, with a trailing ".0" dropped
+    text = repr(v)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _check_budget(scale: float, offset: float) -> None:
     for name, v in (("scale", scale), ("offset", offset)):
         if not math.isfinite(v):
@@ -290,11 +312,13 @@ class LogGrowth(ThresholdReach):
 
     @property
     def descriptor(self) -> str:
-        return f"threshold:log,{self.scale:g},{self.offset:g}"
+        return f"threshold:log,{_shortest(self.scale)},{_shortest(self.offset)}"
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
             raise ValueError(f"budget defined for x >= 1, got {x}")
+        import mpmath
+
         with mpmath.workdps(_dps_for(x)):
             return mpmath.mpf(self.scale) * mpmath.ln(mpmath.mpf(x)) + self.offset
 
@@ -321,11 +345,13 @@ class LogLogGrowth(ThresholdReach):
 
     @property
     def descriptor(self) -> str:
-        return f"threshold:loglog,{self.scale:g},{self.offset:g},{self.shift}"
+        return f"threshold:loglog,{_shortest(self.scale)},{_shortest(self.offset)},{self.shift}"
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
             raise ValueError(f"budget defined for x >= 1, got {x}")
+        import mpmath
+
         with mpmath.workdps(_dps_for(x)):
             return mpmath.mpf(self.scale) * mpmath.ln(mpmath.ln(mpmath.mpf(x) + self.shift)) + self.offset
 

@@ -302,6 +302,8 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[in
                         "recorded": _gap_fields(step.gap, step.positive_branch),
                         "actual": _gap_fields(n, positive),
                     }
+    if decomposition is None and trace.final.reach is not None:  # no stage follows to place its pair
+        decomposition = {"reason": "final-reach", "stage": trace.final.k, "recorded": trace.final.reach}
     witnesses = {"unique-window": repeated or uncovered, "decomposition": decomposition, "gap": gap}
     verdicts = {check: Verdict(w is None, check, w) for check, w in witnesses.items()}
     return verdicts, counts, doubled
@@ -319,7 +321,8 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     the final stage's widest window (with its `window` and number of
     `violations`), `unique-window`, `decomposition` of every consecutive
     pair of stages (with the number of `pairs`; an input that is not a
-    legal extension fails with a `refused` witness naming the stage),
+    legal extension fails with a `refused` witness naming the stage, and
+    a reach recorded on the final stage with a `final-reach` witness),
     `gap-growth` when there are two stages or more, `radius` and `gap`.
     One walk of the live table feeds every check but `gap-growth` and
     `radius`.

@@ -114,7 +114,11 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
 
 
 def decomposition_row(trace):
-    """The `decomposition` row `urbasis verify` printed, built on the reference check."""
+    """The `decomposition` row `urbasis verify` prints, built on the reference check.
+
+    A reach recorded on the final stage fails the row, since no later stage
+    places the pair it would imply.
+    """
     ok, witness = True, None
     for prev, nxt in zip(trace.steps, trace.steps[1:]):
         try:
@@ -125,4 +129,6 @@ def decomposition_row(trace):
         if not verdict:
             ok, witness = False, verdict.witness
             break
+    if ok and trace.final.reach is not None:
+        ok, witness = False, {"reason": "final-reach", "stage": trace.final.k, "recorded": trace.final.reach}
     return {"name": "decomposition", "ok": ok, "witness": witness, "pairs": len(trace.steps) - 1}

@@ -16,6 +16,7 @@ from urbasis import (
     run_greedy,
     sqrt_cap,
 )
+from urbasis.bounds import _sqrt_float, _to_float
 
 
 class TestLogEnvelope:
@@ -79,6 +80,12 @@ class TestSqrtCap:
         assert check.holds
         assert check.upper == math.inf
         assert not sqrt_cap(1, 10**2000, 10**1001).holds
+
+    @pytest.mark.parametrize("n", [2**2046, 2**2048 - 1, 2**2048], ids=["2^2046", "2^2048-1", "2^2048"])
+    def test_display_root_near_double_range(self, n):
+        # past 2048 bits the root is not taken: sqrt(n) >= 2**1024 overflows a double anyway
+        assert _sqrt_float(n) == _to_float(math.isqrt(n))
+        assert math.isinf(_sqrt_float(n)) == (n >= 2**2048 - 1)  # 2**2048 - 1 overflows once rounded
 
     def test_boundary_equality(self):
         assert sqrt_cap(2, 4, 8).holds        # 64 == 8*2*4

@@ -105,6 +105,18 @@ class TestBuild:
         assert run_cli("build", "--threshold", "table,4:10;4:20", "2", "-o", str(tmp_path / "x")) == 2
         assert "target 4 given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, target", [("table,3:1;4:10;6:100", 3), ("table,4:10;5:1", 5)])
+    def test_table_target_no_stage_reads_refused(self, tmp_path, capsys, spec, target):
+        # the builder asks only for even targets >= 4
+        assert run_cli("build", "--threshold", spec, "3", "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert f"target {target} is never read" in err and "decreases" not in err
+
+    def test_budget_label_keeps_every_digit(self, tmp_path):
+        path = str(tmp_path / "out.trace")
+        assert run_cli("build", "--threshold", "log,1.2345678,0.1234567", "6", "-o", path) == 0
+        assert read_file(path).mode == "threshold:log,1.2345678,0.1234567"
+
     @pytest.mark.parametrize("spec, name", [
         ("log,nan,0", "scale"),
         ("loglog,inf,4", "scale"),
@@ -218,6 +230,17 @@ class TestVerify:
         assert decomp["witness"] == {
             "reason": "reach-mismatch", "stage": 3, "recorded": implied + 5, "implied": implied,
         }
+
+    def test_reach_on_final_row_exit_1(self, tmp_path, capsys):
+        # build never records a reach on the last stage: no later stage places its pair
+        path = build_greedy(tmp_path, 12)
+        rewrite_row(path, 12, c="999999999")
+        capsys.readouterr()
+        assert run_cli("verify", path, "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["name"] for row in payload["checks"] if not row["ok"]] == ["decomposition"]
+        decomp = next(row for row in payload["checks"] if row["name"] == "decomposition")
+        assert decomp["witness"] == {"reason": "final-reach", "stage": 12, "recorded": 999999999}
 
     def test_recorded_radius_mismatch_exit_1(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 6)

@@ -314,6 +314,12 @@ class TestGrowthPolicies:
         with pytest.raises(GrowthConfigError, match="decreases"):
             ThresholdTable({4: 10**5000, 6: 1})
 
+    @pytest.mark.parametrize("target", [3, 5, 2, 0, -4])
+    def test_table_target_no_stage_reads_refused(self, target):
+        # a stage asks only for m = 2k + 2 >= 4; the check runs before the decrease check
+        with pytest.raises(GrowthConfigError, match=f"target {target} is never read"):
+            ThresholdTable({4: 10, target: 10**6, 6: 100})
+
     def test_table_copies_the_callers_mapping(self):
         entries = {6: 100, 4: 10}
         policy = ThresholdTable(entries)
@@ -326,6 +332,20 @@ class TestGrowthPolicies:
             assert isinstance(budget, ThresholdReach)
         assert LogGrowth(3, 1).descriptor == "threshold:log,3,1"
         assert LogLogGrowth(2, 4, 3).descriptor == "threshold:loglog,2,4,3"
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_descriptor_names_the_parameters_exactly(self, scale, offset):
+        for budget in (LogGrowth(scale, offset), LogLogGrowth(scale, offset, 3)):
+            fields = budget.descriptor.split(",")[1:3]
+            assert [float(v) for v in fields] == [scale, offset]
+
+    def test_descriptor_drops_only_a_trailing_zero(self):
+        assert LogLogGrowth(2.0, -4.0, 3).descriptor == "threshold:loglog,2,-4,3"
+        assert LogGrowth(1e16, 1e-7).descriptor == "threshold:log,1e+16,1e-07"
 
     def test_one_inversion_per_stage(self, monkeypatch):
         targets = []

@@ -1,6 +1,11 @@
-"""Package layering: no module reaches into another module's private names."""
+"""Package layering: no module reaches into another module's private names,
+and only a log or log-log budget loads mpmath."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import urbasis
@@ -23,3 +28,44 @@ def _private_imports(path):
 def test_no_module_imports_a_private_name_of_another():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_imports(path)]
     assert offenders == []
+
+
+# Runs in a fresh interpreter and prints, after each step, whether mpmath is loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+loaded = {}
+def probe(step):
+    loaded[step] = "mpmath" in sys.modules
+import urbasis
+probe("import urbasis")
+from urbasis.cli import main
+probe("import urbasis.cli")
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+trace, reaches = sys.argv[1:]
+for command, argv in [
+    ("build", ["build", "--greedy", "12", "-o", trace]),
+    ("verify", ["verify", trace]),
+    ("analyze", ["analyze", trace]),
+    ("export", ["export", trace]),
+    ("build --c-list", ["build", "--c-list", reaches, "-o", trace]),
+    ("build table", ["build", "--threshold", "table,4:10;6:100", "3", "-o", trace]),
+    ("build log", ["build", "--threshold", "log,3,1", "8", "-o", trace]),
+]:
+    run(*argv)
+    probe(command)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_log_budget_loads_mpmath(tmp_path):
+    reaches = tmp_path / "c.txt"
+    reaches.write_text("1 4 14\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "t.trace"), str(reaches)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+    loaded = json.loads(out.stdout)
+    assert loaded.pop("build log") is True  # the probe sees mpmath once a budget is inverted
+    assert loaded == dict.fromkeys(loaded, False)
+    assert len(loaded) == 8

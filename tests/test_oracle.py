@@ -383,7 +383,7 @@ class TestAgainstReference:
                 witness = rows[name]["witness"] or {}
                 reasons.add(witness.get("reason", "refused" if "refused" in witness else None))
         assert reasons >= {
-            "repeated-sum", "uncovered", "reach-mismatch", "overlap", "refused", "gap-mismatch",
+            "repeated-sum", "uncovered", "reach-mismatch", "overlap", "refused", "gap-mismatch", "final-reach",
         }
 
     def test_live_table_matches_recount_at_every_stage(self):
