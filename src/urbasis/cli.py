@@ -11,6 +11,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+from typing import Iterator
 
 from .bounds import BoundCheck, growth_report
 from .construction import (
@@ -22,9 +24,9 @@ from .construction import (
     ThresholdTable,
     run_with_growth,
 )
-from .digits import DigitLimitError, decimal_int, decimal_io
+from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str
 from .oracle import brute_rep_report, verify_trace
-from .tracefile import TraceFormatError, read_file, serialize, step_rows, write_file
+from .tracefile import TraceFormatError, read_file, step_rows, trace_lines, write_file
 
 
 class UsageError(Exception):
@@ -114,7 +116,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError(str(e)) from None
     write_file(trace, args.output)
     final = trace.final
-    print(f"K={final.k} radius={final.radius} gap={final.gap}")
+    print(f"K={final.k} radius={decimal_str(final.radius)} gap={decimal_str(final.gap)}")
     return 0
 
 
@@ -218,22 +220,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _json_steps(trace: BasisTrace) -> Iterator[str]:
+    """json.dumps({"mode": ..., "steps": step_rows(...)}, sort_keys=True) + "\n", one row at a time.
+
+    Every integer is converted before this returns, as in trace_lines.
+    """
+    rows = step_rows(trace.steps)
+    head = '{"mode": ' + json.dumps(trace.mode) + ', "steps": ['
+    body = ((", " if i else "") + json.dumps(row, sort_keys=True) for i, row in enumerate(rows))
+    return chain([head], body, ["]}\n"])
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     trace = read_file(args.trace)
     if args.what == "elements":
-        values = [str(a) for a in trace.final.basis.elements]
-        text = json.dumps(values) if args.format == "json" else "\n".join(values)
+        values = [decimal_str(a) for a in trace.final.basis.elements]
+        pieces = [(json.dumps(values) if args.format == "json" else "\n".join(values)) + "\n"]
+    elif args.format == "json":
+        pieces = _json_steps(trace)
     else:
-        if args.format == "json":
-            rows = step_rows(trace.steps)
-            text = json.dumps({"mode": trace.mode, "steps": rows}, sort_keys=True)
-        else:
-            text = serialize(trace).rstrip("\n")
+        pieces = trace_lines(trace)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -294,7 +294,11 @@ def _shortest(v: float) -> str:
 
 def _check_budget(scale: float, offset: float) -> None:
     for name, v in (("scale", scale), ("offset", offset)):
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int past float range; its decimal text may pass the digit limit
+            raise ValueError(f"{name} must be finite, got an integer past float range") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {v}")
     if scale <= 0:
         raise ValueError("scale must be positive for an unbounded budget")

@@ -5,15 +5,35 @@ default, since Python 3.11) that slow-growth traces pass by far.  Code that
 converts integers to or from decimal runs inside `decimal_io()`, which
 raises the limit to DECIMAL_DIGIT_LIMIT for that block only; nothing
 changes the interpreter's setting at import.
+
+int<->str takes time quadratic in the digit count, so the outermost
+`decimal_io()` block owns one memo that nested blocks share: `decimal_int`
+and `decimal_str` record each text of at least _MEMO_FLOOR characters
+with its integer, and a later conversion of either one, in either
+direction, is a lookup.  A text read from a file or a reach list is then
+not converted back when it is written.  Only canonical text (`0` or
+`-?[1-9][0-9]*`, what str(int) writes) is recorded, so `decimal_str`
+always returns str(n).  Shorter texts are not recorded: a memo of every
+small integer pins more memory than it saves time.  The memo is dropped
+when the outermost block exits, normally or by an exception; outside any
+block both functions convert plainly.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 from typing import Iterator
 
 DECIMAL_DIGIT_LIMIT = 2_000_000
+
+CANONICAL_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")  # what str(int) writes; no "-0"
+
+_MEMO_FLOOR = 500  # shortest text, in characters, that the block memo records
+
+# the outermost open block's memo: a str key maps to its int, an int key to its text
+_memo: dict | None = None
 
 
 class DigitLimitError(Exception):
@@ -36,13 +56,18 @@ def decimal_io() -> Iterator[None]:
 
     The interpreter's limit is restored on exit, and a conversion past the
     limit inside the block raises DigitLimitError instead of ValueError.
-    Interpreters without the limit (before 3.11) run the block unchanged.
+    Interpreters without the limit (before 3.11) run the block with it
+    unchanged.  The outermost block creates the conversion memo and drops
+    it on exit.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(DECIMAL_DIGIT_LIMIT)
+    global _memo
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(DECIMAL_DIGIT_LIMIT)
+    outermost = _memo is None
+    if outermost:
+        _memo = {}
     try:
         yield
     except ValueError as e:
@@ -50,7 +75,10 @@ def decimal_io() -> Iterator[None]:
             raise
         raise _limit_error("an integer") from None
     finally:
-        sys.set_int_max_str_digits(saved)
+        if limited:
+            sys.set_int_max_str_digits(saved)
+        if outermost:
+            _memo = None
 
 
 def decimal_int(text: str, what: str) -> int:
@@ -58,9 +86,37 @@ def decimal_int(text: str, what: str) -> int:
 
     Malformed text still raises ValueError.  Callers run inside decimal_io().
     """
+    memo = _memo
+    if memo is not None:
+        n = memo.get(text)
+        if n is not None:
+            return n
     try:
-        return int(text, 10)
+        n = int(text, 10)
     except ValueError as e:
         if _past_limit(e):
             raise _limit_error(what) from None
         raise
+    if memo is not None and len(text) >= _MEMO_FLOOR and CANONICAL_DECIMAL.fullmatch(text):
+        memo[text] = n
+        memo[n] = text
+    return n
+
+
+def decimal_str(n: int) -> str:
+    """str(n), raising DigitLimitError for a value past the limit.  Callers run inside decimal_io()."""
+    memo = _memo
+    if memo is not None:
+        text = memo.get(n)
+        if text is not None:
+            return text
+    try:
+        text = str(n)
+    except ValueError as e:
+        if _past_limit(e):
+            raise _limit_error("an integer") from None
+        raise
+    if memo is not None and len(text) >= _MEMO_FLOOR:
+        memo[n] = text
+        memo[text] = n
+    return text

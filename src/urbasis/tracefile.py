@@ -10,22 +10,27 @@ value past it raises DigitLimitError.
 
 Every v1 row repeats all of its stage's elements, and int<->str takes time
 quadratic in the digit count, so each direction converts each distinct
-integer once per call and reuses the result: `step_rows` keeps one
-int -> str dict, `parse` one str -> int dict, and the parsed rows share one
-int object per element.  `parse` accepts only the canonical integer text
-`serialize` writes, ASCII `0` or `-?[1-9][0-9]*`, so each integer
-re-serializes to the same digits; JSON spacing, unknown keys, blank lines
-and CRLF line ends are accepted and re-serialize to other bytes.
+integer once per call: `step_rows` keeps one int -> str dict, `parse` one
+str -> int dict, and the parsed rows share one int object per element.
+Across calls, the conversions go through `digits`, whose memo lives as
+long as the outermost `decimal_io()` block: inside one block, an integer
+whose text has 500 or more characters (`digits._MEMO_FLOOR`) and that
+`parse` read is written back by `step_rows` with the text it was read
+from, not converted again.  `parse` accepts only the canonical
+integer text `serialize` writes, ASCII `0` or `-?[1-9][0-9]*`, so each
+integer re-serializes to the same digits; JSON spacing, unknown keys,
+blank lines and CRLF line ends are accepted and re-serialize to other
+bytes.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .construction import BasisTrace, ConstructionStep
-from .digits import decimal_int, decimal_io
+from .digits import CANONICAL_DECIMAL, decimal_int, decimal_io, decimal_str
 from .intset import IntSet
 
 FORMAT_NAME = "urbasis-trace"
@@ -43,14 +48,15 @@ def _dump_line(obj: dict) -> str:
 def step_rows(steps: Iterable[ConstructionStep]) -> list[dict]:
     """The stages as trace rows: k as a number, every other integer as a decimal string.
 
-    Each distinct integer is converted to decimal once for the whole call.
+    Each distinct integer is converted to decimal once for the whole call,
+    and not at all when the enclosing decimal_io() block has read its text.
     """
     texts: dict[int, str] = {}
 
     def text(n: int) -> str:
         s = texts.get(n)
         if s is None:
-            s = texts[n] = str(n)
+            s = texts[n] = decimal_str(n)
         return s
 
     rows = []
@@ -69,11 +75,19 @@ def step_rows(steps: Iterable[ConstructionStep]) -> list[dict]:
     return rows
 
 
-def serialize(trace: BasisTrace) -> str:
+def trace_lines(trace: BasisTrace) -> Iterator[str]:
+    """The lines of the trace file, each ending in a newline, made as they are taken.
+
+    Every integer is converted before this returns, so a value past the
+    digit limit raises here and not between lines.
+    """
+    rows = step_rows(trace.steps)
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": trace.mode}
-    lines = [_dump_line(header)]
-    lines.extend(_dump_line(row) for row in step_rows(trace.steps))
-    return "\n".join(lines) + "\n"
+    return (_dump_line(obj) + "\n" for obj in chain([header], rows))
+
+
+def serialize(trace: BasisTrace) -> str:
+    return "".join(trace_lines(trace))
 
 
 _QUOTE_CHARS = 40  # longest bad string an error message quotes in full
@@ -86,16 +100,13 @@ def _quote(value) -> str:
     return repr(value)
 
 
-_CANONICAL_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")  # what str(int) writes; no "-0"
-
-
 def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
     """The integer a canonical decimal string spells, converted once per `ints` dict."""
     if not isinstance(value, str):
         raise TraceFormatError(f"line {lineno}: {what} must be a decimal string")
     n = ints.get(value)
     if n is None:
-        if not _CANONICAL_DECIMAL.fullmatch(value):
+        if not CANONICAL_DECIMAL.fullmatch(value):
             raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {_quote(value)}")
         n = ints[value] = decimal_int(value, f"line {lineno}: {what}")
     return n

@@ -1,15 +1,18 @@
 """End-to-end command-line behavior: exit codes, output shapes, file handling."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from urbasis import ThresholdTable, digits, run_greedy, run_with_growth
+from urbasis import ExplicitReaches, ThresholdTable, digits, run_greedy, run_with_growth
 from urbasis.cli import main, parse_threshold_spec
 from urbasis.construction import LogGrowth, LogLogGrowth, ThresholdReach
 from urbasis.oracle import verify_trace
-from urbasis.tracefile import read_file, serialize, write_file
+from urbasis.tracefile import read_file, serialize, step_rows, write_file
 
 from budget_check import budget_at_least
 
@@ -40,6 +43,12 @@ def dense_interval_trace(tmp_path, m):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + row + "\n")
     return path
+
+
+def long_explicit_trace():
+    """A trace whose reaches and radii are longer than the digits memo's floor."""
+    reaches = (10, 10**600, 10**1300)
+    return run_with_growth(ExplicitReaches(reaches), len(reaches) + 1)
 
 
 def rewrite_row(path, k, **fields):
@@ -80,6 +89,20 @@ class TestBuild:
         trace = read_file(path)
         assert trace.mode == "threshold:loglog,2,4,3"
         assert trace.final.k == 5
+
+    def test_non_canonical_long_reaches_build_the_canonical_trace(self, tmp_path, capsys):
+        # the reach texts are long enough for the digits memo, which must not write them back as read
+        canonical = ["10", "1" + "0" * 600, "1" + "0" * 1300, "1" + "0" * 2000]
+        spelled = ["+10", "+" + canonical[1], "000" + canonical[2], "1_" + canonical[3][1:]]
+        outputs = []
+        for name, entries in (("canonical", canonical), ("spelled", spelled)):
+            reaches = tmp_path / f"{name}.txt"
+            reaches.write_text("\n".join(entries) + "\n")
+            path = tmp_path / f"{name}.trace"
+            assert run_cli("build", "--c-list", str(reaches), "-o", str(path)) == 0
+            outputs.append((path.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert run_cli("verify", str(tmp_path / "spelled.trace")) == 0
 
     def test_zero_stages_rejected(self, tmp_path, capsys):
         assert run_cli("build", "--greedy", "0", "-o", str(tmp_path / "x")) == 2
@@ -485,6 +508,67 @@ class TestExport:
         assert run_cli("export", path, "--what", "elements", "-o", dest) == 0
         with open(dest, "r", encoding="utf-8") as fh:
             assert json.loads(fh.read()) == ["-4", "0", "1", "3"]
+
+    @pytest.mark.parametrize("source", ["greedy12", "slow10", "long"])
+    @pytest.mark.parametrize("what, fmt", [
+        ("steps", "json"), ("steps", "text"), ("elements", "json"), ("elements", "text"),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_bytes_match_the_whole_text_forms(self, tmp_path, capsys, request, source, what, fmt, to_file):
+        trace = long_explicit_trace() if source == "long" else request.getfixturevalue(source)
+        if what == "elements":
+            values = [str(a) for a in trace.final.basis.elements]
+            expected = (json.dumps(values) if fmt == "json" else "\n".join(values)) + "\n"
+        elif fmt == "json":
+            expected = json.dumps({"mode": trace.mode, "steps": step_rows(trace.steps)}, sort_keys=True) + "\n"
+        else:
+            expected = serialize(trace)
+        path = str(tmp_path / "t.trace")
+        write_file(trace, path)
+        dest = tmp_path / "out"
+        argv = ["export", path, "--what", what, "--format", fmt] + (["-o", str(dest)] if to_file else [])
+        assert run_cli(*argv) == 0
+        got = dest.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert got == expected.encode()
+
+
+_MEASURE = """
+import os, subprocess, sys
+launch = "import sys; from urbasis.cli import main; sys.exit(main())"
+child = subprocess.Popen([sys.executable, "-c", launch, *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss(argv, cwd):
+    """Exit code and peak RSS of one `urbasis` command.
+
+    Linux carries a parent's peak RSS into its child's at exec, so the
+    command starts from a fresh interpreter that holds no data, not from
+    this process.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(digits.__file__)))
+    out = subprocess.run([sys.executable, "-c", _MEASURE, *argv],
+                         cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    code, peak = map(int, out.stdout.split())
+    return code, peak
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads a child's peak RSS from os.wait4")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_export_streams_within_the_peak_of_verify(tmp_path, fmt):
+    # a trace of several MB: what export holds beyond the parsed trace is one row, not the whole text
+    reaches = tmp_path / "c.txt"
+    reaches.write_text("\n".join("1" + "0" * d for d in range(1, 15_000, 500)) + "\n")
+    assert run_cli("build", "--c-list", str(reaches), "-o", str(tmp_path / "t.trace")) == 0
+    assert (tmp_path / "t.trace").stat().st_size > 4_000_000
+    code, verify_peak = _peak_rss(["verify", "t.trace"], tmp_path)
+    assert code == 0
+    code, export_peak = _peak_rss(["export", "t.trace", "--format", fmt, "-o", "out"], tmp_path)
+    assert code == 0
+    assert export_peak <= verify_peak * 1.03  # allocator noise is ~1%; holding the whole output costs 15-30%
 
 
 class TestPipeline:

@@ -418,6 +418,9 @@ class TestBudgetFamilies:
         (math.inf, 4, "scale"),
         (1, math.nan, "offset"),
         (1, -math.inf, "offset"),
+        pytest.param(10**400, 0, "scale", id="10**400-0-scale"),
+        pytest.param(1, 10**400, "offset", id="1-10**400-offset"),
+        pytest.param(1, -10**400, "offset", id="1--10**400-offset"),
     ])
     def test_parameters_must_be_finite(self, family, scale, offset, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):

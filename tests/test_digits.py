@@ -1,0 +1,112 @@
+"""The decimal I/O block: its digit limit and its conversion memo."""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from urbasis import DigitLimitError, ExplicitReaches, run_with_growth
+from urbasis import digits
+from urbasis.digits import decimal_int, decimal_io, decimal_str
+from urbasis.tracefile import parse, serialize, step_rows
+
+LONG = digits._MEMO_FLOOR + 100  # digits of a value the memo records
+
+
+def spell(n, style):
+    """A decimal text that int(text, 10) reads as n: canonical, or in one non-canonical style."""
+    sign, body = ("-", str(-n)) if n < 0 else ("", str(n))
+    if style == "plus":
+        return (sign or "+") + body
+    if style == "zeros":
+        return sign + "00" + body
+    if style == "underscore" and len(body) > 1:
+        return sign + body[0] + "_" + body[1:]
+    if style == "spaces":
+        return f" {sign}{body}\n"
+    return sign + body
+
+
+integers = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(lambda d, r, neg: (-1) ** neg * (7 * 10**d + r),
+              st.integers(0, LONG), st.integers(0, 10**6), st.integers(0, 1)),
+)
+styles = st.sampled_from(["canonical", "plus", "zeros", "underscore", "spaces"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(reads=st.lists(st.tuples(integers, styles), max_size=12),
+       floor=st.sampled_from([1, 3, digits._MEMO_FLOOR]))
+def test_memo_returns_canonical_text_whatever_was_read(reads, floor):
+    with mock.patch.object(digits, "_MEMO_FLOOR", floor), decimal_io():
+        for n, style in reads:
+            assert decimal_int(spell(n, style), "a value") == n
+        for n, style in reads:
+            assert decimal_str(n) == str(n)
+            assert decimal_int(str(n), "a value") == n
+            assert decimal_int(spell(n, style), "a value") == n
+
+
+class TestLifetime:
+    def test_no_memo_outside_a_block(self):
+        text = "9" * LONG
+        assert digits._memo is None
+        with decimal_io():
+            n = decimal_int(text, "a value")
+        assert decimal_str(n) == text and digits._memo is None
+
+    def test_nested_blocks_share_the_outermost_memo(self):
+        text = "1" + "0" * LONG
+        with decimal_io():
+            outer = digits._memo
+            with decimal_io():
+                assert digits._memo is outer
+                n = decimal_int(text, "a value")
+            assert digits._memo is outer
+            assert decimal_str(n) is text  # the text read, not a new conversion
+        assert digits._memo is None
+
+    def test_memo_dropped_when_the_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with decimal_io():
+                with decimal_io():
+                    decimal_str(10**LONG)
+                    raise RuntimeError("inside")
+        assert digits._memo is None
+
+    def test_no_memo_when_the_limit_cannot_be_set(self, monkeypatch):
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 100)  # the interpreter refuses limits below 641
+        with pytest.raises(ValueError):
+            with decimal_io():
+                pass
+        assert digits._memo is None
+
+    def test_short_texts_are_not_recorded(self):
+        with decimal_io():
+            decimal_int("12345", "a value")
+            decimal_str(10**20)
+            assert digits._memo == {}
+
+    def test_past_limit_raises_and_is_not_recorded(self, monkeypatch):
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
+        with decimal_io():
+            with pytest.raises(DigitLimitError, match="a reach has more than 1000"):
+                decimal_int("1" + "0" * 1000, "a reach")
+            with pytest.raises(DigitLimitError, match="an integer has more than 1000"):
+                decimal_str(10**1000)
+            assert digits._memo == {}
+
+
+def test_rows_of_a_parsed_trace_reuse_its_texts():
+    reaches = (10, 10**LONG, 10**(2 * LONG))
+    text = serialize(run_with_growth(ExplicitReaches(reaches), len(reaches) + 1))
+    with decimal_io():
+        trace = parse(text)
+        rows = step_rows(trace.steps)
+        memo = digits._memo
+        long_values = [(row["d"], step.radius) for row, step in zip(rows, trace.steps) if len(row["d"]) >= LONG]
+        assert long_values
+        for written, value in long_values:
+            assert written is memo[value]  # recorded by parse, so not converted again
