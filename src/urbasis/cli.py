@@ -160,13 +160,13 @@ def _default_samples(trace: BasisTrace) -> list[int]:
     return sorted(xs)
 
 
-def _bound_row(check: BoundCheck) -> dict:
+def _bound_json(check: BoundCheck, encode) -> str:
+    """The row as `encode` writes it with sorted keys, "x" (which sorts last) written by decimal_str."""
     # JSON has no infinity: a display bound past double range is written as null
     lower, upper = (v if v is None or math.isfinite(v) else None for v in (check.lower, check.upper))
-    return {
-        "name": check.name, "x": check.x, "observed": check.observed,
-        "lower": lower, "upper": upper, "holds": check.holds,
-    }
+    head = encode({"holds": check.holds, "lower": lower, "name": check.name,
+                   "observed": check.observed, "upper": upper})
+    return head[:-1] + ', "x": ' + decimal_str(check.x) + "}"
 
 
 def _display(v: float) -> str:
@@ -202,16 +202,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ok = False
 
     if args.format == "json":
-        payload = {"ok": ok, "bounds": [_bound_row(c) for c in checks]}
+        # json.dumps of the whole payload with sort_keys=True, allow_nan=False: "bounds" sorts first
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+        rows = ", ".join(_bound_json(c, encode) for c in checks)
+        payload = {"ok": ok}
         if rep_block is not None:
             payload["rep_window"] = rep_block
-        print(json.dumps(payload, sort_keys=True, allow_nan=False))
+        print('{"bounds": [' + rows + '], ' + encode(payload)[1:])
     else:
         for c in checks:
             status = "HOLD" if c.holds else "VIOL"
             lo_txt = "" if c.lower is None else f" lower={_display(c.lower)}"
             hi_txt = "" if c.upper is None else f" upper={_display(c.upper)}"
-            print(f"{status} {c.name} x={c.x} observed={c.observed}{lo_txt}{hi_txt}")
+            print(f"{status} {c.name} x={decimal_str(c.x)} observed={decimal_str(c.observed)}{lo_txt}{hi_txt}")
         if rep_block is not None:
             for n, c in rep_block["counts"].items():
                 print(f"rep n={n} count={c}")

@@ -7,16 +7,20 @@ raises the limit to DECIMAL_DIGIT_LIMIT for that block only; nothing
 changes the interpreter's setting at import.
 
 int<->str takes time quadratic in the digit count, so the outermost
-`decimal_io()` block owns one memo that nested blocks share: `decimal_int`
-and `decimal_str` record each text of at least _MEMO_FLOOR characters
-with its integer, and a later conversion of either one, in either
-direction, is a lookup.  A text read from a file or a reach list is then
-not converted back when it is written.  Only canonical text (`0` or
+`decimal_io()` block owns one memo that nested blocks share: the readers
+`canonical_int` and `decimal_int` and the writer `decimal_str` record
+each text of at least _MEMO_FLOOR characters with its integer, and a
+later conversion of either one, in either direction, is a lookup.  A
+text read from a file or a reach list is then not converted back when it
+is written: `build` writes the reach-list texts, and `export` and
+`analyze` the texts of the trace they read.  Only canonical text (`0` or
 `-?[1-9][0-9]*`, what str(int) writes) is recorded, so `decimal_str`
-always returns str(n).  Shorter texts are not recorded: a memo of every
-small integer pins more memory than it saves time.  The memo is dropped
-when the outermost block exits, normally or by an exception; outside any
-block both functions convert plainly.
+always returns str(n).  `canonical_int` reads only canonical text and
+matches it once; `decimal_int` reads any text int() reads.  Shorter
+texts are not recorded: a memo of every small integer pins more memory
+than it saves time.  The memo is dropped when the outermost block exits,
+normally or by an exception; outside any block the functions convert
+plainly.
 """
 
 from __future__ import annotations
@@ -81,26 +85,46 @@ def decimal_io() -> Iterator[None]:
             _memo = None
 
 
-def decimal_int(text: str, what: str) -> int:
-    """int(text, 10), raising DigitLimitError that names `what` for a value past the limit.
+def _convert(text: str, what: str) -> int:
+    try:
+        return int(text, 10)
+    except ValueError as e:
+        if _past_limit(e):
+            raise _limit_error(what) from None
+        raise
 
-    Malformed text still raises ValueError.  Callers run inside decimal_io().
+
+def canonical_int(text: str, what: str) -> int | None:
+    """The integer that canonical decimal text spells, or None for any other text.
+
+    The text is matched against CANONICAL_DECIMAL once, and not at all when
+    the memo holds it, since the memo holds only canonical text.  Raises
+    DigitLimitError that names `what` for a value past the limit.  Callers
+    run inside decimal_io().
     """
     memo = _memo
     if memo is not None:
         n = memo.get(text)
         if n is not None:
             return n
-    try:
-        n = int(text, 10)
-    except ValueError as e:
-        if _past_limit(e):
-            raise _limit_error(what) from None
-        raise
-    if memo is not None and len(text) >= _MEMO_FLOOR and CANONICAL_DECIMAL.fullmatch(text):
+    if not CANONICAL_DECIMAL.fullmatch(text):
+        return None
+    n = _convert(text, what)
+    if memo is not None and len(text) >= _MEMO_FLOOR:
         memo[text] = n
         memo[n] = text
     return n
+
+
+def decimal_int(text: str, what: str) -> int:
+    """int(text, 10), raising DigitLimitError that names `what` for a value past the limit.
+
+    Malformed text still raises ValueError.  Text that is not canonical
+    (a sign, leading zeros, underscores, spaces) is converted but not
+    recorded.  Callers run inside decimal_io().
+    """
+    n = canonical_int(text, what)
+    return _convert(text, what) if n is None else n
 
 
 def decimal_str(n: int) -> str:

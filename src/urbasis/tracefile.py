@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .construction import BasisTrace, ConstructionStep
-from .digits import CANONICAL_DECIMAL, decimal_int, decimal_io, decimal_str
+from .digits import canonical_int, decimal_io, decimal_str
 from .intset import IntSet
 
 FORMAT_NAME = "urbasis-trace"
@@ -106,9 +106,10 @@ def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
         raise TraceFormatError(f"line {lineno}: {what} must be a decimal string")
     n = ints.get(value)
     if n is None:
-        if not CANONICAL_DECIMAL.fullmatch(value):
+        n = canonical_int(value, f"line {lineno}: {what}")
+        if n is None:
             raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {_quote(value)}")
-        n = ints[value] = decimal_int(value, f"line {lineno}: {what}")
+        ints[value] = n
     return n
 
 

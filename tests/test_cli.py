@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, output shapes, file handling."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,10 +9,11 @@ import sys
 
 import pytest
 
-from urbasis import ExplicitReaches, ThresholdTable, digits, run_greedy, run_with_growth
+from urbasis import ExplicitReaches, ThresholdTable, cli, digits, run_greedy, run_with_growth
+from urbasis.bounds import growth_report
 from urbasis.cli import main, parse_threshold_spec
 from urbasis.construction import LogGrowth, LogLogGrowth, ThresholdReach
-from urbasis.oracle import verify_trace
+from urbasis.oracle import brute_rep_report, verify_trace
 from urbasis.tracefile import read_file, serialize, step_rows, write_file
 
 from budget_check import budget_at_least
@@ -49,6 +51,15 @@ def long_explicit_trace():
     """A trace whose reaches and radii are longer than the digits memo's floor."""
     reaches = (10, 10**600, 10**1300)
     return run_with_growth(ExplicitReaches(reaches), len(reaches) + 1)
+
+
+def long_c_list_trace(tmp_path):
+    """A --c-list trace whose reaches and radii have 600 to 2000 digits, and the radius of stage 3."""
+    reaches = tmp_path / "long.txt"
+    reaches.write_text("\n".join(["10", "1" + "0" * 600, "7" + "3" * 1000, "1" + "0" * 2000]) + "\n")
+    path = str(tmp_path / "long.trace")
+    assert run_cli("build", "--c-list", str(reaches), "-o", path) == 0
+    return path, str(read_file(path).steps[2].radius)
 
 
 def rewrite_row(path, k, **fields):
@@ -471,6 +482,97 @@ class TestAnalyze:
         path = build_greedy(tmp_path, 2)
         assert run_cli("analyze", path, "--rep-window", "5,1") == 2
         assert run_cli("analyze", path, "--rep-window", "1;5") == 2
+
+
+def _display(v):
+    return f"{v:.3f}" if abs(v) < 1e15 else f"{v:.6e}"
+
+
+def reference_analyze(trace, xs, window, fmt):
+    """analyze's stdout and exit code, written as json.dumps of the whole payload or one f-string a row."""
+    checks = growth_report(trace, xs)
+    ok = all(c.holds for c in checks)
+    rep = None
+    if window is not None:
+        report = brute_rep_report(trace.final.basis, *window)
+        rep = {"window": list(window), "counts": {str(n): c for n, c in sorted(report.counts.items())},
+               "violations": list(report.violations), "gap_count": report.gap_count}
+        ok = ok and not report.violations
+    if fmt == "json":
+        finite = lambda v: v if v is None or math.isfinite(v) else None
+        bounds = [{"name": c.name, "x": c.x, "observed": c.observed, "lower": finite(c.lower),
+                   "upper": finite(c.upper), "holds": c.holds} for c in checks]
+        payload = {"ok": ok, "bounds": bounds}
+        if rep is not None:
+            payload["rep_window"] = rep
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", int(not ok)
+    lines = []
+    for c in checks:
+        lo = "" if c.lower is None else f" lower={_display(c.lower)}"
+        hi = "" if c.upper is None else f" upper={_display(c.upper)}"
+        lines.append(f"{'HOLD' if c.holds else 'VIOL'} {c.name} x={c.x} observed={c.observed}{lo}{hi}")
+    if rep is not None:
+        lines += [f"rep n={n} count={c}" for n, c in rep["counts"].items()]
+        lines.append(f"rep-window violations={len(rep['violations'])} gaps={rep['gap_count']}")
+    lines.append(f"analysis: {'PASS' if ok else 'FAIL'}")
+    return "\n".join(lines) + "\n", int(not ok)
+
+
+class TestAnalyzeBytes:
+    """analyze prints what one json.dumps or one f-string a row prints, whatever its integers' size."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source, args", [
+        ("greedy12", []),
+        ("greedy12", ["--rep-window", "-50,50"]),
+        ("greedy12", ["--x", "1,100,10000"]),
+        ("greedy12", ["--x", "300000", "--rep-window", "-50,50"]),
+        ("slow10", []),
+        ("long", []),
+        ("c-list", []),
+        ("c-list", ["--x", "+{d},00{d}"]),
+    ])
+    def test_matches_the_whole_text_forms(self, tmp_path, capsys, request, source, args, fmt):
+        if source == "c-list":
+            path, d = long_c_list_trace(tmp_path)
+            args = [a.format(d=d) for a in args]
+        else:
+            trace = long_explicit_trace() if source == "long" else request.getfixturevalue(source)
+            path = str(tmp_path / "t.trace")
+            write_file(trace, path)
+        trace = read_file(path)
+        options = dict(zip(args[::2], args[1::2]))
+        if "--x" in options:
+            xs = [int(t) for t in options["--x"].split(",")]
+        else:
+            xs = sorted({s.radius for s in trace.steps} | {s.reach for s in trace.steps if s.reach is not None})
+        window = tuple(map(int, options["--rep-window"].split(","))) if "--rep-window" in options else None
+        expected = reference_analyze(trace, xs, window, fmt)
+        capsys.readouterr()
+        code = run_cli("analyze", path, *args, "--format", fmt)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (expected[0], "", expected[1])
+        if source == "greedy12":
+            assert "reach-envelope" in captured.out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_integers_are_written_from_the_text_read(self, tmp_path, capsys, monkeypatch, fmt):
+        path, _ = long_c_list_trace(tmp_path)
+        written = []  # (integer, whether the memo held its text)
+
+        def recording_decimal_str(n):
+            memo = digits._memo
+            written.append((n, memo is not None and n in memo))
+            return digits.decimal_str(n)
+
+        monkeypatch.setattr(cli, "decimal_str", recording_decimal_str)
+        capsys.readouterr()
+        assert run_cli("analyze", path, "--format", fmt) == 0
+        printed = {int(t) for t in re.findall(r"\d{%d,}" % digits._MEMO_FLOOR, capsys.readouterr().out)}
+        assert len(printed) >= 6  # every radius and reach past stage 1
+        long_written = [(n, hit) for n, hit in written if abs(n) >= 10 ** (digits._MEMO_FLOOR - 1)]
+        assert {n for n, _ in long_written} == printed
+        assert all(hit for _, hit in long_written)
 
 
 class TestExport:

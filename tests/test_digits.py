@@ -1,5 +1,6 @@
 """The decimal I/O block: its digit limit and its conversion memo."""
 
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbasis import DigitLimitError, ExplicitReaches, run_with_growth
-from urbasis import digits
-from urbasis.digits import decimal_int, decimal_io, decimal_str
+from urbasis import digits, tracefile
+from urbasis.digits import canonical_int, decimal_int, decimal_io, decimal_str
 from urbasis.tracefile import parse, serialize, step_rows
 
 LONG = digits._MEMO_FLOOR + 100  # digits of a value the memo records
@@ -47,6 +48,16 @@ def test_memo_returns_canonical_text_whatever_was_read(reads, floor):
             assert decimal_str(n) == str(n)
             assert decimal_int(str(n), "a value") == n
             assert decimal_int(spell(n, style), "a value") == n
+
+
+@pytest.mark.parametrize("style", ["plus", "zeros", "underscore", "spaces"])
+def test_canonical_int_refuses_other_spellings(style):
+    with decimal_io():
+        for n in (17, -17, 10**LONG, -(10**LONG)):
+            text = spell(n, style)
+            assert canonical_int(text, "a value") == (n if text == str(n) else None)
+            assert canonical_int(str(n), "a value") == n
+        assert canonical_int("-0", "a value") is None and canonical_int("", "a value") is None
 
 
 class TestLifetime:
@@ -110,3 +121,16 @@ def test_rows_of_a_parsed_trace_reuse_its_texts():
         assert long_values
         for written, value in long_values:
             assert written is memo[value]  # recorded by parse, so not converted again
+
+
+def test_parse_matches_each_long_text_once(monkeypatch):
+    reaches = (10, 10**LONG, 10**(2 * LONG))
+    text = serialize(run_with_growth(ExplicitReaches(reaches), len(reaches) + 1))
+    pattern, matched = digits.CANONICAL_DECIMAL, []
+    counting = SimpleNamespace(fullmatch=lambda t: matched.append(t) or pattern.fullmatch(t))
+    monkeypatch.setattr(digits, "CANONICAL_DECIMAL", counting)
+    monkeypatch.setattr(tracefile, "CANONICAL_DECIMAL", counting, raising=False)  # if tracefile matches too
+    parse(text)
+    long_texts = [t for t in matched if len(t) >= digits._MEMO_FLOOR]
+    assert len(set(long_texts)) >= 4  # the two long reaches and the radii they make
+    assert len(long_texts) == len(set(long_texts))
