@@ -30,6 +30,7 @@ from .construction import (
     counting_profile,
     extend,
     initial_state,
+    parse_budget,
     run_greedy,
     run_with_growth,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "min_abs_missing",
     "pairs_for",
     "parse",
+    "parse_budget",
     "reach_envelope",
     "read_file",
     "run_greedy",

@@ -15,68 +15,14 @@ from itertools import chain
 from typing import Iterator
 
 from .bounds import BoundCheck, growth_report
-from .construction import (
-    BasisTrace,
-    ExplicitReaches,
-    Greedy,
-    LogGrowth,
-    LogLogGrowth,
-    ThresholdTable,
-    run_with_growth,
-)
-from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str
+from .construction import BasisTrace, ExplicitReaches, Greedy, parse_budget, run_with_growth
+from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str, quote
 from .oracle import brute_rep_report, verify_trace
 from .tracefile import TraceFormatError, read_file, step_rows, trace_lines, write_file
 
 
 class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
-
-
-def _parse_number(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{what} is not a number: {text!r}") from None
-
-
-def parse_threshold_spec(spec: str):
-    """Parse a growth-budget spec into a budget, itself a ThresholdReach policy.
-
-    Accepted forms:
-      log,SCALE,OFFSET            f(x) = SCALE*ln(x) + OFFSET
-      loglog,SCALE,OFFSET[,SHIFT] f(x) = SCALE*ln(ln(x+SHIFT)) + OFFSET
-      table,M:X;M:X;...           explicit least-x table per even target M >= 4,
-                                  each target once, x not decreasing
-    """
-    family, _, rest = spec.partition(",")
-    try:
-        if family == "log":
-            scale, offset = rest.split(",")
-            return LogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset"))
-        if family == "loglog":
-            parts = rest.split(",")
-            if len(parts) == 2:
-                scale, offset = parts
-                return LogLogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset"))
-            if len(parts) == 3:
-                scale, offset, shift = parts
-                return LogLogGrowth(_parse_number(scale, "scale"), _parse_number(offset, "offset"), int(shift))
-            raise ValueError("expected 2 or 3 parameters")
-        if family == "table":
-            table = {}
-            for entry in rest.split(";"):
-                target, _, x = entry.partition(":")
-                m = int(target)
-                if m in table:
-                    raise ValueError(f"target {m} given twice")
-                table[m] = int(x)
-            return ThresholdTable(table)
-    except UsageError:
-        raise
-    except ValueError as e:
-        raise UsageError(f"bad threshold spec {spec!r}: {e}") from None
-    raise UsageError(f"unknown threshold family {family!r} (expected log, loglog, or table)")
 
 
 def _read_c_list(path: str) -> tuple[int, ...]:
@@ -103,8 +49,11 @@ def cmd_build(args: argparse.Namespace) -> int:
         try:
             k_max = int(k_text)
         except ValueError:
-            raise UsageError(f"K must be an integer, got {k_text!r}") from None
-        policy = parse_threshold_spec(spec)
+            raise UsageError(f"K must be an integer, got {quote(k_text)}") from None
+        try:
+            policy = parse_budget(spec)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     else:
         values = _read_c_list(args.c_list)
         k_max, policy = len(values) + 1, ExplicitReaches(values)

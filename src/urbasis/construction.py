@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 if TYPE_CHECKING:
     import mpmath
 
-from .digits import decimal_io
+from .digits import decimal_int, decimal_io, quote
 from .intset import IntSet, PairSums, min_abs_missing
 
 
@@ -224,7 +224,7 @@ class ThresholdTable(ThresholdReach):
 
     @property
     def descriptor(self) -> str:
-        return "table:" + ";".join(f"{m}:{x}" for m, x in self.table.items())
+        return "table," + ";".join(f"{m}:{x}" for m, x in self.table.items())
 
     def threshold(self, m: int) -> int:
         if m not in self.table:
@@ -316,7 +316,7 @@ class LogGrowth(ThresholdReach):
 
     @property
     def descriptor(self) -> str:
-        return f"threshold:log,{_shortest(self.scale)},{_shortest(self.offset)}"
+        return f"log,{_shortest(self.scale)},{_shortest(self.offset)}"
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
@@ -349,7 +349,7 @@ class LogLogGrowth(ThresholdReach):
 
     @property
     def descriptor(self) -> str:
-        return f"threshold:loglog,{_shortest(self.scale)},{_shortest(self.offset)},{self.shift}"
+        return f"loglog,{_shortest(self.scale)},{_shortest(self.offset)},{self.shift}"
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
@@ -362,6 +362,54 @@ class LogLogGrowth(ThresholdReach):
     def threshold(self, m: int) -> int:
         """Least x >= 1 with value(x) >= m, exact at any magnitude."""
         return _least_x(m, self.scale, self.offset, nested=True, shift=self.shift)
+
+
+# --- the budget grammar ----------------------------------------------------
+
+_LOG_FAMILIES = {"log": (LogGrowth, (2,)), "loglog": (LogLogGrowth, (2, 3))}  # class, parameter counts
+
+
+def parse_budget(text: str) -> ThresholdReach:
+    """The growth budget whose descriptor is `text`: the inverse of `descriptor`.
+
+      log,SCALE,OFFSET             LogGrowth
+      loglog,SCALE,OFFSET[,SHIFT]  LogLogGrowth, with SHIFT 3 when it is left out
+      table,M:X;M:X;...            ThresholdTable, with threshold(M) = X
+
+    The `--threshold` spec and a trace header's mode are this text.  Bad text
+    raises GrowthConfigError, and an integer past the digit limit raises
+    DigitLimitError; a message quotes only the start of a long spec or parameter.
+    """
+    family, _, rest = text.partition(",")
+    with decimal_io():
+        try:
+            if family == "table":
+                table: dict[int, int] = {}
+                for target, _, x in (entry.partition(":") for entry in rest.split(";")):
+                    m = _read_number(target, "a table target", integer=True)
+                    if m in table:
+                        raise ValueError(f"target {m} given twice")
+                    table[m] = _read_number(x, "a table entry", integer=True)
+                return ThresholdTable(table)
+            if family in _LOG_FAMILIES:
+                cls, counts = _LOG_FAMILIES[family]
+                params = rest.split(",")
+                if len(params) not in counts:
+                    takes = " or ".join(map(str, counts))
+                    raise ValueError(f"{family} takes {takes} parameters, got {len(params)}")
+                scale, offset, *shift = params
+                return cls(_read_number(scale, "scale"), _read_number(offset, "offset"),
+                           *(_read_number(v, "shift", integer=True) for v in shift))
+        except ValueError as e:  # GrowthConfigError is one
+            raise GrowthConfigError(f"bad threshold spec {quote(text)}: {e}") from None
+    raise GrowthConfigError(f"unknown threshold family {quote(family)} (expected log, loglog, or table)")
+
+
+def _read_number(text: str, what: str, *, integer: bool = False) -> float | int:
+    try:
+        return decimal_int(text, what) if integer else float(text)
+    except ValueError:
+        raise ValueError(f"{what} is not {'an integer' if integer else 'a number'}: {quote(text)}") from None
 
 
 # --- drivers ----------------------------------------------------------------

@@ -20,7 +20,7 @@ matches it once; `decimal_int` reads any text int() reads.  Shorter
 texts are not recorded: a memo of every small integer pins more memory
 than it saves time.  The memo is dropped when the outermost block exits,
 normally or by an exception; outside any block the functions convert
-plainly.
+plainly.  `quote` bounds how much of a bad text an error message repeats.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ _memo: dict | None = None
 
 class DigitLimitError(Exception):
     """An integer to convert to or from decimal has more digits than DECIMAL_DIGIT_LIMIT."""
+
+
+_QUOTE_CHARS = 40  # longest string an error message quotes in full
+
+
+def quote(value) -> str:
+    """repr(value), or a long string's first characters and its length."""
+    if isinstance(value, str) and len(value) > _QUOTE_CHARS:
+        return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)
 
 
 def _limit_error(what: str) -> DigitLimitError:

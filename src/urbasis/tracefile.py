@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .construction import BasisTrace, ConstructionStep
-from .digits import canonical_int, decimal_io, decimal_str
+from .digits import canonical_int, decimal_io, decimal_str, quote
 from .intset import IntSet
 
 FORMAT_NAME = "urbasis-trace"
@@ -90,16 +90,6 @@ def serialize(trace: BasisTrace) -> str:
     return "".join(trace_lines(trace))
 
 
-_QUOTE_CHARS = 40  # longest bad string an error message quotes in full
-
-
-def _quote(value) -> str:
-    """repr(value), or a long string's first characters and its length."""
-    if isinstance(value, str) and len(value) > _QUOTE_CHARS:
-        return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"
-    return repr(value)
-
-
 def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
     """The integer a canonical decimal string spells, converted once per `ints` dict."""
     if not isinstance(value, str):
@@ -108,7 +98,7 @@ def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
     if n is None:
         n = canonical_int(value, f"line {lineno}: {what}")
         if n is None:
-            raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {_quote(value)}")
+            raise TraceFormatError(f"line {lineno}: {what} is not a decimal integer: {quote(value)}")
         ints[value] = n
     return n
 
@@ -132,7 +122,7 @@ def _parse(text: str) -> BasisTrace:
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError("missing or unrecognized header line")
     if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported format version {_quote(header.get('version'))}")
+        raise TraceFormatError(f"unsupported format version {quote(header.get('version'))}")
     mode = header.get("mode", "")
     if not isinstance(mode, str):
         raise TraceFormatError("header mode must be a string")
@@ -157,7 +147,7 @@ def _parse(text: str) -> BasisTrace:
         i = next((i for i in range(len(values) - 1) if values[i] >= values[i + 1]), None)
         if i is not None:
             raise TraceFormatError(
-                f"line {lineno}: elements must be strictly increasing: {_quote(raw[i])} then {_quote(raw[i + 1])}"
+                f"line {lineno}: elements must be strictly increasing: {quote(raw[i])} then {quote(raw[i + 1])}"
             )
         branch = row.get("branch")
         if branch not in ("positive", "negative"):

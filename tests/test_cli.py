@@ -11,8 +11,8 @@ import pytest
 
 from urbasis import ExplicitReaches, ThresholdTable, cli, digits, run_greedy, run_with_growth
 from urbasis.bounds import growth_report
-from urbasis.cli import main, parse_threshold_spec
-from urbasis.construction import LogGrowth, LogLogGrowth, ThresholdReach
+from urbasis.cli import main
+from urbasis.construction import LogLogGrowth
 from urbasis.oracle import brute_rep_report, verify_trace
 from urbasis.tracefile import read_file, serialize, step_rows, write_file
 
@@ -98,7 +98,7 @@ class TestBuild:
         path = str(tmp_path / "out.trace")
         assert run_cli("build", "--threshold", "loglog,2,4,3", "5", "-o", path) == 0
         trace = read_file(path)
-        assert trace.mode == "threshold:loglog,2,4,3"
+        assert trace.mode == "loglog,2,4,3"
         assert trace.final.k == 5
 
     def test_non_canonical_long_reaches_build_the_canonical_trace(self, tmp_path, capsys):
@@ -149,7 +149,7 @@ class TestBuild:
     def test_budget_label_keeps_every_digit(self, tmp_path):
         path = str(tmp_path / "out.trace")
         assert run_cli("build", "--threshold", "log,1.2345678,0.1234567", "6", "-o", path) == 0
-        assert read_file(path).mode == "threshold:log,1.2345678,0.1234567"
+        assert read_file(path).mode == "log,1.2345678,0.1234567"
 
     @pytest.mark.parametrize("spec, name", [
         ("log,nan,0", "scale"),
@@ -162,36 +162,31 @@ class TestBuild:
         err = capsys.readouterr().err
         assert f"bad threshold spec {spec!r}" in err and f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("log,2,2,2", "log takes 2 parameters, got 3"),
+        ("log,2", "log takes 2 parameters, got 1"),
+        ("loglog,2", "loglog takes 2 or 3 parameters, got 1"),
+        ("loglog,1,2,3,4", "loglog takes 2 or 3 parameters, got 4"),
+    ])
+    def test_parameter_count_named(self, tmp_path, capsys, spec, message):
+        assert run_cli("build", "--threshold", spec, "4", "-o", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: bad threshold spec {spec!r}: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("table,4:" + "9" * 2_000_001, "a table entry has more than 2000000 decimal digits"),
+        ("log,2," + "1" * 500_000 + "x", "offset is not a number: '1111"),
+    ], ids=["table-entry-past-digit-limit", "long-offset-not-a-number"])
+    def test_long_spec_error_is_short(self, tmp_path, capsys, spec, message):
+        assert run_cli("build", "--threshold", spec, "3", "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.encode()) < 1024
+
     def test_sources_mutually_exclusive(self, tmp_path):
         code = run_cli("build", "--greedy", "3", "--c-list", "c.txt", "-o", str(tmp_path / "x"))
         assert code == 2
 
     def test_source_required(self, tmp_path):
         assert run_cli("build", "-o", str(tmp_path / "x")) == 2
-
-
-class TestThresholdSpec:
-    def test_loglog_spec(self):
-        policy = parse_threshold_spec("loglog,2,4,3")
-        assert isinstance(policy, ThresholdReach)
-        assert policy.descriptor == "threshold:loglog,2,4,3"
-
-    def test_default_shift(self):
-        assert parse_threshold_spec("loglog,2,4") == LogLogGrowth(2.0, 4.0)
-        assert parse_threshold_spec("loglog,2,4").descriptor == LogLogGrowth(2.0, 4.0).descriptor
-
-    def test_log_spec(self):
-        assert parse_threshold_spec("log,2,2") == LogGrowth(2.0, 2.0)
-        assert parse_threshold_spec("log,2,2").descriptor == "threshold:log,2,2"
-
-    def test_table_spec(self):
-        assert parse_threshold_spec("table,4:1;6:13").descriptor == "table:4:1;6:13"
-
-    def test_rejects_garbage(self):
-        from urbasis.cli import UsageError
-        for spec in ("log,2", "loglog,1,2,3,4", "table,", "powers,1,2"):
-            with pytest.raises(UsageError):
-                parse_threshold_spec(spec)
 
 
 class TestVerify:

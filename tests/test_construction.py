@@ -23,6 +23,7 @@ from urbasis import (
     extend,
     initial_state,
     min_abs_missing,
+    parse_budget,
     run_greedy,
     run_with_growth,
 )
@@ -324,14 +325,14 @@ class TestGrowthPolicies:
         entries = {6: 100, 4: 10}
         policy = ThresholdTable(entries)
         entries[4] = 1000
-        assert policy.descriptor == "table:4:10;6:100"
+        assert policy.descriptor == "table,4:10;6:100"
         assert policy.threshold(4) == 10
 
     def test_budgets_are_threshold_policies(self):
         for budget in (LogGrowth(3, 1), LogLogGrowth(2, 4, 3), ThresholdTable({4: 1})):
             assert isinstance(budget, ThresholdReach)
-        assert LogGrowth(3, 1).descriptor == "threshold:log,3,1"
-        assert LogLogGrowth(2, 4, 3).descriptor == "threshold:loglog,2,4,3"
+        assert LogGrowth(3, 1).descriptor == "log,3,1"
+        assert LogLogGrowth(2, 4, 3).descriptor == "loglog,2,4,3"
 
     @settings(max_examples=200)
     @given(
@@ -344,8 +345,8 @@ class TestGrowthPolicies:
             assert [float(v) for v in fields] == [scale, offset]
 
     def test_descriptor_drops_only_a_trailing_zero(self):
-        assert LogLogGrowth(2.0, -4.0, 3).descriptor == "threshold:loglog,2,-4,3"
-        assert LogGrowth(1e16, 1e-7).descriptor == "threshold:log,1e+16,1e-07"
+        assert LogLogGrowth(2.0, -4.0, 3).descriptor == "loglog,2,-4,3"
+        assert LogGrowth(1e16, 1e-7).descriptor == "log,1e+16,1e-07"
 
     def test_one_inversion_per_stage(self, monkeypatch):
         targets = []
@@ -440,6 +441,60 @@ def _bookkeeping_count(trace, x):
         if step.radius <= x < nxt.radius:
             return 2 * step.k + (x >= 3 * step.reach)
     return 2 * trace.final.k
+
+
+@st.composite
+def threshold_tables(draw):
+    """A valid ThresholdTable: even targets >= 4, x not decreasing, some x of 500 digits or more."""
+    targets = sorted(draw(st.sets(st.integers(2, 10**6).map(lambda k: 2 * k), min_size=1, max_size=6)))
+    small, large = st.integers(-(10**6), 10**6), st.integers(10**499, 10**1500)
+    xs = sorted(draw(st.lists(st.one_of(small, large), min_size=len(targets), max_size=len(targets))))
+    return ThresholdTable(dict(zip(targets, xs)))
+
+
+class TestParseBudget:
+    def test_loglog_spec(self):
+        policy = parse_budget("loglog,2,4,3")
+        assert isinstance(policy, ThresholdReach)
+        assert policy.descriptor == "loglog,2,4,3"
+
+    def test_default_shift(self):
+        assert parse_budget("loglog,2,4") == LogLogGrowth(2.0, 4.0)
+        assert parse_budget("loglog,2,4").descriptor == LogLogGrowth(2.0, 4.0).descriptor
+
+    def test_log_spec(self):
+        assert parse_budget("log,2,2") == LogGrowth(2.0, 2.0)
+        assert parse_budget("log,2,2").descriptor == "log,2,2"
+
+    def test_table_spec(self):
+        assert parse_budget("table,4:1;6:13").descriptor == "table,4:1;6:13"
+
+    def test_rejects_garbage(self):
+        for spec in ("log,2", "loglog,1,2,3,4", "table,", "powers,1,2"):
+            with pytest.raises(GrowthConfigError):
+                parse_budget(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "log,3,1", "log,1.2345678,0.1234567", "log,1e+16,1e-07", "loglog,2,4,3", "loglog,2,-4,7",
+        "loglog,0.5,-0.25,100", "table,4:10;6:100", "table,4:-5;8:" + "1" * 600,
+    ])
+    def test_canonical_spec_is_its_own_descriptor(self, spec):
+        assert parse_budget(spec).descriptor == spec
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1),
+    )
+    def test_reads_back_a_log_descriptor(self, scale, offset, shift):
+        for budget in (LogGrowth(scale, offset), LogLogGrowth(scale, offset, shift)):
+            assert parse_budget(budget.descriptor) == budget
+
+    @settings(max_examples=100)
+    @given(threshold_tables())
+    def test_reads_back_a_table_descriptor(self, table):
+        assert parse_budget(table.descriptor) == table
 
 
 class TestCountingProfile:

@@ -67,7 +67,7 @@ class TestRoundTrip:
     def test_slow_growth_mode_preserved(self, slow10):
         again = parse(serialize(slow10))
         assert again == slow10
-        assert again.mode == "threshold:loglog,2,4,3"
+        assert again.mode == "loglog,2,4,3"
 
     def test_single_stage(self):
         trace = run_greedy(1)
