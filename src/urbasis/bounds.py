@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .construction import BasisTrace
+from .digits import quote
 
 _LN3 = math.log(3)
 _LN5 = math.log(5)
@@ -56,7 +57,7 @@ def log_envelope(x: int, observed: int) -> BoundCheck:
     3^(observed-2) <= x^2 on the right.
     """
     if x < 1:
-        raise ValueError(f"envelope stated for x >= 1, got {x}")
+        raise ValueError(f"envelope stated for x >= 1, got {quote(x)}")
     if observed < 0:
         raise ValueError("observed count cannot be negative")
     xx = x * x
@@ -76,9 +77,9 @@ def sqrt_cap(r: int, x: int, observed: int) -> BoundCheck:
     two-sided count obeys observed <= sqrt(8*r*x).  Exactly: observed^2 <= 8*r*x.
     """
     if r < 1:
-        raise ValueError(f"representation cap must be >= 1, got {r}")
+        raise ValueError(f"representation cap must be >= 1, got {quote(r)}")
     if x < r:
-        raise ValueError(f"cap stated for x >= r; got x={x}, r={r}")
+        raise ValueError(f"cap stated for x >= r; got x={quote(x)}, r={quote(r)}")
     if observed < 0:
         raise ValueError("observed count cannot be negative")
     holds = observed * observed <= 8 * r * x
@@ -91,9 +92,9 @@ def reach_envelope(k: int, reach: int) -> BoundCheck:
     Both ends are integers for every k >= 1, so the check is exact.
     """
     if k < 1:
-        raise ValueError(f"stage index must be >= 1, got {k}")
+        raise ValueError(f"stage index must be >= 1, got {quote(k)}")
     if reach < 1:
-        raise ValueError(f"reach at stage {k} must be >= 1, got {reach}")
+        raise ValueError(f"reach at stage {quote(k)} must be >= 1, got {quote(reach)}")
     lo = (3 ** k - 1) // 2
     hi = (3 * 5 ** k + 5) // 20
     holds = lo <= reach <= hi
@@ -113,7 +114,7 @@ def growth_report(trace: BasisTrace, xs: Sequence[int]) -> list[BoundCheck]:
     widest = 2 * trace.final.radius
     for x in xs:
         if x < first or x > widest:
-            raise ValueError(f"sample {x} outside [{first}, {widest}]")
+            raise ValueError(f"sample {quote(x)} outside [{quote(first)}, {quote(widest)}]")
     greedy = all(s.reach == s.radius for s in trace.steps if s.reach is not None)
     final = trace.final.basis
     checks: list[BoundCheck] = []

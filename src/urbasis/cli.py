@@ -58,7 +58,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         values = _read_c_list(args.c_list)
         k_max, policy = len(values) + 1, ExplicitReaches(values)
     if k_max < 1:
-        raise UsageError(f"K must be >= 1, got {k_max}")
+        raise UsageError(f"K must be >= 1, got {quote(k_max)}")
     try:
         trace = run_with_growth(policy, k_max)
     except ValueError as e:
@@ -87,19 +87,19 @@ def _parse_samples(text: str) -> list[int]:
     try:
         return [decimal_int(tok, "a sample point") for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise UsageError(f"sample list must contain only integers: {text!r}") from None
+        raise UsageError(f"sample list must contain only integers: {quote(text)}") from None
 
 
 def _parse_window(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"window must be LO,HI: {text!r}")
+        raise UsageError(f"window must be LO,HI: {quote(text)}")
     try:
         lo, hi = (decimal_int(part, "a window bound") for part in parts)
     except ValueError:
-        raise UsageError(f"window bounds must be integers: {text!r}") from None
+        raise UsageError(f"window bounds must be integers: {quote(text)}") from None
     if lo > hi:
-        raise UsageError(f"window is empty: {lo} > {hi}")
+        raise UsageError(f"window is empty: {quote(lo)} > {quote(hi)}")
     return lo, hi
 
 
@@ -248,10 +248,7 @@ def _absorb_values(argv: list[str]) -> list[str]:
     for tok in it:
         if tok in taking_value:
             nxt = next(it, None)
-            if nxt is None:
-                out.append(tok)
-            else:
-                out.append(f"{tok}={nxt}")
+            out.append(tok if nxt is None else f"{tok}={nxt}")
         else:
             out.append(tok)
     return out
@@ -265,13 +262,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with decimal_io():
             return args.func(args)
-    except (UsageError, DigitLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except TraceFormatError as e:
         print(f"trace format error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
+    except (UsageError, DigitLimitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

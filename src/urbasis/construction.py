@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 if TYPE_CHECKING:
     import mpmath
 
-from .digits import decimal_int, decimal_io, quote
+from .digits import DECIMAL_DIGIT_LIMIT, decimal_int, decimal_io, quote
 from .intset import IntSet, PairSums, min_abs_missing
 
 
@@ -54,28 +54,28 @@ class ConstructionStep:
 
     def validate(self) -> None:
         """Raise ValueError if the stage's bookkeeping is inconsistent."""
-        with decimal_io():  # the messages quote stage integers in decimal
-            if self.k < 1:
-                raise ValueError(f"stage index must be >= 1, got {self.k}")
-            if len(self.basis) != 2 * self.k:
-                raise ValueError(f"stage {self.k} should hold {2 * self.k} elements, has {len(self.basis)}")
-            if self.radius != self.basis.max_abs():
-                raise ValueError(f"stage {self.k} radius {self.radius} != max |a| = {self.basis.max_abs()}")
-            if self.radius in self.basis and -self.radius in self.basis:
-                raise ValueError(f"stage {self.k} contains both +-{self.radius}")
-            sums = self.basis.self_sumset()
-            if len(sums) != self.k * (2 * self.k + 1):  # 2k elements give that many pairs
-                raise ValueError(f"stage {self.k} repeats a pairwise sum")
-            gap, positive = min_abs_missing(sums)
-            if (gap, positive) != (self.gap, self.positive_branch):
-                raise ValueError(
-                    f"stage {self.k} records gap={self.gap} "
-                    f"({'+' if self.positive_branch else '-'}), recomputed {gap} ({'+' if positive else '-'})"
-                )
-            if not 1 <= self.gap <= 2 * self.radius - 1:
-                raise ValueError(f"stage {self.k} gap {self.gap} outside [1, {2 * self.radius - 1}]")
-            if self.reach is not None and self.reach < self.radius:
-                raise ValueError(f"stage {self.k} reach {self.reach} below radius {self.radius}")
+        k = quote(self.k)
+        if self.k < 1:
+            raise ValueError(f"stage index must be >= 1, got {k}")
+        if len(self.basis) != 2 * self.k:
+            raise ValueError(f"stage {k} should hold {quote(2 * self.k)} elements, has {len(self.basis)}")
+        if self.radius != self.basis.max_abs():
+            raise ValueError(f"stage {k} radius {quote(self.radius)} != max |a| = {quote(self.basis.max_abs())}")
+        if self.radius in self.basis and -self.radius in self.basis:
+            raise ValueError(f"stage {k} contains both +-{quote(self.radius)}")
+        sums = self.basis.self_sumset()
+        if len(sums) != self.k * (2 * self.k + 1):  # 2k elements give that many pairs
+            raise ValueError(f"stage {k} repeats a pairwise sum")
+        gap, positive = min_abs_missing(sums)
+        if (gap, positive) != (self.gap, self.positive_branch):
+            raise ValueError(
+                f"stage {k} records gap={quote(self.gap)} "
+                f"({'+' if self.positive_branch else '-'}), recomputed {quote(gap)} ({'+' if positive else '-'})"
+            )
+        if not 1 <= self.gap <= 2 * self.radius - 1:
+            raise ValueError(f"stage {k} gap {quote(self.gap)} outside [1, {quote(2 * self.radius - 1)}]")
+        if self.reach is not None and self.reach < self.radius:
+            raise ValueError(f"stage {k} reach {quote(self.reach)} below radius {quote(self.radius)}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ def _extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     # extend, for a basis whose pairwise sums are known to be unique
     d = step.basis.max_abs()
     if reach < max(step.radius, d):
-        with decimal_io():  # the message quotes the radius in decimal
-            raise ValueError(f"reach {reach} below radius {max(step.radius, d)} at stage {step.k}")
+        raise ValueError(f"reach {quote(reach)} below radius {quote(max(step.radius, d))} at stage {quote(step.k)}")
     far = step.gap + 3 * reach
     if step.positive_branch:
         e1, e2 = -3 * reach, far
@@ -177,9 +176,7 @@ class ExplicitReaches:
 
     def reach_for(self, step: ConstructionStep) -> int:
         if step.k > len(self.values):
-            raise GrowthConfigError(
-                f"reach list has {len(self.values)} entries, none for stage {step.k}"
-            )
+            raise GrowthConfigError(f"reach list has {len(self.values)} entries, none for stage {step.k}")
         return self.values[step.k - 1]
 
 
@@ -202,34 +199,38 @@ class ThresholdReach:
 
 @dataclass(frozen=True)
 class ThresholdTable(ThresholdReach):
-    """An explicit {target: least x} table, refused if x decreases as the target grows.
+    """An explicit {target: least x} table, refused if empty or if x decreases as the target grows.
 
     A stage reads only the even target 2k + 2 >= 4, so any other target is refused.
+    The table is kept as its (target, x) pairs in target order: it cannot change, and it hashes.
     """
 
-    table: Mapping[int, int]
+    table: Mapping[int, int] | tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        entries = sorted(self.table.items())
-        with decimal_io():  # the messages quote table entries in decimal
-            for m, _ in entries:
-                if m < 4 or m % 2:
-                    raise GrowthConfigError(
-                        f"threshold table target {m} is never read: a stage asks only for even targets >= 4"
-                    )
-            for (m0, x0), (m1, x1) in zip(entries, entries[1:]):
-                if x1 < x0:
-                    raise GrowthConfigError(f"threshold map decreases: t({m1})={x1} < t({m0})={x0}")
-        object.__setattr__(self, "table", dict(entries))
+        entries = tuple(sorted(self.table.items()))
+        if not entries:
+            raise GrowthConfigError("threshold table is empty: a stage needs an entry for target 4")
+        for m, _ in entries:
+            if m < 4 or m % 2:
+                raise GrowthConfigError(
+                    f"threshold table target {quote(m)} is never read: a stage asks only for even targets >= 4"
+                )
+        for (m0, x0), (m1, x1) in zip(entries, entries[1:]):
+            if x1 < x0:
+                raise GrowthConfigError(f"threshold map decreases: t({quote(m1)})={quote(x1)} "
+                                        f"< t({quote(m0)})={quote(x0)}")
+        object.__setattr__(self, "table", entries)
 
     @property
     def descriptor(self) -> str:
-        return "table," + ";".join(f"{m}:{x}" for m, x in self.table.items())
+        return "table," + ";".join(f"{m}:{x}" for m, x in self.table)
 
     def threshold(self, m: int) -> int:
-        if m not in self.table:
-            raise GrowthConfigError(f"threshold table has no entry for target {m}")
-        return self.table[m]
+        for target, x in self.table:
+            if target == m:
+                return x
+        raise GrowthConfigError(f"threshold table has no entry for target {quote(m)}")
 
 
 GrowthPolicy = Union[Greedy, ExplicitReaches, ThresholdReach]
@@ -239,7 +240,6 @@ GrowthPolicy = Union[Greedy, ExplicitReaches, ThresholdReach]
 
 _GUARD_DPS = 20  # digits carried beyond the integer part of a threshold or budget value
 _MAX_DOUBLINGS = 4  # precision doublings before an undecided threshold is an error
-MAX_THRESHOLD_DIGITS = 2_000_000  # decimal size past which a threshold is refused
 
 
 def _dps_for(x: int) -> int:
@@ -265,9 +265,9 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
     except OverflowError:
         ln_e = math.inf
     digits = max(ln_e, 0.0) / math.log(10)
-    if digits > MAX_THRESHOLD_DIGITS:
+    if digits > DECIMAL_DIGIT_LIMIT:  # such a threshold could not be written to a trace
         raise GrowthConfigError(
-            f"threshold({m}) has ~{digits:.3g} decimal digits, more than the limit of {MAX_THRESHOLD_DIGITS}"
+            f"threshold({m}) has ~{digits:.3g} decimal digits, more than the limit of {DECIMAL_DIGIT_LIMIT}"
         )
     dps = int(digits) + _GUARD_DPS
     saved = iv.prec
@@ -320,7 +320,7 @@ class LogGrowth(ThresholdReach):
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
-            raise ValueError(f"budget defined for x >= 1, got {x}")
+            raise ValueError(f"budget defined for x >= 1, got {quote(x)}")
         import mpmath
 
         with mpmath.workdps(_dps_for(x)):
@@ -353,7 +353,7 @@ class LogLogGrowth(ThresholdReach):
 
     def value(self, x: int) -> mpmath.mpf:
         if x < 1:
-            raise ValueError(f"budget defined for x >= 1, got {x}")
+            raise ValueError(f"budget defined for x >= 1, got {quote(x)}")
         import mpmath
 
         with mpmath.workdps(_dps_for(x)):
@@ -388,7 +388,7 @@ def parse_budget(text: str) -> ThresholdReach:
                 for target, _, x in (entry.partition(":") for entry in rest.split(";")):
                     m = _read_number(target, "a table target", integer=True)
                     if m in table:
-                        raise ValueError(f"target {m} given twice")
+                        raise ValueError(f"target {quote(m)} given twice")
                     table[m] = _read_number(x, "a table entry", integer=True)
                 return ThresholdTable(table)
             if family in _LOG_FAMILIES:
@@ -420,19 +420,19 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
 
     Stages 1..k_max-1 carry the reach that extended them; the final stage
     carries none.  Each stage is checked and certified as extend does it,
-    without a set of pairwise sums.  The run is one decimal_io() block: the
-    mode string and error messages quote stage integers in decimal.
+    without a set of pairwise sums.  The mode string is made in a
+    decimal_io() block, since a table budget writes its integers in decimal.
     """
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise ValueError(f"k_max must be >= 1, got {quote(k_max)}")
+    step = initial_state()
+    steps: list[ConstructionStep] = []
+    while step.k < k_max:
+        reach = policy.reach_for(step)
+        steps.append(replace(step, reach=reach))
+        step = _extend(step, reach)  # every stage's sums are unique by induction
+    steps.append(step)
     with decimal_io():
-        step = initial_state()
-        steps: list[ConstructionStep] = []
-        while step.k < k_max:
-            reach = policy.reach_for(step)
-            steps.append(replace(step, reach=reach))
-            step = _extend(step, reach)  # every stage's sums are unique by induction
-        steps.append(step)
         return BasisTrace(steps=tuple(steps), mode=policy.descriptor)
 
 
@@ -445,6 +445,6 @@ def counting_profile(trace: BasisTrace, x: int) -> int:
     """Number of final-stage elements in [-x, x], for x at least the seed radius."""
     first = trace.steps[0].radius
     if x < first:
-        raise ValueError(f"x must be >= {first}, got {x}")
+        raise ValueError(f"x must be >= {quote(first)}, got {quote(x)}")
     return trace.final.basis.counting(-x, x)
 

@@ -20,7 +20,7 @@ matches it once; `decimal_int` reads any text int() reads.  Shorter
 texts are not recorded: a memo of every small integer pins more memory
 than it saves time.  The memo is dropped when the outermost block exits,
 normally or by an exception; outside any block the functions convert
-plainly.  `quote` bounds how much of a bad text an error message repeats.
+plainly.  `quote`, how every error message shows a value, converts no long integer.
 """
 
 from __future__ import annotations
@@ -44,13 +44,21 @@ class DigitLimitError(Exception):
     """An integer to convert to or from decimal has more digits than DECIMAL_DIGIT_LIMIT."""
 
 
-_QUOTE_CHARS = 40  # longest string an error message quotes in full
+_QUOTE_CHARS = 40  # longest string, and most digits of an integer, that a message shows in full
+_LOG10_2 = 30102999566398119521373889472449302676  # floor(log10(2) * 10**38)
 
 
 def quote(value) -> str:
-    """repr(value), or a long string's first characters and its length."""
+    """repr(value) for an error message, but a string past 40 characters as its start and
+    length, and an integer past 40 digits as its sign and digit count: `-<5001-digit integer>`.
+    """
     if isinstance(value, str) and len(value) > _QUOTE_CHARS:
         return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"
+    if isinstance(value, int) and value.bit_length() > 132:  # 2**132 < 10**40: a shorter one has <= 40 digits
+        low = (value.bit_length() - 1) * _LOG10_2 // 10**38 + 1  # the digit count of 2**(bit_length - 1)
+        digits = low + (abs(value) >= 10**low)
+        if digits > _QUOTE_CHARS:
+            return f"{'-' if value < 0 else ''}<{digits}-digit integer>"
     return repr(value)
 
 

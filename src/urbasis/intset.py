@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
-from .digits import decimal_io
+from .digits import quote
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class IntSet:
             els = self.elements
         for prev, cur in zip(els, els[1:]):
             if prev >= cur:
-                with decimal_io():  # the message quotes the elements in decimal
-                    raise ValueError(f"elements must be strictly increasing: {prev!r} then {cur!r}")
+                raise ValueError(f"elements must be strictly increasing: {quote(prev)} then {quote(cur)}")
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntSet":
@@ -67,7 +66,7 @@ class IntSet:
     def counting(self, lo: int, hi: int) -> int:
         """Number of elements in the closed interval [lo, hi]."""
         if lo > hi:
-            raise ValueError(f"invalid range: lo={lo} exceeds hi={hi}")
+            raise ValueError(f"invalid range: lo={quote(lo)} exceeds hi={quote(hi)}")
         return bisect_right(self.elements, hi) - bisect_left(self.elements, lo)
 
     def max_abs(self) -> int:
@@ -104,7 +103,7 @@ def min_abs_missing(sums: Container[int], start: int = 1) -> tuple[int, bool]:
     terminates because the set is finite.
     """
     if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
+        raise ValueError(f"start must be >= 1, got {quote(start)}")
     b = start
     while b in sums and -b in sums:
         b += 1

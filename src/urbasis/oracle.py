@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping
 
 from .construction import BasisTrace, ConstructionStep
-from .digits import decimal_io
+from .digits import quote
 from .intset import IntSet
 
 
@@ -105,7 +105,7 @@ class RepReport:
 
     def count(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
-            raise ValueError(f"{n} outside window [{self.lo}, {self.hi}]")
+            raise ValueError(f"{quote(n)} outside window [{quote(self.lo)}, {quote(self.hi)}]")
         return self.nonzero.get(n, 0)
 
     @property
@@ -125,7 +125,7 @@ class RepReport:
 def brute_rep_report(a: IntSet, lo: int, hi: int) -> RepReport:
     """Exhaustively count pair sums of `a` landing in [lo, hi]."""
     if lo > hi:
-        raise ValueError(f"invalid window: lo={lo} exceeds hi={hi}")
+        raise ValueError(f"invalid window: lo={quote(lo)} exceeds hi={quote(hi)}")
     return RepReport(lo=lo, hi=hi, nonzero=_pair_counts(a.elements, lo, hi))
 
 
@@ -182,24 +182,25 @@ def verify_decomposition(
     as given.  When omitted it is counted from prev.basis.
     """
     if nxt.k != prev.k + 1:
-        raise ValueError(f"stages are not consecutive: {prev.k} then {nxt.k}")
+        raise ValueError(f"stages are not consecutive: {quote(prev.k)} then {quote(nxt.k)}")
     prev_set = set(prev.basis.elements)
     nxt_set = set(nxt.basis.elements)
     if not prev_set <= nxt_set or len(nxt_set) != len(prev_set) + 2:
         raise ValueError("next stage does not extend the previous one by exactly two elements")
-    added = sorted(nxt_set - prev_set)
-    e_neg, e_pos = added
+    e_neg, e_pos = sorted(nxt_set - prev_set)
     if e_neg >= 0 or e_pos <= 0:
-        raise ValueError(f"added pair {added} is not one negative and one positive element")
+        raise ValueError(f"added pair [{quote(e_neg)}, {quote(e_pos)}] is not one negative and one positive element")
     if prev.positive_branch:
         anchor, reach3 = e_pos, -e_neg
     else:
         anchor, reach3 = -e_neg, e_pos
     if reach3 % 3 != 0 or anchor != prev.gap + reach3:
-        raise ValueError(f"added pair {added} does not follow the branch rule for gap {prev.gap}")
+        raise ValueError(f"added pair [{quote(e_neg)}, {quote(e_pos)}] "
+                         f"does not follow the branch rule for gap {quote(prev.gap)}")
     reach = reach3 // 3
     if reach < prev.radius:
-        raise ValueError(f"implied reach {reach} below radius {prev.radius}: extension precondition violated")
+        raise ValueError(f"implied reach {quote(reach)} below radius {quote(prev.radius)}: "
+                         "extension precondition violated")
     if prev.reach is not None and prev.reach != reach:
         return Verdict(False, "decomposition", {
             "reason": "reach-mismatch", "stage": prev.k, "recorded": prev.reach, "implied": reach,
@@ -275,33 +276,32 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[in
     """
     steps = trace.steps
     repeated = uncovered = decomposition = gap = None
-    with decimal_io():  # a decomposition refusal quotes stage integers in decimal
-        for i, (step, counts, doubled) in enumerate(_stage_counts(trace)):
-            if repeated is None and doubled:
-                n = min(doubled, key=_witness_order)
-                repeated = {"reason": "repeated-sum", "stage": step.k, "n": n, "pairs": pairs_for(step.basis, n)}
-            elif repeated is None and uncovered is None and step.k % 2 == 0:
-                half = step.k // 2
-                window = (n for n in range(-half, half + 1) if counts.get(n, 0) != 1)
-                n = min(window, key=_witness_order, default=None)
-                if n is not None:
-                    uncovered = {"reason": "uncovered", "stage": step.k, "n": n, "count": counts.get(n, 0)}
-            if decomposition is None and i + 1 < len(steps):
-                try:
-                    decomposition = verify_decomposition(step, steps[i + 1], old_sums=counts.keys()).witness
-                except ValueError as e:
-                    decomposition = {"refused": str(e), "stage": steps[i + 1].k}
-            if gap is None:
-                n = 1
-                while n in counts and -n in counts:
-                    n += 1
-                positive = n not in counts
-                if (step.gap, step.positive_branch) != (n, positive):
-                    gap = {
-                        "reason": "gap-mismatch", "stage": step.k,
-                        "recorded": _gap_fields(step.gap, step.positive_branch),
-                        "actual": _gap_fields(n, positive),
-                    }
+    for i, (step, counts, doubled) in enumerate(_stage_counts(trace)):
+        if repeated is None and doubled:
+            n = min(doubled, key=_witness_order)
+            repeated = {"reason": "repeated-sum", "stage": step.k, "n": n, "pairs": pairs_for(step.basis, n)}
+        elif repeated is None and uncovered is None and step.k % 2 == 0:
+            half = step.k // 2
+            window = (n for n in range(-half, half + 1) if counts.get(n, 0) != 1)
+            n = min(window, key=_witness_order, default=None)
+            if n is not None:
+                uncovered = {"reason": "uncovered", "stage": step.k, "n": n, "count": counts.get(n, 0)}
+        if decomposition is None and i + 1 < len(steps):
+            try:
+                decomposition = verify_decomposition(step, steps[i + 1], old_sums=counts.keys()).witness
+            except ValueError as e:
+                decomposition = {"refused": str(e), "stage": steps[i + 1].k}
+        if gap is None:
+            n = 1
+            while n in counts and -n in counts:
+                n += 1
+            positive = n not in counts
+            if (step.gap, step.positive_branch) != (n, positive):
+                gap = {
+                    "reason": "gap-mismatch", "stage": step.k,
+                    "recorded": _gap_fields(step.gap, step.positive_branch),
+                    "actual": _gap_fields(n, positive),
+                }
     if decomposition is None and trace.final.reach is not None:  # no stage follows to place its pair
         decomposition = {"reason": "final-reach", "stage": trace.final.k, "recorded": trace.final.reach}
     witnesses = {"unique-window": repeated or uncovered, "decomposition": decomposition, "gap": gap}

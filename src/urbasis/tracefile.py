@@ -143,12 +143,10 @@ def _parse(text: str) -> BasisTrace:
         if not isinstance(raw, list) or not raw:
             raise TraceFormatError(f"line {lineno}: elements must be a nonempty list")
         values = tuple(_parse_int(v, "element", lineno, ints) for v in raw)
-        # checked before IntSet(values), whose own message would format both integers in full
-        i = next((i for i in range(len(values) - 1) if values[i] >= values[i + 1]), None)
-        if i is not None:
-            raise TraceFormatError(
-                f"line {lineno}: elements must be strictly increasing: {quote(raw[i])} then {quote(raw[i + 1])}"
-            )
+        try:
+            basis = IntSet(values)
+        except ValueError as e:  # elements out of order
+            raise TraceFormatError(f"line {lineno}: {e}") from None
         branch = row.get("branch")
         if branch not in ("positive", "negative"):
             raise TraceFormatError(f"line {lineno}: branch must be 'positive' or 'negative'")
@@ -157,7 +155,7 @@ def _parse(text: str) -> BasisTrace:
             reach = _parse_int(row["c"], "c", lineno, ints)
         steps.append(ConstructionStep(
             k=k,
-            basis=IntSet(values),
+            basis=basis,
             radius=_parse_int(row.get("d"), "d", lineno, ints),
             gap=_parse_int(row.get("b"), "b", lineno, ints),
             positive_branch=(branch == "positive"),

@@ -334,8 +334,10 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli("verify", path) == 2
         err = capsys.readouterr().err
-        assert "line 3: elements must be strictly increasing" in err and "(100000 characters)" in err
-        assert len(err.encode()) < 1024
+        assert err == (
+            "trace format error: line 3: elements must be strictly increasing: "
+            "<100000-digit integer> then <100000-digit integer>\n"
+        )
 
     @pytest.mark.parametrize("text, replaces", [
         (" -4", "-4"), ("-4 ", "-4"), ("-04", "-4"), ("-0_4", "-4"), ("-\uff14", "-4"), ("-0", "0"),
@@ -738,3 +740,37 @@ class TestDigitLimit:
         assert run_cli("build", "--c-list", str(reaches), "-o", path) == 0
         for command in ("verify", "analyze", "export"):
             assert run_cli(command, path) == 0
+
+
+_FOURS = "4" * 200_000
+
+
+class TestLongValueMessages:
+    """A refused value is shown in a bounded message: a long text by its start, a long integer by its digit count."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "G", "--x", "x" * 1_000_000],
+         f"sample list must contain only integers: {'x' * 40!r}... (1000000 characters)"),
+        (["analyze", "G", "--rep-window", "1," + "y" * 1_000_000],
+         f"window bounds must be integers: {'1,' + 'y' * 38!r}... (1000002 characters)"),
+        (["analyze", "G", "--x", "9" * 100_000], "sample <100000-digit integer> outside [1, 94]"),
+        (["analyze", "L", "--x", "0"], "sample 0 outside [1, <15001-digit integer>]"),
+        (["build", "--threshold", "table,4:" + "9" * 200_000 + ";6:1", "3", "-o", "OUT"],
+         f"bad threshold spec {'table,4:' + '9' * 32!r}... (200012 characters): "
+         "threshold map decreases: t(6)=1 < t(4)=<200000-digit integer>"),
+        (["build", "--threshold", f"table,{_FOURS}:1;{_FOURS}:2", "3", "-o", "OUT"],
+         f"bad threshold spec {'table,' + '4' * 34!r}... (400011 characters): "
+         "target <200000-digit integer> given twice"),
+    ], ids=["sample-text", "window-text", "sample-integer", "sample-below-long-range",
+            "table-decreases", "table-target-twice"])
+    def test_message_is_bounded(self, tmp_path, capsys, argv, message):
+        paths = {"G": build_greedy(tmp_path, 4), "L": str(tmp_path / "l.trace"), "OUT": str(tmp_path / "x.trace")}
+        if "L" in argv:
+            reaches = tmp_path / "c.txt"
+            reaches.write_text("10\n1" + "0" * 15_000 + "\n")  # a final radius of 15,001 digits
+            assert run_cli("build", "--c-list", str(reaches), "-o", paths["L"]) == 0
+        capsys.readouterr()
+        assert run_cli(*(paths.get(arg, arg) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert len(err.encode()) < 1024

@@ -1,5 +1,6 @@
-"""The decimal I/O block: its digit limit and its conversion memo."""
+"""The decimal I/O block: its digit limit and its conversion memo; and how a message quotes a value."""
 
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from urbasis import DigitLimitError, ExplicitReaches, run_with_growth
 from urbasis import digits, tracefile
-from urbasis.digits import canonical_int, decimal_int, decimal_io, decimal_str
+from urbasis.digits import canonical_int, decimal_int, decimal_io, decimal_str, quote
 from urbasis.tracefile import parse, serialize, step_rows
 
 LONG = digits._MEMO_FLOOR + 100  # digits of a value the memo records
@@ -134,3 +135,45 @@ def test_parse_matches_each_long_text_once(monkeypatch):
     long_texts = [t for t in matched if len(t) >= digits._MEMO_FLOOR]
     assert len(set(long_texts)) >= 4  # the two long reaches and the radii they make
     assert len(long_texts) == len(set(long_texts))
+
+
+class _Undecimal(int):
+    """An int that fails the test when it is converted to decimal."""
+
+    def __repr__(self):
+        raise AssertionError("converted to decimal")
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        raise AssertionError("converted to decimal")
+
+
+class TestQuoteIntegers:
+    @settings(max_examples=200)
+    @given(st.integers(-(10**40 - 1), 10**40 - 1))
+    def test_up_to_40_digits_prints_as_repr(self, n):
+        assert quote(n) == repr(n)
+
+    @pytest.mark.parametrize("k", [39, 40, 4300, 4301, 100_000])
+    def test_digit_count_is_exact(self, k):
+        for n, count in ((10**k - 1, k), (10**k, k + 1), (-(10**k), k + 1)):
+            shown = repr(n) if count <= 40 else f"{'-' if n < 0 else ''}<{count}-digit integer>"
+            assert quote(n) == shown
+            with decimal_io():
+                assert quote(n) == shown
+                decimal_str(n)  # recorded in the block's memo when 500 digits or more
+                assert quote(n) == shown
+
+    @pytest.mark.parametrize("n, shown", [
+        (10**40, "<41-digit integer>"), (-7 * 10**640, "-<641-digit integer>"),
+    ], ids=["41-digits", "641-digits"])
+    def test_never_converts_a_long_integer(self, n, shown):
+        assert quote(_Undecimal(n)) == shown
+        if hasattr(sys, "set_int_max_str_digits"):  # also under the interpreter's lowest digit limit
+            saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)
+            try:
+                assert quote(n) == shown
+            finally:
+                sys.set_int_max_str_digits(saved)

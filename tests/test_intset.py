@@ -23,8 +23,9 @@ class TestConstruction:
             IntSet((1, 1))
 
     def test_unsorted_message_past_interpreter_digit_limit(self):
-        with pytest.raises(ValueError, match="elements must be strictly increasing: 1000"):
+        with pytest.raises(ValueError) as refused:
             IntSet((10**5000, 1))
+        assert str(refused.value) == "elements must be strictly increasing: <5001-digit integer> then 1"
 
     def test_of_sorts_and_dedups(self):
         assert IntSet.of([3, -4, 1, 0, 3]).elements == (-4, 0, 1, 3)

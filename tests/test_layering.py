@@ -30,6 +30,23 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def _names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            yield node.name
+
+
+def test_only_decimal_text_io_names_decimal_io():
+    # error messages show values through digits.quote, so no other module needs the block
+    naming = {path.stem for path in PACKAGE.glob("*.py") if "decimal_io" in set(_names(path))}
+    assert naming == {"digits", "construction", "tracefile", "cli"}
+
+
 # Runs in a fresh interpreter and prints, after each step, whether mpmath is loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys

@@ -135,6 +135,15 @@ class TestDecomposition:
         trace = run_greedy(4)
         assert verify_decomposition(trace.step(3), trace.step(4))
 
+    def test_refusal_message_outside_decimal_io(self):
+        steps = run_with_growth(ExplicitReaches((1, 10**5000)), 3).steps
+        flipped = replace(steps[1], positive_branch=not steps[1].positive_branch)
+        with pytest.raises(ValueError) as refused:
+            verify_decomposition(flipped, steps[2])
+        assert str(refused.value) == (
+            "added pair [-<5001-digit integer>, <5001-digit integer>] does not follow the branch rule for gap 2"
+        )
+
     def test_all_consecutive_pairs(self, greedy12):
         for prev, nxt in zip(greedy12.steps, greedy12.steps[1:]):
             assert verify_decomposition(prev, nxt)
@@ -266,9 +275,11 @@ class TestVerifyTrace:
         steps[1] = replace(steps[1], positive_branch=not steps[1].positive_branch)
         rows = {row["name"]: row for row in verify_trace(BasisTrace(steps=tuple(steps)))}
         witness = rows["decomposition"]["witness"]
-        assert witness["stage"] == 3
-        assert witness["refused"].startswith("added pair [-3000")
-        assert witness["refused"].endswith("does not follow the branch rule for gap 2")
+        assert witness == {
+            "stage": 3,
+            "refused": "added pair [-<5001-digit integer>, <5001-digit integer>] "
+                       "does not follow the branch rule for gap 2",
+        }
 
     @pytest.mark.parametrize("corrupted", [False, True], ids=["greedy-12", "corrupted"])
     def test_walks_the_table_once(self, monkeypatch, corrupted):

@@ -202,15 +202,18 @@ class TestMalformed:
             parse(text)
 
     def test_unsorted_elements_are_not_formatted(self, monkeypatch):
-        # the ordering is checked before IntSet, whose own message formats both elements in decimal
+        # the message shows the elements through digits.quote, which converts no long integer to decimal
         text = serialize(run_greedy(2)).replace('["-4","0","1","3"]', '["0","-4","1","3"]')
+        quoted = []
 
-        def no_decimal_io():
-            raise AssertionError("IntSet formatted the elements of a refused row")
-        monkeypatch.setattr("urbasis.intset.decimal_io", no_decimal_io)
+        def quote(value):
+            quoted.append(value)
+            return digits.quote(value)
+        monkeypatch.setattr("urbasis.intset.quote", quote)
         with pytest.raises(TraceFormatError) as refused:
             parse(text)
-        assert str(refused.value) == "line 3: elements must be strictly increasing: '0' then '-4'"
+        assert str(refused.value) == "line 3: elements must be strictly increasing: 0 then -4"
+        assert quoted == [0, -4]
 
     def test_non_decimal_field(self):
         text = serialize(run_greedy(2)).replace('"d":"4"', '"d":"four"')
