@@ -44,7 +44,6 @@ from .oracle import (
     pairs_for,
     verify_decomposition,
     verify_gap_growth,
-    verify_radii,
     verify_trace,
     verify_unique_window,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "sqrt_cap",
     "verify_decomposition",
     "verify_gap_growth",
-    "verify_radii",
     "verify_trace",
     "verify_unique_window",
     "write_file",

@@ -41,15 +41,19 @@ def _read_c_list(path: str) -> tuple[int, ...]:
     return values
 
 
+def _read_k(text: str) -> int:
+    try:
+        return decimal_int(text, "K")
+    except ValueError:
+        raise UsageError(f"K must be an integer, got {quote(text)}") from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     if args.greedy is not None:
-        k_max, policy = args.greedy, Greedy()
+        k_max, policy = _read_k(args.greedy), Greedy()
     elif args.threshold is not None:
         spec, k_text = args.threshold
-        try:
-            k_max = int(k_text)
-        except ValueError:
-            raise UsageError(f"K must be an integer, got {quote(k_text)}") from None
+        k_max = _read_k(k_text)
         try:
             policy = parse_budget(spec)
         except ValueError as e:
@@ -57,9 +61,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     else:
         values = _read_c_list(args.c_list)
         k_max, policy = len(values) + 1, ExplicitReaches(values)
-    if k_max < 1:
-        raise UsageError(f"K must be >= 1, got {quote(k_max)}")
-    try:
+    try:  # run_with_growth refuses a K below 1
         trace = run_with_growth(policy, k_max)
     except ValueError as e:
         raise UsageError(str(e)) from None
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="run the construction and write a trace file")
     source = p_build.add_mutually_exclusive_group(required=True)
-    source.add_argument("--greedy", type=int, metavar="K", help="densest variant, K stages")
+    source.add_argument("--greedy", metavar="K", help="densest variant, K stages")
     source.add_argument("--threshold", nargs=2, metavar=("SPEC", "K"),
                         help="growth budget, e.g. 'loglog,2,4' or 'table,4:1;6:13'")
     source.add_argument("--c-list", metavar="PATH", help="file with one reach per extension")

@@ -52,31 +52,6 @@ class ConstructionStep:
     positive_branch: bool
     reach: int | None = None
 
-    def validate(self) -> None:
-        """Raise ValueError if the stage's bookkeeping is inconsistent."""
-        k = quote(self.k)
-        if self.k < 1:
-            raise ValueError(f"stage index must be >= 1, got {k}")
-        if len(self.basis) != 2 * self.k:
-            raise ValueError(f"stage {k} should hold {quote(2 * self.k)} elements, has {len(self.basis)}")
-        if self.radius != self.basis.max_abs():
-            raise ValueError(f"stage {k} radius {quote(self.radius)} != max |a| = {quote(self.basis.max_abs())}")
-        if self.radius in self.basis and -self.radius in self.basis:
-            raise ValueError(f"stage {k} contains both +-{quote(self.radius)}")
-        sums = self.basis.self_sumset()
-        if len(sums) != self.k * (2 * self.k + 1):  # 2k elements give that many pairs
-            raise ValueError(f"stage {k} repeats a pairwise sum")
-        gap, positive = min_abs_missing(sums)
-        if (gap, positive) != (self.gap, self.positive_branch):
-            raise ValueError(
-                f"stage {k} records gap={quote(self.gap)} "
-                f"({'+' if self.positive_branch else '-'}), recomputed {quote(gap)} ({'+' if positive else '-'})"
-            )
-        if not 1 <= self.gap <= 2 * self.radius - 1:
-            raise ValueError(f"stage {k} gap {quote(self.gap)} outside [1, {quote(2 * self.radius - 1)}]")
-        if self.reach is not None and self.reach < self.radius:
-            raise ValueError(f"stage {k} reach {quote(self.reach)} below radius {quote(self.radius)}")
-
 
 @dataclass(frozen=True)
 class BasisTrace:
@@ -90,7 +65,7 @@ class BasisTrace:
             raise ValueError("a trace needs at least one stage")
         for i, step in enumerate(self.steps):
             if step.k != i + 1:
-                raise ValueError(f"stage indices must run 1..K without gaps; position {i} holds k={step.k}")
+                raise ValueError(f"stage indices must run 1..K without gaps; position {i} holds k={quote(step.k)}")
 
     @property
     def final(self) -> ConstructionStep:
@@ -118,7 +93,7 @@ def extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     nxt = _extend(step, reach)
     n = len(step.basis)
     if len(step.basis.self_sumset()) != n * (n + 1) // 2:  # _extend assumes the old sums are unique
-        raise RuntimeError(f"stage {step.k} already repeats a pairwise sum")
+        raise RuntimeError(f"stage {quote(step.k)} already repeats a pairwise sum")
     return nxt
 
 
@@ -134,7 +109,7 @@ def _extend(step: ConstructionStep, reach: int) -> ConstructionStep:
         e1, e2 = -far, 3 * reach
     old = step.basis.elements
     if not (e1 < old[0] and old[-1] < e2 and max(-e1, e2) == far):
-        raise RuntimeError(f"extension of stage {step.k} misplaced its new pair")
+        raise RuntimeError(f"extension of stage {quote(step.k)} misplaced its new pair")
     # The new sums are the old ones, old + e1, old + e2 and 2*e1, e1 + e2, 2*e2.
     # Take the positive branch (the other mirrors it), c = reach >= d and b = gap,
     # which the placement check keeps >= 0.  The old sums lie in [-2d, 2d]; old + e1
@@ -143,7 +118,7 @@ def _extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     # The pieces touch only at -+2d, when c == d and both +-d are old elements; apart
     # from that, e1 + e2 = b is the one new sum that can repeat an old one.
     if e1 + e2 in PairSums(step.basis) or (reach == d and d in step.basis and -d in step.basis):
-        raise RuntimeError(f"extension of stage {step.k} collided two pairwise sums")
+        raise RuntimeError(f"extension of stage {quote(step.k)} collided two pairwise sums")
     basis = IntSet((e1,) + old + (e2,))
     gap, positive = min_abs_missing(PairSums(basis), step.gap)  # the sums only grow: resume at the old gap
     return ConstructionStep(k=step.k + 1, basis=basis, radius=far, gap=gap, positive_branch=positive)
@@ -176,7 +151,7 @@ class ExplicitReaches:
 
     def reach_for(self, step: ConstructionStep) -> int:
         if step.k > len(self.values):
-            raise GrowthConfigError(f"reach list has {len(self.values)} entries, none for stage {step.k}")
+            raise GrowthConfigError(f"reach list has {len(self.values)} entries, none for stage {quote(step.k)}")
         return self.values[step.k - 1]
 
 
@@ -424,7 +399,7 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
     decimal_io() block, since a table budget writes its integers in decimal.
     """
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {quote(k_max)}")
+        raise ValueError(f"K must be >= 1, got {quote(k_max)}")
     step = initial_state()
     steps: list[ConstructionStep] = []
     while step.k < k_max:

@@ -13,9 +13,10 @@ O(K^3) of recounting every stage.  A trace whose stages are not nested
 goes through the same updates, and its counts stay exact.
 
 The table is walked once per call (`_walk`): the unique-window,
-decomposition and gap checks all read it at every stage, and `rep-scan`
-reads the table left after the last stage, whose keys are every pair sum
-of the final set.  `verify_trace` runs every check in a fixed order and
+decomposition and gap checks all read it at every stage, the radius
+check reads each stage's elements on the same pass, and `rep-scan` reads
+the table left after the last stage, whose keys are every pair sum of
+the final set.  `verify_trace` runs every check in a fixed order and
 returns one row per check; `urbasis verify` only prints those rows.
 """
 
@@ -226,17 +227,6 @@ def verify_decomposition(
     return Verdict(True, "decomposition")
 
 
-def verify_radii(trace: BasisTrace) -> Verdict:
-    """Every stage's recorded radius equals max |a| over its elements."""
-    for step in trace.steps:
-        actual = step.basis.max_abs()
-        if step.radius != actual:
-            return Verdict(False, "radius", {
-                "reason": "radius-mismatch", "stage": step.k, "recorded": step.radius, "actual": actual,
-            })
-    return Verdict(True, "radius")
-
-
 def _gap_fields(gap: int, positive: bool) -> dict:
     # the gap as its trace row records it
     return {"b": gap, "branch": "positive" if positive else "negative"}
@@ -270,12 +260,13 @@ def verify_gap_growth(trace: BasisTrace) -> Verdict:
 def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[int]]:
     """Walk the live table once; return each stage check's verdict and the final table.
 
-    The verdicts are keyed by check name: `unique-window`, `decomposition`
-    and `gap`.  `counts` and `doubled` are the final stage's, as
-    `_stage_counts` describes them.
+    The verdicts are keyed by check name: `unique-window`, `decomposition`,
+    `radius` (each recorded radius against max |a| of its stage) and `gap`.
+    `counts` and `doubled` are the final stage's, as `_stage_counts`
+    describes them.
     """
     steps = trace.steps
-    repeated = uncovered = decomposition = gap = None
+    repeated = uncovered = decomposition = radius = gap = None
     for i, (step, counts, doubled) in enumerate(_stage_counts(trace)):
         if repeated is None and doubled:
             n = min(doubled, key=_witness_order)
@@ -291,6 +282,9 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[in
                 decomposition = verify_decomposition(step, steps[i + 1], old_sums=counts.keys()).witness
             except ValueError as e:
                 decomposition = {"refused": str(e), "stage": steps[i + 1].k}
+        if radius is None and step.radius != step.basis.max_abs():
+            radius = {"reason": "radius-mismatch", "stage": step.k,
+                      "recorded": step.radius, "actual": step.basis.max_abs()}
         if gap is None:
             n = 1
             while n in counts and -n in counts:
@@ -304,7 +298,7 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[in
                 }
     if decomposition is None and trace.final.reach is not None:  # no stage follows to place its pair
         decomposition = {"reason": "final-reach", "stage": trace.final.k, "recorded": trace.final.reach}
-    witnesses = {"unique-window": repeated or uncovered, "decomposition": decomposition, "gap": gap}
+    witnesses = {"unique-window": repeated or uncovered, "decomposition": decomposition, "radius": radius, "gap": gap}
     verdicts = {check: Verdict(w is None, check, w) for check, w in witnesses.items()}
     return verdicts, counts, doubled
 
@@ -324,8 +318,7 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     legal extension fails with a `refused` witness naming the stage, and
     a reach recorded on the final stage with a `final-reach` witness),
     `gap-growth` when there are two stages or more, `radius` and `gap`.
-    One walk of the live table feeds every check but `gap-growth` and
-    `radius`.
+    One walk of the live table feeds every check but `gap-growth`.
     """
     lo, hi = default_window(trace)
     verdicts, counts, doubled = _walk(trace)
@@ -341,6 +334,5 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     ]
     if len(trace.steps) >= 2:
         rows.append(_verdict_row(verify_gap_growth(trace)))
-    rows.append(_verdict_row(verify_radii(trace)))
-    rows.append(_verdict_row(verdicts["gap"]))
+    rows.extend(_verdict_row(verdicts[check]) for check in ("radius", "gap"))
     return rows

@@ -138,7 +138,7 @@ def _parse(text: str) -> BasisTrace:
         if not isinstance(k, int) or isinstance(k, bool):
             raise TraceFormatError(f"line {lineno}: k must be an integer")
         if k != lineno - 1:
-            raise TraceFormatError(f"line {lineno}: stage indices must run 1..K in order, got k={k}")
+            raise TraceFormatError(f"line {lineno}: stage indices must run 1..K in order, got k={quote(k)}")
         raw = row.get("elements")
         if not isinstance(raw, list) or not raw:
             raise TraceFormatError(f"line {lineno}: elements must be a nonempty list")

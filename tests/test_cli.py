@@ -119,6 +119,11 @@ class TestBuild:
         assert run_cli("build", "--greedy", "0", "-o", str(tmp_path / "x")) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_greedy_k_rejected(self, tmp_path, capsys):
+        assert run_cli("build", "--greedy", "1.5", "-o", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == "error: K must be an integer, got '1.5'\n"
+        assert not (tmp_path / "x").exists()
+
     def test_c_list_reach_below_radius(self, tmp_path, capsys):
         reaches = tmp_path / "c.txt"
         reaches.write_text("1 2\n")  # stage 3 needs c >= 4
@@ -761,8 +766,11 @@ class TestLongValueMessages:
         (["build", "--threshold", f"table,{_FOURS}:1;{_FOURS}:2", "3", "-o", "OUT"],
          f"bad threshold spec {'table,' + '4' * 34!r}... (400011 characters): "
          "target <200000-digit integer> given twice"),
+        (["build", "--greedy", "x" * 100_000, "-o", "OUT"],
+         f"K must be an integer, got {'x' * 40!r}... (100000 characters)"),
+        (["build", "--greedy", "-" + "9" * 5000, "-o", "OUT"], "K must be >= 1, got -<5000-digit integer>"),
     ], ids=["sample-text", "window-text", "sample-integer", "sample-below-long-range",
-            "table-decreases", "table-target-twice"])
+            "table-decreases", "table-target-twice", "greedy-k-text", "greedy-k-negative"])
     def test_message_is_bounded(self, tmp_path, capsys, argv, message):
         paths = {"G": build_greedy(tmp_path, 4), "L": str(tmp_path / "l.trace"), "OUT": str(tmp_path / "x.trace")}
         if "L" in argv:
@@ -773,4 +781,21 @@ class TestLongValueMessages:
         assert run_cli(*(paths.get(arg, arg) for arg in argv)) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert len(err.encode()) < 1024
+        assert not os.path.exists(paths["OUT"])
+
+    @pytest.mark.parametrize("lineno, k, shown", [
+        (3, "9" * 100_000, "<100000-digit integer>"),
+        (2, "-" + "9" * 5000, "-<5000-digit integer>"),
+    ], ids=["long-k", "long-negative-k"])
+    def test_trace_k_is_bounded(self, tmp_path, capsys, lineno, k, shown):
+        path = tmp_path / "t.trace"
+        build_greedy(tmp_path, 4, path.name)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = re.sub(r'"k":\d+', f'"k":{k}', lines[lineno - 1])
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("verify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"trace format error: line {lineno}: stage indices must run 1..K in order, got k={shown}\n"
         assert len(err.encode()) < 1024

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbasis import (
+    BasisTrace,
     ConstructionStep,
     ExplicitReaches,
     Greedy,
@@ -26,6 +27,7 @@ from urbasis import (
     parse_budget,
     run_greedy,
     run_with_growth,
+    verify_trace,
 )
 from urbasis import construction
 
@@ -41,6 +43,12 @@ GREEDY_STAGES = [
 ]
 
 
+def assert_verifies(trace):
+    """Every verify_trace row passes: the oracle recomputes each recorded field."""
+    rows = verify_trace(trace)
+    assert all(row["ok"] for row in rows), rows
+
+
 class TestInitialState:
     def test_seed(self):
         s = initial_state()
@@ -51,13 +59,7 @@ class TestInitialState:
         assert s.reach is None
 
     def test_validates(self):
-        initial_state().validate()
-
-    def test_validate_rejects_repeated_pair_sum(self):
-        # 3 = 0 + 3 = 1 + 2, while every other field is consistent
-        step = ConstructionStep(k=2, basis=IntSet((0, 1, 2, 3)), radius=3, gap=1, positive_branch=False)
-        with pytest.raises(ValueError, match="stage 2 repeats a pairwise sum"):
-            step.validate()
+        assert_verifies(BasisTrace(steps=(initial_state(),)))
 
 
 class TestExtend:
@@ -92,11 +94,19 @@ class TestExtend:
             extend(s2, 1)
         assert str(refused.value) == "reach 1 below radius <5001-digit integer> at stage 2"
 
-    def test_validate_message_past_interpreter_digit_limit(self):
-        s2 = extend(initial_state(), 10**5000)
+    def test_stage_index_messages_past_interpreter_digit_limit(self):
+        big = replace(initial_state(), k=10**5000)
         with pytest.raises(ValueError) as refused:
-            replace(s2, radius=s2.radius + 1).validate()
-        assert str(refused.value) == "stage 2 radius <5001-digit integer> != max |a| = <5001-digit integer>"
+            BasisTrace(steps=(big,))
+        assert str(refused.value) == (
+            "stage indices must run 1..K without gaps; position 0 holds k=<5001-digit integer>")
+        with pytest.raises(GrowthConfigError) as refused:
+            ExplicitReaches((1,)).reach_for(big)
+        assert str(refused.value) == "reach list has 1 entries, none for stage <5001-digit integer>"
+        bad = ConstructionStep(k=10**5000, basis=IntSet((0, 1, 2, 3)), radius=3, gap=4, positive_branch=True)
+        with pytest.raises(RuntimeError) as refused:
+            extend(bad, 3)
+        assert str(refused.value) == "extension of stage <5001-digit integer> collided two pairwise sums"
 
     def test_basis_repeating_a_sum_raises(self):
         # 0 + 3 == 1 + 2
@@ -154,15 +164,16 @@ class TestExtend:
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=6))
     def test_any_admissible_reaches_stay_consistent(self, slack):
         """Each stage doubles up: new radius = gap + 3*reach, sizes 2k."""
-        s = initial_state()
+        s, steps = initial_state(), []
         for extra in slack:
             reach = s.radius + extra
             nxt = extend(s, reach)
             assert nxt.k == s.k + 1
             assert len(nxt.basis) == 2 * nxt.k
             assert nxt.radius == s.gap + 3 * reach
-            nxt.validate()
+            steps.append(replace(s, reach=reach))
             s = nxt
+        assert_verifies(BasisTrace(steps=(*steps, s)))
 
 
 def _outcome(extend_fn, step, reach):
@@ -222,9 +233,8 @@ class TestRunGreedy:
         assert peak < 10_000_000
 
     def test_invariants_through_k12(self, greedy12):
+        assert_verifies(greedy12)
         steps = greedy12.steps
-        for step in steps:
-            step.validate()
         for prev, nxt in zip(steps, steps[1:]):
             assert nxt.radius == prev.gap + 3 * prev.reach
             assert set(prev.basis.elements) < set(nxt.basis.elements)
@@ -259,8 +269,7 @@ class TestRunGreedy:
             reaches.append(c)
             a |= {b + 3 * c, -3 * c} if b not in sums else {-(b + 3 * c), 3 * c}
         trace = run_with_growth(ExplicitReaches(tuple(reaches)), len(reaches) + 1)
-        for step in trace.steps:
-            step.validate()
+        assert_verifies(trace)
         assert [s.reach for s in trace.steps[:-1]] == reaches
         assert trace.final.basis.elements == tuple(sorted(a))
 

@@ -21,7 +21,6 @@ from urbasis import (
     run_with_growth,
     verify_decomposition,
     verify_gap_growth,
-    verify_radii,
     verify_unique_window,
 )
 import urbasis.oracle
@@ -246,9 +245,9 @@ class TestRadii:
     def test_detects_wrong_radius_mid_trace(self, greedy4):
         steps = list(greedy4.steps)
         steps[2] = replace(steps[2], radius=steps[2].radius + 1)
-        verdict = verify_radii(BasisTrace(steps=tuple(steps)))
-        assert not verdict
-        assert verdict.witness == {
+        row = next(row for row in verify_trace(BasisTrace(steps=tuple(steps))) if row["name"] == "radius")
+        assert not row["ok"]
+        assert row["witness"] == {
             "reason": "radius-mismatch", "stage": 3,
             "recorded": greedy4.step(3).radius + 1, "actual": greedy4.step(3).radius,
         }
@@ -373,6 +372,17 @@ def _kernel_gap_row(trace):
     return {"name": "gap", "ok": True, "witness": None}
 
 
+def _radius_row(trace):
+    """The `radius` row from a separate pass: the first stage whose `d` is not max |a|."""
+    for s in trace.steps:
+        actual = max(abs(a) for a in s.basis.elements)
+        if s.radius != actual:
+            return {"name": "radius", "ok": False, "witness": {
+                "reason": "radius-mismatch", "stage": s.k, "recorded": s.radius, "actual": actual,
+            }}
+    return {"name": "radius", "ok": True, "witness": None}
+
+
 class TestAgainstReference:
     """The live-table checks against the from-scratch recount they replaced."""
 
@@ -389,12 +399,14 @@ class TestAgainstReference:
             assert rows["unique-window"] == {"name": "unique-window", "ok": ref.ok, "witness": ref.witness}
             assert rows["decomposition"] == reference_oracle.decomposition_row(trace)
             assert rows["gap"] == _kernel_gap_row(trace)
+            assert rows["radius"] == _radius_row(trace)
             assert rows["rep-scan"] == _brute_rep_scan_row(trace)
-            for name in ("unique-window", "decomposition", "gap"):
+            for name in ("unique-window", "decomposition", "radius", "gap"):
                 witness = rows[name]["witness"] or {}
                 reasons.add(witness.get("reason", "refused" if "refused" in witness else None))
         assert reasons >= {
             "repeated-sum", "uncovered", "reach-mismatch", "overlap", "refused", "gap-mismatch", "final-reach",
+            "radius-mismatch",
         }
 
     def test_live_table_matches_recount_at_every_stage(self):
