@@ -71,11 +71,22 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json(value) -> str:
+    """json.dumps(value, sort_keys=True) for str keys, with every integer written by decimal_str."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(json.dumps(k) + ": " + _json(v) for k, v in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return decimal_str(value)
+    return json.dumps(value)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = verify_trace(read_file(args.trace))
     ok = all(row["ok"] for row in rows)
     if args.format == "json":
-        print(json.dumps({"ok": ok, "checks": rows}, sort_keys=True))
+        print(_json({"ok": ok, "checks": rows}))
     else:
         for row in rows:
             status = "PASS" if row["ok"] else "FAIL"

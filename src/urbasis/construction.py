@@ -234,15 +234,19 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
     """
     from mpmath import iv, libmp
 
-    t = (m - offset) / scale  # a float estimate, used only to size the precision
+    try:
+        t = (m - offset) / scale  # a float estimate, used only to size the precision
+    except OverflowError:  # m past float range, where t has m's sign
+        t = math.inf if m > 0 else -math.inf
     try:
         ln_e = math.exp(t) if nested else t
     except OverflowError:
         ln_e = math.inf
     digits = max(ln_e, 0.0) / math.log(10)
     if digits > DECIMAL_DIGIT_LIMIT:  # such a threshold could not be written to a trace
+        about = f"~{digits:.3g}" if math.isfinite(digits) else "over 1e307"
         raise GrowthConfigError(
-            f"threshold({m}) has ~{digits:.3g} decimal digits, more than the limit of {DECIMAL_DIGIT_LIMIT}"
+            f"threshold({quote(m)}) has {about} decimal digits, more than the limit of {DECIMAL_DIGIT_LIMIT}"
         )
     dps = int(digits) + _GUARD_DPS
     saved = iv.prec
@@ -258,7 +262,7 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
             dps *= 2
     finally:
         iv.prec = saved
-    raise GrowthConfigError(f"threshold({m}) is still undecided at {dps // 2} digits of precision")
+    raise GrowthConfigError(f"threshold({quote(m)}) is still undecided at {dps // 2} digits of precision")
 
 
 def _shortest(v: float) -> str:

@@ -6,21 +6,41 @@ converts integers to or from decimal runs inside `decimal_io()`, which
 raises the limit to DECIMAL_DIGIT_LIMIT for that block only; nothing
 changes the interpreter's setting at import.
 
-int<->str takes time quadratic in the digit count, so the outermost
-`decimal_io()` block owns one memo that nested blocks share: the readers
-`canonical_int` and `decimal_int` and the writer `decimal_str` record
-each text of at least _MEMO_FLOOR characters with its integer, and a
-later conversion of either one, in either direction, is a lookup.  A
-text read from a file or a reach list is then not converted back when it
-is written: `build` writes the reach-list texts, and `export` and
-`analyze` the texts of the trace they read.  Only canonical text (`0` or
-`-?[1-9][0-9]*`, what str(int) writes) is recorded, so `decimal_str`
-always returns str(n).  `canonical_int` reads only canonical text and
-matches it once; `decimal_int` reads any text int() reads.  Shorter
-texts are not recorded: a memo of every small integer pins more memory
-than it saves time.  The memo is dropped when the outermost block exits,
-normally or by an exception; outside any block the functions convert
-plainly.  `quote`, how every error message shows a value, converts no long integer.
+Before Python 3.12, int() and str() take time quadratic in the digit
+count, and a slow budget's radii run to thousands or millions of digits.
+So long values are converted by halves, at aligned widths, which lets
+the reused powers be tabled: `canonical_int` reads a text of more than
+_READ_SPLIT digits as two parts split at the longest width
+_READ_SPLIT * 2**j below its length, joined as low + ((high * 5**w) << w),
+so Python's Karatsuba multiplication sets the cost.  `decimal_str` writes
+an integer of more than _WRITE_CUTOFF bits by splitting it at the bit
+widths _WRITE_SPLIT * 2**j and joining the parts in the stdlib `decimal`
+module, whose multiplication is subquadratic and whose str() is linear,
+in an exact context that traps Inexact.  `decimal` is imported only
+there, so builds of small integers never load it.  The tables of powers
+(5**w for reading, the Decimal 2**w for writing) are built by squaring,
+each power when first needed.  A canonical text, and an integer to be
+split, is checked against the limit from its length (for an integer,
+from its bit length) before any work.  Shorter values go to int() and
+str() directly, and so does every value from Python 3.12 on, whose int()
+and str() split long values themselves.
+
+Even converted by halves, a long value costs more than a lookup, so the
+outermost `decimal_io()` block owns one memo that nested blocks share:
+the readers `canonical_int` and `decimal_int` and the writer
+`decimal_str` record each text of at least _MEMO_FLOOR characters with
+its integer, and a later conversion of either one, in either direction,
+is a lookup.  A text read from a file or a reach list is then not
+converted back when it is written: `build` writes the reach-list texts,
+and `export` and `analyze` the texts of the trace they read.  Only
+canonical text (`0` or `-?[1-9][0-9]*`, what str(int) writes) is
+recorded, so `decimal_str` always returns str(n).  `canonical_int` reads
+only canonical text and matches it once; `decimal_int` reads any text
+int() reads.  Shorter texts are not recorded: a memo of every small
+integer pins more memory than it saves time.  The memo and the power
+tables are dropped when the outermost block exits, normally or by an
+exception; outside any block each call converts with tables of its own.
+`quote`, how every error message shows a value, converts no long integer.
 """
 
 from __future__ import annotations
@@ -36,8 +56,42 @@ CANONICAL_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")  # what str(int) writes; no "
 
 _MEMO_FLOOR = 500  # shortest text, in characters, that the block memo records
 
+# Thresholds of the split conversions (see the module docstring); CHANGES.md has the measurements.
+_SPLITS = sys.version_info < (3, 12)  # later interpreters split long conversions themselves, as fast or faster
+_READ_SPLIT = 1024  # digits: a longer canonical text is read in parts of 1024 * 2**j digits
+_WRITE_CUTOFF = 30_000  # bits: a longer integer is written in parts; a shorter one goes to str()
+_WRITE_SPLIT = 10_000  # bits: the parts are 10_000 * 2**j bits wide, and one this short is not split
+
 # the outermost open block's memo: a str key maps to its int, an int key to its text
 _memo: dict | None = None
+
+
+class _Powers:
+    """5**(_READ_SPLIT * 2**j) and Decimal 2**(_WRITE_SPLIT * 2**j), each made by squaring when first needed."""
+
+    def __init__(self) -> None:
+        self.fives: list[int] = []
+        self.twos: list = []  # of decimal.Decimal
+
+    def five(self, j: int) -> int:
+        fives = self.fives
+        if not fives:
+            fives.append(5**_READ_SPLIT)
+        while len(fives) <= j:
+            fives.append(fives[-1] ** 2)
+        return fives[j]
+
+    def two(self, j: int, context):
+        twos = self.twos
+        if not twos:
+            twos.append(context.create_decimal(1 << _WRITE_SPLIT))
+        while len(twos) <= j:
+            twos.append(context.multiply(twos[-1], twos[-1]))
+        return twos[j]
+
+
+# the outermost open block's power tables, dropped with its memo
+_powers: _Powers | None = None
 
 
 class DigitLimitError(Exception):
@@ -55,16 +109,32 @@ def quote(value) -> str:
     if isinstance(value, str) and len(value) > _QUOTE_CHARS:
         return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"
     if isinstance(value, int) and value.bit_length() > 132:  # 2**132 < 10**40: a shorter one has <= 40 digits
-        low = (value.bit_length() - 1) * _LOG10_2 // 10**38 + 1  # the digit count of 2**(bit_length - 1)
-        digits = low + (abs(value) >= 10**low)
+        digits = _digit_count(value)
         if digits > _QUOTE_CHARS:
             return f"{'-' if value < 0 else ''}<{digits}-digit integer>"
     return repr(value)
 
 
+def _least_digits(n: int) -> int:
+    """The digit count of 2**(bit_length - 1) for nonzero n: |n| has this many decimal digits or one more."""
+    return (n.bit_length() - 1) * _LOG10_2 // 10**38 + 1
+
+
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of nonzero |n|, without converting it."""
+    low = _least_digits(n)
+    return low + (abs(n) >= 10**low)
+
+
+def _limit() -> int:
+    """The interpreter's digit limit for int<->str conversion: DECIMAL_DIGIT_LIMIT inside decimal_io(),
+    and 0, no limit, before Python 3.11."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _limit_error(what: str) -> DigitLimitError:
-    limit = sys.get_int_max_str_digits()  # DECIMAL_DIGIT_LIMIT inside decimal_io()
-    return DigitLimitError(f"{what} has more than {limit} decimal digits, the decimal I/O limit")
+    return DigitLimitError(f"{what} has more than {_limit()} decimal digits, the decimal I/O limit")
 
 
 def _past_limit(exc: ValueError) -> bool:
@@ -79,17 +149,17 @@ def decimal_io() -> Iterator[None]:
     The interpreter's limit is restored on exit, and a conversion past the
     limit inside the block raises DigitLimitError instead of ValueError.
     Interpreters without the limit (before 3.11) run the block with it
-    unchanged.  The outermost block creates the conversion memo and drops
-    it on exit.
+    unchanged.  The outermost block creates the conversion memo and the
+    power tables, and drops them on exit.
     """
-    global _memo
+    global _memo, _powers
     limited = hasattr(sys, "set_int_max_str_digits")
     if limited:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(DECIMAL_DIGIT_LIMIT)
     outermost = _memo is None
     if outermost:
-        _memo = {}
+        _memo, _powers = {}, _Powers()
     try:
         yield
     except ValueError as e:
@@ -100,7 +170,7 @@ def decimal_io() -> Iterator[None]:
         if limited:
             sys.set_int_max_str_digits(saved)
         if outermost:
-            _memo = None
+            _memo = _powers = None
 
 
 def _convert(text: str, what: str) -> int:
@@ -110,6 +180,39 @@ def _convert(text: str, what: str) -> int:
         if _past_limit(e):
             raise _limit_error(what) from None
         raise
+
+
+def _read_split(digits: str, powers: _Powers) -> int:
+    """int(digits) for a string of ASCII digits, read in two parts when longer than _READ_SPLIT."""
+    if len(digits) <= _READ_SPLIT:
+        return int(digits)
+    j = ((len(digits) - 1) // _READ_SPLIT).bit_length() - 1
+    w = _READ_SPLIT << j  # the longest aligned width below the length
+    high = _read_split(digits[:-w], powers)
+    return _read_split(digits[-w:], powers) + ((high * powers.five(j)) << w)  # low + high * 10**w
+
+
+def _write_split(n: int, powers: _Powers, context):
+    """n >= 0 as an exact Decimal, made in two parts when it has more than _WRITE_SPLIT bits."""
+    bits = n.bit_length()
+    if bits <= _WRITE_SPLIT:
+        return context.create_decimal(n)
+    j = ((bits - 1) // _WRITE_SPLIT).bit_length() - 1
+    w = _WRITE_SPLIT << j  # the widest aligned width below the bit length
+    high = _write_split(n >> w, powers, context)
+    low = _write_split(n & ((1 << w) - 1), powers, context)
+    return context.add(context.multiply(high, powers.two(j, context)), low)
+
+
+def _write_decimal(n: int, digits: int, powers: _Powers) -> str:
+    """str(n), joined in the decimal module exactly.  `digits` bounds the digit count of |n|, and so of
+    every value on the way, since each is a bit field of |n| or a power of two below it."""
+    import decimal
+
+    context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
+    context.traps[decimal.Inexact] = True
+    text = str(_write_split(abs(n), powers, context))
+    return "-" + text if n < 0 else text
 
 
 def canonical_int(text: str, what: str) -> int | None:
@@ -127,7 +230,17 @@ def canonical_int(text: str, what: str) -> int | None:
             return n
     if not CANONICAL_DECIMAL.fullmatch(text):
         return None
-    n = _convert(text, what)
+    negative = text[0] == "-"
+    digits = len(text) - negative
+    limit = _limit()
+    if limit and digits > limit:
+        raise _limit_error(what)
+    if _SPLITS and digits > _READ_SPLIT:
+        n = _read_split(text[negative:], _powers or _Powers())
+        if negative:
+            n = -n
+    else:
+        n = int(text)
     if memo is not None and len(text) >= _MEMO_FLOOR:
         memo[text] = n
         memo[n] = text
@@ -152,12 +265,19 @@ def decimal_str(n: int) -> str:
         text = memo.get(n)
         if text is not None:
             return text
-    try:
-        text = str(n)
-    except ValueError as e:
-        if _past_limit(e):
-            raise _limit_error("an integer") from None
-        raise
+    if _SPLITS and n.bit_length() > _WRITE_CUTOFF:
+        low = _least_digits(n)
+        limit = _limit()
+        if limit and low >= limit and _digit_count(n) > limit:
+            raise _limit_error("an integer")
+        text = _write_decimal(n, low + 1, _powers or _Powers())
+    else:
+        try:
+            text = str(n)
+        except ValueError as e:
+            if _past_limit(e):
+                raise _limit_error("an integer") from None
+            raise
     if memo is not None and len(text) >= _MEMO_FLOOR:
         memo[n] = text
         memo[text] = n

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbasis import ExplicitReaches, ThresholdTable, cli, digits, run_greedy, run_with_growth
 from urbasis.bounds import growth_report
@@ -364,6 +366,34 @@ class TestVerify:
         assert run_cli("verify", path, "--format", "json") == (1 if corrupt else 0)
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"] == json.loads(json.dumps(verify_trace(read_file(path))))
+
+
+    @pytest.mark.parametrize("source", ["greedy12", "greedy12-corrupt", "slow10", "long", "long-corrupt"])
+    def test_json_is_json_dumps_of_the_rows(self, tmp_path, capsys, request, source):
+        """verify --format json prints what json.dumps of the library rows prints, whatever their integers' size."""
+        path = str(tmp_path / "t.trace")
+        trace = long_explicit_trace() if source.startswith("long") else request.getfixturevalue(source.split("-")[0])
+        write_file(trace, path)
+        if source.endswith("corrupt"):  # a radius one too long: witnesses with the trace's largest integers
+            rewrite_row(path, len(trace.steps), d=str(trace.final.radius + 1))
+        rows = verify_trace(read_file(path))
+        ok = all(row["ok"] for row in rows)
+        with digits.decimal_io():
+            expected = json.dumps({"ok": ok, "checks": rows}, sort_keys=True) + "\n"
+        capsys.readouterr()
+        assert run_cli("verify", path, "--format", "json") == int(not ok)
+        assert capsys.readouterr().out == expected
+        assert ok is not source.endswith("corrupt")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text() | st.integers() | st.integers(-(10**700), 10**700),
+        lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=12,
+    ))
+    def test_json_writer_is_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True)
 
 
 class TestAnalyze:

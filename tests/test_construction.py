@@ -418,6 +418,13 @@ class TestBudgetFamilies:
         with pytest.raises(GrowthConfigError, match="decimal digits"):
             LogGrowth(1e-300, 0).threshold(4)
 
+    @pytest.mark.parametrize("family", [LogGrowth(), LogLogGrowth(2, 4, 3), LogGrowth(2.5, 1.5)])
+    def test_target_past_float_range(self, family):
+        # (m - offset) / scale overflows a float: refused above, and the least x is 1 below
+        with pytest.raises(GrowthConfigError, match=r"^threshold\(<401-digit integer>\) has over 1e307 decimal digits"):
+            family.threshold(10**400)
+        assert family.threshold(-(10**400)) == 1
+
     def test_undecided_threshold_raises(self, monkeypatch):
         # a 1295-digit answer at 5, 10, ..., 80 digits of precision stays undecided
         monkeypatch.setattr(construction, "_GUARD_DPS", -1290)

@@ -1,6 +1,10 @@
-"""The decimal I/O block: its digit limit and its conversion memo; and how a message quotes a value."""
+"""The decimal I/O block: its digit limit, its conversion memo and power tables, and the split
+conversions of long values; and how a message quotes a value."""
 
+import os
+import subprocess
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 from unittest import mock
 
@@ -109,6 +113,139 @@ class TestLifetime:
             with pytest.raises(DigitLimitError, match="an integer has more than 1000"):
                 decimal_str(10**1000)
             assert digits._memo == {}
+
+
+# split thresholds lowered so that values of a few hundred digits take every split path
+SMALL_SPLITS = {"_SPLITS": True, "_READ_SPLIT": 3, "_WRITE_CUTOFF": 8, "_WRITE_SPLIT": 4}
+
+
+@st.composite
+def edge_integers(draw):
+    """0, 10**k, 10**k - 1, 2**k - 1, and lengths of S * 2**j +- 1 digits or C * 2**j +- 1 bits, either sign."""
+    kind = draw(st.sampled_from(["zero", "ten", "ten-1", "two-1", "aligned-digits", "aligned-bits"]))
+    k = draw(st.integers(0, 700))
+    edge = draw(st.sampled_from([-1, 0, 1]))
+    if kind == "zero":
+        n = 0
+    elif kind == "ten":
+        n = 10**k
+    elif kind == "ten-1":
+        n = 10**k - 1
+    elif kind == "two-1":
+        n = 2 ** (3 * k) - 1
+    elif kind == "aligned-digits":
+        length = SMALL_SPLITS["_READ_SPLIT"] * 2 ** draw(st.integers(0, 7)) + edge
+        n = draw(st.integers(10 ** (length - 1), 10**length - 1))
+    else:
+        bits = SMALL_SPLITS["_WRITE_SPLIT"] * 2 ** draw(st.integers(0, 9)) + edge
+        n = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    return -n if draw(st.booleans()) else n
+
+
+class TestSplitConversion:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(edge_integers(), min_size=1, max_size=4), in_block=st.booleans())
+    def test_split_read_and_write_equal_int_and_str(self, values, in_block):
+        with mock.patch.multiple(digits, **SMALL_SPLITS):
+            with decimal_io() if in_block else nullcontext():
+                for n in values:
+                    text = str(n)
+                    assert canonical_int(text, "a value") == int(text) == n
+                    assert decimal_str(n) == text
+                    if in_block:  # convert again, with the tables filled
+                        digits._memo.clear()
+                    assert decimal_str(n) == text
+                    assert canonical_int(text, "a value") == n
+
+    @pytest.mark.parametrize("digit_count", [1_000, 1_024, 1_025, 2_049, 15_000, 70_000])
+    @mock.patch.object(digits, "_SPLITS", True)  # on every interpreter
+    def test_default_splits_equal_int_and_str(self, digit_count):
+        for n in (10**digit_count - 1, -(10 ** (digit_count - 1)), 2 ** (digit_count * 10 // 3) - 1):
+            text = str_of(n)
+            with decimal_io():
+                assert canonical_int(text, "a value") == n
+                assert decimal_str(n) is text  # recorded by the read
+                digits._memo.clear()
+                assert decimal_str(n) == text
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+    def test_past_limit_fails_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("converted past the limit")
+
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
+        monkeypatch.setattr(digits, "_read_split", no_work)
+        monkeypatch.setattr(digits, "_write_decimal", no_work)
+        with mock.patch.multiple(digits, **SMALL_SPLITS), decimal_io():
+            for text in ("1" + "0" * 1000, "-" + "9" * 1001):
+                with pytest.raises(DigitLimitError, match="a reach has more than 1000 decimal digits"):
+                    canonical_int(text, "a reach")
+            for n in (10**1000, -(10**1000), 2**4000):  # 10**1000 has the bit length of 1000-digit integers
+                with pytest.raises(DigitLimitError, match="an integer has more than 1000 decimal digits"):
+                    decimal_str(n)
+            assert digits._memo == {}
+        with mock.patch.multiple(digits, **SMALL_SPLITS):  # outside a block, the interpreter's limit
+            limit = sys.get_int_max_str_digits()
+            with pytest.raises(DigitLimitError, match=f"a reach has more than {limit} decimal digits"):
+                canonical_int("7" * (limit + 1), "a reach")
+            with pytest.raises(DigitLimitError, match=f"an integer has more than {limit} decimal digits"):
+                decimal_str(7 * 10**limit)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+    def test_at_the_limit_converts(self, monkeypatch):
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
+        with mock.patch.multiple(digits, **SMALL_SPLITS), decimal_io():
+            for n in (10**1000 - 1, -(10**1000 - 1)):
+                text = str_of(n)
+                assert decimal_str(n) == text and canonical_int(text, "a value") == n
+
+
+def str_of(n):
+    """str(n) under a digit limit raised for the call."""
+    with decimal_io():
+        return str(n)
+
+
+class TestPowerTables:
+    def test_dropped_with_the_outermost_block(self):
+        assert digits._powers is None
+        with mock.patch.multiple(digits, **SMALL_SPLITS), decimal_io():
+            tables = digits._powers
+            with decimal_io():
+                assert digits._powers is tables
+                decimal_str(10**300)
+                canonical_int("9" * 300, "a value")
+            assert tables.fives and tables.twos  # filled inside the nested block, kept by the outer
+        assert digits._powers is None
+
+    def test_dropped_when_the_block_raises(self):
+        with pytest.raises(RuntimeError), mock.patch.multiple(digits, **SMALL_SPLITS):
+            with decimal_io():
+                decimal_str(10**300)
+                assert digits._powers.twos
+                raise RuntimeError("inside")
+        assert digits._powers is None
+
+    def test_none_kept_outside_a_block(self):
+        with mock.patch.multiple(digits, **SMALL_SPLITS):
+            assert decimal_str(10**300) == str(10**300)
+            assert canonical_int("9" * 300, "a value") == 10**300 - 1
+        assert digits._powers is None
+
+
+def test_small_integers_do_not_load_decimal():
+    """Only an integer past the write cutoff imports the decimal module (from Python 3.12, int() and str() do)."""
+    code = ("import sys\n"
+            "from urbasis.digits import decimal_io, decimal_str, canonical_int\n"
+            "with decimal_io():\n"
+            "    decimal_str(-(2 ** 29_999)); canonical_int('9' * 1500, 'a value')\n"
+            "print('decimal' in sys.modules)\n"
+            "with decimal_io():\n"
+            "    decimal_str(2 ** 30_000)\n"
+            "print('decimal' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(digits.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_rows_of_a_parsed_trace_reuse_its_texts():

@@ -1,5 +1,5 @@
 """Package layering: no module reaches into another module's private names,
-and only a log or log-log budget loads mpmath."""
+only a log or log-log budget loads mpmath, and no command on small integers loads decimal."""
 
 import ast
 import json
@@ -47,12 +47,12 @@ def test_only_decimal_text_io_names_decimal_io():
     assert naming == {"digits", "construction", "tracefile", "cli"}
 
 
-# Runs in a fresh interpreter and prints, after each step, whether mpmath is loaded.
+# Runs in a fresh interpreter and prints, after each step, whether mpmath and decimal are loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 loaded = {}
 def probe(step):
-    loaded[step] = "mpmath" in sys.modules
+    loaded[step] = {module: module in sys.modules for module in ("mpmath", "decimal")}
 import urbasis
 probe("import urbasis")
 from urbasis.cli import main
@@ -64,6 +64,7 @@ trace, reaches = sys.argv[1:]
 for command, argv in [
     ("build", ["build", "--greedy", "12", "-o", trace]),
     ("verify", ["verify", trace]),
+    ("verify json", ["verify", trace, "--format", "json"]),
     ("analyze", ["analyze", trace]),
     ("export", ["export", trace]),
     ("build --c-list", ["build", "--c-list", reaches, "-o", trace]),
@@ -77,12 +78,13 @@ print(json.dumps(loaded))
 
 
 def test_only_a_log_budget_loads_mpmath(tmp_path):
+    """And no step, all on small integers, loads decimal: only an integer past 30,000 bits is written through it."""
     reaches = tmp_path / "c.txt"
     reaches.write_text("1 4 14\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "t.trace"), str(reaches)]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
     loaded = json.loads(out.stdout)
-    assert loaded.pop("build log") is True  # the probe sees mpmath once a budget is inverted
-    assert loaded == dict.fromkeys(loaded, False)
-    assert len(loaded) == 8
+    assert len(loaded) == 10
+    assert loaded.pop("build log") == {"mpmath": True, "decimal": False}  # mpmath once a budget is inverted
+    assert loaded == dict.fromkeys(loaded, {"mpmath": False, "decimal": False})
