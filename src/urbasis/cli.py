@@ -152,10 +152,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.rep_window is not None:
         lo, hi = _parse_window(args.rep_window)
         report = brute_rep_report(trace.final.basis, lo, hi)
-        if hi - lo + 1 <= _DENSE_WINDOW_LIMIT:
-            counts = {str(n): c for n, c in sorted(report.counts.items())}
-        else:
-            counts = {str(n): c for n, c in sorted(report.nonzero.items())}
+        dense = hi - lo + 1 <= _DENSE_WINDOW_LIMIT
+        counts = {decimal_str(n): c for n, c in sorted((report.counts if dense else report.nonzero).items())}
         rep_block = {
             "window": [lo, hi], "counts": counts,
             "violations": list(report.violations), "gap_count": report.gap_count,
@@ -170,7 +168,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload = {"ok": ok}
         if rep_block is not None:
             payload["rep_window"] = rep_block
-        print('{"bounds": [' + rows + '], ' + encode(payload)[1:])
+        print('{"bounds": [' + rows + '], ' + _json(payload)[1:])  # the window's integers by decimal_str
     else:
         for c in checks:
             status = "HOLD" if c.holds else "VIOL"
@@ -180,7 +178,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if rep_block is not None:
             for n, c in rep_block["counts"].items():
                 print(f"rep n={n} count={c}")
-            print(f"rep-window violations={len(rep_block['violations'])} gaps={rep_block['gap_count']}")
+            print(f"rep-window violations={len(rep_block['violations'])} gaps={decimal_str(rep_block['gap_count'])}")
         print(f"analysis: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

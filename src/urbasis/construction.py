@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 if TYPE_CHECKING:
     import mpmath
 
-from .digits import DECIMAL_DIGIT_LIMIT, decimal_int, decimal_io, quote
+from .digits import DECIMAL_DIGIT_LIMIT, decimal_int, decimal_io, decimal_str, quote
 from .intset import IntSet, PairSums, min_abs_missing
 
 
@@ -199,7 +199,7 @@ class ThresholdTable(ThresholdReach):
 
     @property
     def descriptor(self) -> str:
-        return "table," + ";".join(f"{m}:{x}" for m, x in self.table)
+        return "table," + ";".join(decimal_str(m) + ":" + decimal_str(x) for m, x in self.table)
 
     def threshold(self, m: int) -> int:
         for target, x in self.table:

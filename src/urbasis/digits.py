@@ -1,10 +1,15 @@
 """Decimal conversion of unbounded integers under one digit limit.
 
-The interpreter guards int<->str conversion with a digit limit (4300 by
-default, since Python 3.11) that slow-growth traces pass by far.  Code that
-converts integers to or from decimal runs inside `decimal_io()`, which
-raises the limit to DECIMAL_DIGIT_LIMIT for that block only; nothing
-changes the interpreter's setting at import.
+This module alone decides whether an integer is too long for decimal
+text.  Every conversion here is checked from the value's length (an
+integer's from its bit length) before any work, against the
+interpreter's int<->str digit limit (4300 by default since Python 3.11,
+which slow-growth traces pass by far), or against DECIMAL_DIGIT_LIMIT
+where the interpreter has none (Python 3.10), inside a block or not.
+Code that converts integers to or from decimal runs inside
+`decimal_io()`, which raises the interpreter's limit to
+DECIMAL_DIGIT_LIMIT for that block only (nothing changes it at import)
+and reports a conversion made elsewhere past it as DigitLimitError.
 
 Before Python 3.12, int() and str() take time quadratic in the digit
 count, and a slow budget's radii run to thousands or millions of digits.
@@ -19,10 +24,8 @@ module, whose multiplication is subquadratic and whose str() is linear,
 in an exact context that traps Inexact.  `decimal` is imported only
 there, so builds of small integers never load it.  The tables of powers
 (5**w for reading, the Decimal 2**w for writing) are built by squaring,
-each power when first needed.  A canonical text, and an integer to be
-split, is checked against the limit from its length (for an integer,
-from its bit length) before any work.  Shorter values go to int() and
-str() directly, and so does every value from Python 3.12 on, whose int()
+each power when first needed.  Shorter values go to int() and str()
+directly, and so does every value from Python 3.12 on, whose int()
 and str() split long values themselves.
 
 Even converted by halves, a long value costs more than a lookup, so the
@@ -30,9 +33,10 @@ outermost `decimal_io()` block owns one memo that nested blocks share:
 the readers `canonical_int` and `decimal_int` and the writer
 `decimal_str` record each text of at least _MEMO_FLOOR characters with
 its integer, and a later conversion of either one, in either direction,
-is a lookup.  A text read from a file or a reach list is then not
-converted back when it is written: `build` writes the reach-list texts,
-and `export` and `analyze` the texts of the trace they read.  Only
+is a lookup, as is writing the integer's negation.  A text read from a
+file or a reach list is then not converted back when it is written:
+`build` writes the reach-list texts, and `export` and `analyze` the
+texts of the trace they read.  Only
 canonical text (`0` or `-?[1-9][0-9]*`, what str(int) writes) is
 recorded, so `decimal_str` always returns str(n).  `canonical_int` reads
 only canonical text and matches it once; `decimal_int` reads any text
@@ -127,10 +131,10 @@ def _digit_count(n: int) -> int:
 
 
 def _limit() -> int:
-    """The interpreter's digit limit for int<->str conversion: DECIMAL_DIGIT_LIMIT inside decimal_io(),
-    and 0, no limit, before Python 3.11."""
+    """The digit limit every conversion is checked against: the interpreter's (DECIMAL_DIGIT_LIMIT inside
+    decimal_io(), 0 when switched off), or DECIMAL_DIGIT_LIMIT where the interpreter has none (Python 3.10)."""
     get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else 0
+    return get() if get else DECIMAL_DIGIT_LIMIT
 
 
 def _limit_error(what: str) -> DigitLimitError:
@@ -138,7 +142,7 @@ def _limit_error(what: str) -> DigitLimitError:
 
 
 def _past_limit(exc: ValueError) -> bool:
-    # the interpreter's own guard raises a plain ValueError that names its setter
+    # the interpreter's guard, met by a conversion made outside this module, names its setter
     return type(exc) is ValueError and "int_max_str_digits" in str(exc)
 
 
@@ -147,10 +151,11 @@ def decimal_io() -> Iterator[None]:
     """Run a block with int<->str conversions allowed up to DECIMAL_DIGIT_LIMIT digits.
 
     The interpreter's limit is restored on exit, and a conversion past the
-    limit inside the block raises DigitLimitError instead of ValueError.
-    Interpreters without the limit (before 3.11) run the block with it
-    unchanged.  The outermost block creates the conversion memo and the
-    power tables, and drops them on exit.
+    limit inside the block raises DigitLimitError instead of ValueError,
+    also one made outside this module.  An interpreter without the limit
+    (Python 3.10) leaves every conversion outside this module unchecked.
+    The outermost block creates the conversion memo and the power tables,
+    and drops them on exit.
     """
     global _memo, _powers
     limited = hasattr(sys, "set_int_max_str_digits")
@@ -174,12 +179,13 @@ def decimal_io() -> Iterator[None]:
 
 
 def _convert(text: str, what: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError as e:
-        if _past_limit(e):
-            raise _limit_error(what) from None
-        raise
+    # int(text, 10), refused first if the text has more digits than the limit, counted as int() counts
+    # them: leading zeros count; the sign, surrounding spaces and underscores do not
+    body = text.strip()
+    limit = _limit()
+    if limit and len(body) - body.count("_") - body.startswith(("+", "-")) > limit:
+        raise _limit_error(what)
+    return int(text, 10)
 
 
 def _read_split(digits: str, powers: _Powers) -> int:
@@ -250,7 +256,8 @@ def canonical_int(text: str, what: str) -> int | None:
 def decimal_int(text: str, what: str) -> int:
     """int(text, 10), raising DigitLimitError that names `what` for a value past the limit.
 
-    Malformed text still raises ValueError.  Text that is not canonical
+    Malformed text raises ValueError, or DigitLimitError when it counts
+    more digits than the limit (see _convert).  Text that is not canonical
     (a sign, leading zeros, underscores, spaces) is converted but not
     recorded.  Callers run inside decimal_io().
     """
@@ -265,19 +272,17 @@ def decimal_str(n: int) -> str:
         text = memo.get(n)
         if text is not None:
             return text
+        text = memo.get(-n)  # the text of -n, with its sign changed
+        if text is not None:
+            return text[1:] if n > 0 else "-" + text
+    low = _least_digits(n)
+    limit = _limit()
+    if limit and low >= limit and _digit_count(n) > limit:
+        raise _limit_error("an integer")
     if _SPLITS and n.bit_length() > _WRITE_CUTOFF:
-        low = _least_digits(n)
-        limit = _limit()
-        if limit and low >= limit and _digit_count(n) > limit:
-            raise _limit_error("an integer")
         text = _write_decimal(n, low + 1, _powers or _Powers())
     else:
-        try:
-            text = str(n)
-        except ValueError as e:
-            if _past_limit(e):
-                raise _limit_error("an integer") from None
-            raise
+        text = str(n)
     if memo is not None and len(text) >= _MEMO_FLOOR:
         memo[n] = text
         memo[text] = n

@@ -9,16 +9,13 @@ directions run under the package's decimal digit limit (`digits`); a
 value past it raises DigitLimitError.
 
 Every v1 row repeats all of its stage's elements, and a long integer costs
-far more to convert than to look up, even though `digits` converts one of
-more than 1024 digits or 30,000 bits by halves (before Python 3.12, int()
-and str() take time quadratic in the digit count).  So each direction
-converts each distinct integer once per call: `step_rows` keeps one
-int -> str dict, `parse` one str -> int dict, and the parsed rows share
-one int object per element.  Across calls, the conversions go through
-`digits`, whose memo lives as long as the outermost `decimal_io()`
-block: inside one block, an integer whose text has 500 or more
-characters (`digits._MEMO_FLOOR`) and that `parse` read is written back
-by `step_rows` with the text it was read from, not converted again.
+far more to convert than to look up.  So each direction converts each
+distinct integer once per call: `step_rows` keeps one int -> str dict,
+`parse` one str -> int dict, and the parsed rows share one int object per
+element.  Across calls, the conversions go through `digits`, whose memo
+lets `step_rows` write a long integer that `parse` read in the same
+outermost `decimal_io()` block with the text it was read from; `digits`
+says which texts it records and how it converts long values.
 `parse` accepts only the canonical integer text `serialize` writes,
 ASCII `0` or `-?[1-9][0-9]*`, so each integer re-serializes to the same
 digits; JSON spacing, unknown keys, blank lines and CRLF line ends are

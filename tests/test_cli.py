@@ -126,6 +126,22 @@ class TestBuild:
         assert capsys.readouterr().err == "error: K must be an integer, got '1.5'\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read reach list: [Errno 21] Is a directory: {path!r}"),
+        ("1 4 x\n", "reach list {path!r} must contain only integers"),
+        ("[ ]\n", "reach list {path!r} is empty"),
+    ], ids=["directory", "not-integers", "empty"])
+    def test_unusable_reach_list_refused(self, tmp_path, capsys, content, message):
+        reaches = tmp_path / "c"
+        if content is None:
+            reaches.mkdir()
+        else:
+            reaches.write_text(content)
+        out = tmp_path / "x.trace"
+        assert run_cli("build", "--c-list", str(reaches), "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: " + message.format(path=str(reaches)) + "\n"
+        assert not out.exists()
+
     def test_c_list_reach_below_radius(self, tmp_path, capsys):
         reaches = tmp_path / "c.txt"
         reaches.write_text("1 2\n")  # stage 3 needs c >= 4
@@ -317,6 +333,30 @@ class TestVerify:
             fh.write(text[:-25])
         assert run_cli("verify", path) == 2
         assert "trace format error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (0, lambda row: {**row, "mode": 7}, "header mode must be a string"),
+        (1, lambda row: [row], "line 2: stage row must be an object"),
+        (1, lambda row: {**row, "k": "1"}, "line 2: k must be an integer"),
+    ], ids=["mode-not-string", "row-not-object", "k-is-text"])
+    def test_malformed_trace_refused(self, tmp_path, capsys, line, edit, message):
+        path = build_greedy(tmp_path, 3)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", path) == 2
+        assert capsys.readouterr().err == f"trace format error: {message}\n"
+
+    def test_added_pair_off_the_sign_rule_fails(self, tmp_path, capsys):
+        path = build_greedy(tmp_path, 3)
+        rewrite_row(path, 2, elements=["0", "1", "7", "9"])
+        capsys.readouterr()
+        assert run_cli("verify", path) == 1
+        witness = {"refused": "added pair [7, 9] is not one negative and one positive element", "stage": 2}
+        assert f"FAIL decomposition  witness={witness}" in capsys.readouterr().out.splitlines()
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run_cli("verify", str(tmp_path / "nope.trace")) == 2
@@ -590,6 +630,10 @@ class TestAnalyzeBytes:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_long_integers_are_written_from_the_text_read(self, tmp_path, capsys, monkeypatch, fmt):
         path, _ = long_c_list_trace(tmp_path)
+        trace = read_file(path)
+        samples = {s.radius for s in trace.steps} | {s.reach for s in trace.steps}
+        # a long element that no bound row writes, alone in the rep window as its sum with 0
+        element = next(a for a in trace.final.basis.elements if a >= 10**digits._MEMO_FLOOR and a not in samples)
         written = []  # (integer, whether the memo held its text)
 
         def recording_decimal_str(n):
@@ -599,9 +643,9 @@ class TestAnalyzeBytes:
 
         monkeypatch.setattr(cli, "decimal_str", recording_decimal_str)
         capsys.readouterr()
-        assert run_cli("analyze", path, "--format", fmt) == 0
+        assert run_cli("analyze", path, "--rep-window", f"{element},{element}", "--format", fmt) == 0
         printed = {int(t) for t in re.findall(r"\d{%d,}" % digits._MEMO_FLOOR, capsys.readouterr().out)}
-        assert len(printed) >= 6  # every radius and reach past stage 1
+        assert len(printed) >= 7 and element in printed  # every radius and reach past stage 1, and the element
         long_written = [(n, hit) for n, hit in written if abs(n) >= 10 ** (digits._MEMO_FLOOR - 1)]
         assert {n for n, _ in long_written} == printed
         assert all(hit for _, hit in long_written)

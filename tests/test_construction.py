@@ -29,10 +29,12 @@ from urbasis import (
     run_with_growth,
     verify_trace,
 )
-from urbasis import construction
+from urbasis import DigitLimitError, construction, digits
+from urbasis.digits import decimal_io
 
 import reference_kernel
 from budget_check import budget_at_least
+from undecimal import Undecimal
 
 # the densest run, frozen: (elements, radius, gap, positive_branch)
 GREEDY_STAGES = [
@@ -361,6 +363,20 @@ class TestGrowthPolicies:
         assert LogGrowth(3, 1).descriptor == "log,3,1"
         assert LogLogGrowth(2, 4, 3).descriptor == "loglog,2,4,3"
 
+    def test_table_label_is_written_from_the_texts_read(self):
+        # inside one block, the label of a table that parse_budget read converts no entry again
+        spec = f"table,{'4' * 600}:{'7' * 600};{'6' * 600}:{'8' * 600}"
+        with decimal_io():
+            entries = parse_budget(spec).table
+            assert ThresholdTable({Undecimal(m): Undecimal(x) for m, x in entries}).descriptor == spec
+
+    def test_table_label_past_the_limit(self, monkeypatch):
+        # outside a block, the interpreter's limit if it has one, else DECIMAL_DIGIT_LIMIT
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
+        limit = digits._limit()
+        with pytest.raises(DigitLimitError, match=f"^an integer has more than {limit} decimal digits"):
+            ThresholdTable({4: 10**limit}).descriptor
+
     @settings(max_examples=200)
     @given(
         st.floats(min_value=0, exclude_min=True, allow_infinity=False),
@@ -417,6 +433,8 @@ class TestBudgetFamilies:
             LogLogGrowth(2, 4, 3).threshold(60)
         with pytest.raises(GrowthConfigError, match="decimal digits"):
             LogGrowth(1e-300, 0).threshold(4)
+        with pytest.raises(GrowthConfigError, match=r"^threshold\(1000\) has over 1e307 decimal digits"):
+            LogLogGrowth(1, 0).threshold(1000)  # t = 1000 fits a float, but exp(t) does not
 
     @pytest.mark.parametrize("family", [LogGrowth(), LogLogGrowth(2, 4, 3), LogGrowth(2.5, 1.5)])
     def test_target_past_float_range(self, family):

@@ -17,6 +17,8 @@ from urbasis import digits, tracefile
 from urbasis.digits import canonical_int, decimal_int, decimal_io, decimal_str, quote
 from urbasis.tracefile import parse, serialize, step_rows
 
+from undecimal import Undecimal
+
 LONG = digits._MEMO_FLOOR + 100  # digits of a value the memo records
 
 
@@ -65,6 +67,28 @@ def test_canonical_int_refuses_other_spellings(style):
         assert canonical_int("-0", "a value") is None and canonical_int("", "a value") is None
 
 
+@pytest.mark.parametrize("text, refused", [
+    ("+" + "1" * 1000, False), ("-" + "1" * 1000, False), (" 1" + "0" * 999 + "\n", False),
+    ("1_" * 999 + "1", False), ("0" * 1000, False),
+    ("0" + "1" * 1000, True), ("+" + "1" * 1001, True), ("1_" * 1000 + "1", True), (" " + "0" * 1001, True),
+], ids=["plus", "minus", "spaces", "underscores", "zeros", "leading-zero-counts", "plus-past",
+        "underscores-past", "zeros-past"])
+def test_non_canonical_text_counted_as_int_counts(monkeypatch, text, refused):
+    # a sign, surrounding spaces and underscores do not count, leading zeros do; refused before int()
+    def no_int(*args):
+        raise AssertionError("converted past the limit")
+
+    monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
+    if refused:
+        monkeypatch.setattr(digits, "int", no_int, raising=False)
+    with decimal_io():
+        if refused:
+            with pytest.raises(DigitLimitError, match="^a reach has more than 1000 decimal digits"):
+                decimal_int(text, "a reach")
+        else:
+            assert decimal_int(text, "a reach") == int(text)
+
+
 class TestLifetime:
     def test_no_memo_outside_a_block(self):
         text = "9" * LONG
@@ -84,6 +108,13 @@ class TestLifetime:
             assert decimal_str(n) is text  # the text read, not a new conversion
         assert digits._memo is None
 
+    def test_negation_written_from_the_text_read(self):
+        with decimal_io():
+            for text in ("7" * LONG, "-" + "7" * LONG):
+                n = decimal_int(text, "a value")
+                assert decimal_str(Undecimal(-n)) == str_of(-n)  # not converted
+        assert digits._memo is None
+
     def test_memo_dropped_when_the_block_raises(self):
         with pytest.raises(RuntimeError):
             with decimal_io():
@@ -93,8 +124,13 @@ class TestLifetime:
         assert digits._memo is None
 
     def test_no_memo_when_the_limit_cannot_be_set(self, monkeypatch):
-        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 100)  # the interpreter refuses limits below 641
-        with pytest.raises(ValueError):
+        def refuse(limit):  # as the interpreter refuses a limit below 640
+            raise ValueError(f"cannot set a limit of {limit}")
+
+        # injected, so that this runs also where the interpreter has no digit limit
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        with pytest.raises(ValueError, match="cannot set a limit of 2000000"):
             with decimal_io():
                 pass
         assert digits._memo is None
@@ -113,6 +149,17 @@ class TestLifetime:
             with pytest.raises(DigitLimitError, match="an integer has more than 1000"):
                 decimal_str(10**1000)
             assert digits._memo == {}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+def test_block_reports_a_conversion_made_elsewhere(monkeypatch):
+    monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
+    with pytest.raises(DigitLimitError, match="^an integer has more than 1000 decimal digits"):
+        with decimal_io():
+            str(10**1000)
+    with pytest.raises(ValueError, match="invalid literal"):  # any other ValueError passes unchanged
+        with decimal_io():
+            int("x")
 
 
 # split thresholds lowered so that values of a few hundred digits take every split path
@@ -168,7 +215,6 @@ class TestSplitConversion:
                 digits._memo.clear()
                 assert decimal_str(n) == text
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
     def test_past_limit_fails_before_any_work(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("converted past the limit")
@@ -184,14 +230,14 @@ class TestSplitConversion:
                 with pytest.raises(DigitLimitError, match="an integer has more than 1000 decimal digits"):
                     decimal_str(n)
             assert digits._memo == {}
-        with mock.patch.multiple(digits, **SMALL_SPLITS):  # outside a block, the interpreter's limit
-            limit = sys.get_int_max_str_digits()
+        with mock.patch.multiple(digits, **SMALL_SPLITS):  # outside a block, the interpreter's limit, if any
+            limit = digits._limit()
+            assert limit == (sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 1000)
             with pytest.raises(DigitLimitError, match=f"a reach has more than {limit} decimal digits"):
                 canonical_int("7" * (limit + 1), "a reach")
             with pytest.raises(DigitLimitError, match=f"an integer has more than {limit} decimal digits"):
                 decimal_str(7 * 10**limit)
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
     def test_at_the_limit_converts(self, monkeypatch):
         monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
         with mock.patch.multiple(digits, **SMALL_SPLITS), decimal_io():
@@ -274,18 +320,6 @@ def test_parse_matches_each_long_text_once(monkeypatch):
     assert len(long_texts) == len(set(long_texts))
 
 
-class _Undecimal(int):
-    """An int that fails the test when it is converted to decimal."""
-
-    def __repr__(self):
-        raise AssertionError("converted to decimal")
-
-    __str__ = __repr__
-
-    def __format__(self, spec):
-        raise AssertionError("converted to decimal")
-
-
 class TestQuoteIntegers:
     @settings(max_examples=200)
     @given(st.integers(-(10**40 - 1), 10**40 - 1))
@@ -306,7 +340,7 @@ class TestQuoteIntegers:
         (10**40, "<41-digit integer>"), (-7 * 10**640, "-<641-digit integer>"),
     ], ids=["41-digits", "641-digits"])
     def test_never_converts_a_long_integer(self, n, shown):
-        assert quote(_Undecimal(n)) == shown
+        assert quote(Undecimal(n)) == shown
         if hasattr(sys, "set_int_max_str_digits"):  # also under the interpreter's lowest digit limit
             saved = sys.get_int_max_str_digits()
             sys.set_int_max_str_digits(640)

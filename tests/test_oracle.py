@@ -202,12 +202,12 @@ class TestGapGrowth:
             verify_gap_growth(run_greedy(1))
 
     def test_detects_low_even_gap(self, greedy4):
-        # report stage 4 with gap 2: the floor gap(2k) >= k+1 fails at k=2
+        # report stage 4 with gap 2: gap(2) < gap(4) fails, and with it the floor gap(2k) >= k+1 at k=2
         steps = list(greedy4.steps)
         steps[3] = replace(steps[3], gap=2)
         verdict = verify_gap_growth(BasisTrace(steps=tuple(steps), mode="corrupt"))
         assert not verdict
-        assert verdict.witness["rule"] in ("two-apart-increase", "even-stage-floor")
+        assert verdict.witness == {"rule": "two-apart-increase", "stage": 2, "gap": 2, "gap_two_later": 2}
 
     def test_detects_wrong_second_gap(self, greedy4):
         steps = list(greedy4.steps)
