@@ -176,16 +176,22 @@ class ThresholdReach:
 class ThresholdTable(ThresholdReach):
     """An explicit {target: least x} table, refused if empty or if x decreases as the target grows.
 
+    The table is given as a mapping or as (target, x) pairs, and a target given twice is refused.
     A stage reads only the even target 2k + 2 >= 4, so any other target is refused.
-    The table is kept as its (target, x) pairs in target order: it cannot change, and it hashes.
+    The table is kept as its (target, x) pairs in target order: it cannot change, and it hashes,
+    and a table built from another's `table` equals it.
     """
 
     table: Mapping[int, int] | tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted(self.table.items()))
+        pairs = self.table.items() if isinstance(self.table, Mapping) else self.table
+        entries = tuple(sorted((m, x) for m, x in pairs))
         if not entries:
             raise GrowthConfigError("threshold table is empty: a stage needs an entry for target 4")
+        for (m0, _), (m1, _) in zip(entries, entries[1:]):
+            if m0 == m1:
+                raise GrowthConfigError(f"threshold table gives target {quote(m0)} twice")
         for m, _ in entries:
             if m < 4 or m % 2:
                 raise GrowthConfigError(

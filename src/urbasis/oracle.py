@@ -1,33 +1,63 @@
 """Brute-force verification, kept independent of the arithmetic kernel.
 
-Every check counts pair sums with its own explicit loops rather than
-calling IntSet.self_sumset or IntSet.rep_count, so agreement between
-this module and the kernel is evidence, not tautology.
+Every check finds pair sums with its own explicit loops rather than
+calling IntSet.self_sumset, PairSums or min_abs_missing, so agreement
+between this module and the kernel is evidence, not tautology.
 
-The per-stage checks read one live table from pair sum to count, walked
-across the stages of a trace (`_stage_counts`).  Moving to the next stage
-removes the pairs that use elements that left and adds the pairs that use
-elements that arrived.  A legal stage adds two elements, so it costs
-4k + 3 updates and a whole trace of K stages O(K^2), instead of the
-O(K^3) of recounting every stage.  A trace whose stages are not nested
-goes through the same updates, and its counts stay exact.
+`verify_trace` decides its rows in one pass over the pair sums of the
+trace's last nested stage (`_walk`).  The nested prefix is the longest
+run of stages in which each stage holds every element of the one
+before.  Each of its elements is tagged with the first stage that holds
+it, and a pair a + a' (a <= a') is live from the later of its two tags
+on.  The pass (`_repeats`) enumerates the sums one half-open value range
+at a time, each of at most _RANGE_SUMS sums unless they are all equal,
+and within a range in tag order.  Equal sums fall in the same range, so
+the first time a sum is met again is the stage at which it repeats, and
+memory stays bounded by one range whatever K.  From that pass:
 
-The table is walked once per call (`_walk`): the unique-window,
-decomposition and gap checks all read it at every stage, the radius
-check reads each stage's elements on the same pass, and `rep-scan` reads
-the table left after the last stage, whose keys are every pair sum of
-the final set.  `verify_trace` runs every check in a fixed order and
-returns one row per check; `urbasis verify` only prints those rows.
+- `unique-window` reads the least stage at which a sum repeats, and
+  `decomposition` the least stage >= 2 at which an arriving pair meets a
+  sum already met; the stage's added pair tells which picture piece each
+  of that sum's pairs belongs to.
+- `gap`, and the coverage half of `unique-window`, read the first stage
+  that holds each sum n with |n| <= m(m + 1)/4 + 1, for the m elements of
+  the last nested stage.  No stage of the prefix has more than m
+  elements, so none covers more than m(m + 1)/2 sums, and no gap can lie
+  past that bound.
+- `rep-scan` counts the final set's repeated sums.
+
+`decomposition` also checks each added pair against the branch rule and
+the recorded reach (`_placement`, shared with `verify_decomposition`),
+and `radius` reads each stage's largest |a|; both cost O(k) per stage.
+A K-stage trace costs O(K^2) sums in all.
+
+A stage that drops an element ends the nested prefix, and
+`decomposition` refuses it.  `unique-window` and `gap` then report their
+failure within the prefix if there is one, and otherwise fail with a
+`not-nested` witness naming that stage.  `radius` and `rep-scan` stay
+exact on every trace, `rep-scan` by a second, untagged pass over the
+final set.  `verify_trace` runs every check in a fixed order and returns
+one row per check; `urbasis verify` only prints those rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping
+from heapq import heapify, heappop, heappush
+from itertools import combinations, repeat
+from operator import itemgetter
+from typing import Collection, Container, Mapping, Sequence
 
 from .construction import BasisTrace, ConstructionStep
 from .digits import quote
 from .intset import IntSet
+
+_RANGE_SUMS = 16384  # the most pair sums one range of the pass holds, unless all of them are equal
+_SAMPLES_PER_RANGE = 16  # sampled sums behind each cut when a range is split
+
+# the picture pieces of a decomposition, in the order their overlaps are checked
+_PIECES = ("old-sums", "shift-by-first", "shift-by-second", "new-pair-sums")
 
 
 def _witness_order(n: int) -> tuple[int, bool]:
@@ -47,48 +77,14 @@ def _pair_counts(elements: tuple[int, ...], lo: int | None = None, hi: int | Non
     return counts
 
 
+def _pairs(elements: Sequence[int], members: Container[int], n: int) -> list[tuple[int, int]]:
+    # the pairs a <= a' with a + a' = n, in order of a; `members` holds the elements
+    return [(a, n - a) for a in elements if 2 * a <= n and n - a in members]
+
+
 def pairs_for(a: IntSet, n: int) -> list[tuple[int, int]]:
-    """All pairs a1 <= a2 from the set with a1 + a2 = n, by explicit enumeration."""
-    els = a.elements
-    return [(x, y) for i, x in enumerate(els) for y in els[i:] if x + y == n]
-
-
-def _stage_counts(trace: BasisTrace) -> Iterator[tuple[ConstructionStep, dict[int, int], set[int]]]:
-    """Walk the stages in order, yielding (step, counts, doubled) for each.
-
-    `counts` maps every pair sum a + a' (a <= a') of step.basis to its
-    number of pairs; sums with no pair are absent, so its keys are exactly
-    the stage's pair sums.  `doubled` holds the sums counted at least
-    twice.  Both are the same objects at every stage and are updated in
-    place on the next iteration: read them before advancing.
-    """
-    counts: dict[int, int] = {}
-    doubled: set[int] = set()
-    live: set[int] = set()
-    for step in trace.steps:
-        target = set(step.basis.elements)
-        for x in [a for a in live if a not in target]:
-            for y in live:
-                s = x + y
-                c = counts[s]
-                if c == 1:
-                    del counts[s]
-                else:
-                    counts[s] = c - 1
-                    if c == 2:
-                        doubled.discard(s)
-            live.discard(x)
-        for x in step.basis.elements:
-            if x in live:
-                continue
-            live.add(x)
-            for y in live:
-                s = x + y
-                c = counts.get(s, 0) + 1
-                counts[s] = c
-                if c == 2:
-                    doubled.add(s)
-        yield step, counts, doubled
+    """All pairs a1 <= a2 from the set with a1 + a2 = n, by looking up n - a1 for each element a1."""
+    return _pairs(a.elements, set(a.elements), n)
 
 
 @dataclass(frozen=True)
@@ -158,37 +154,25 @@ def verify_unique_window(trace: BasisTrace) -> Verdict:
     A repeated sum at any stage outranks a gap in coverage: the witness is
     the first stage with a doubled sum, else the first even stage whose
     window holds a count other than 1.  Within a stage the witness is the
-    least n by smallest |n|, +n before -n.
+    least n by smallest |n|, +n before -n.  On a trace whose stages stop
+    nesting, only the nested prefix is read, as the module docstring says.
     """
     return _walk(trace)[0]["unique-window"]
 
 
-def verify_decomposition(
-    prev: ConstructionStep, nxt: ConstructionStep, *, old_sums: Collection[int] | None = None
-) -> Verdict:
-    """The new sums split into three disjoint picture pieces.
+def _placement(prev: ConstructionStep, nxt: ConstructionStep, added: list[int] | None) -> dict | None:
+    """Check the pair that extends `prev` to `nxt`: the reach-mismatch witness, or None.
 
-    With e1, e2 the two added elements, the sums of the extended stage are
-    old sums  |_|  (old set + e1)  |_|  (old set + e2)  |_|
-    {2*e1, e1 + e2, 2*e2}; the check is that these four parts are pairwise
-    disjoint.  Their union is the extended stage's sums by construction,
-    once the stages are nested.  The reach the added pair implies must also
-    equal the reach recorded on `prev`, when one is recorded.  Inputs that
-    are not a legal extension (wrong stage index, added pair off the branch
-    rule, reach below radius) are refused with ValueError rather than
-    reported as failures.
-
-    `old_sums` is the set of pair sums of prev.basis, for a caller that
-    already holds it, such as the keys of a live count table; it is taken
-    as given.  When omitted it is counted from prev.basis.
+    `added` is nxt's elements that prev lacks, sorted, or None when nxt
+    does not hold all of prev's.  An extension that is not legal (wrong
+    stage index, not exactly two added elements, an added pair off the
+    branch rule, reach below radius) raises ValueError.
     """
     if nxt.k != prev.k + 1:
         raise ValueError(f"stages are not consecutive: {quote(prev.k)} then {quote(nxt.k)}")
-    prev_set = set(prev.basis.elements)
-    nxt_set = set(nxt.basis.elements)
-    if not prev_set <= nxt_set or len(nxt_set) != len(prev_set) + 2:
+    if added is None or len(added) != 2:
         raise ValueError("next stage does not extend the previous one by exactly two elements")
-    e_neg, e_pos = sorted(nxt_set - prev_set)
+    e_neg, e_pos = added
     if e_neg >= 0 or e_pos <= 0:
         raise ValueError(f"added pair [{quote(e_neg)}, {quote(e_pos)}] is not one negative and one positive element")
     if prev.positive_branch:
@@ -203,20 +187,39 @@ def verify_decomposition(
         raise ValueError(f"implied reach {quote(reach)} below radius {quote(prev.radius)}: "
                          "extension precondition violated")
     if prev.reach is not None and prev.reach != reach:
-        return Verdict(False, "decomposition", {
-            "reason": "reach-mismatch", "stage": prev.k, "recorded": prev.reach, "implied": reach,
-        })
+        return {"reason": "reach-mismatch", "stage": prev.k, "recorded": prev.reach, "implied": reach}
+    return None
 
+
+def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdict:
+    """The new sums split into three disjoint picture pieces.
+
+    With e1, e2 the two added elements, the sums of the extended stage are
+    old sums  |_|  (old set + e1)  |_|  (old set + e2)  |_|
+    {2*e1, e1 + e2, 2*e2}; the check is that these four parts are pairwise
+    disjoint.  Their union is the extended stage's sums by construction,
+    once the stages are nested.  The reach the added pair implies must also
+    equal the reach recorded on `prev`, when one is recorded.  Inputs that
+    are not a legal extension (wrong stage index, added pair off the branch
+    rule, reach below radius) are refused with ValueError rather than
+    reported as failures.
+    """
+    prev_set = set(prev.basis.elements)
+    nxt_set = set(nxt.basis.elements)
+    added = sorted(nxt_set - prev_set) if prev_set <= nxt_set else None
+    witness = _placement(prev, nxt, added)
+    if witness:
+        return Verdict(False, "decomposition", witness)
+    e_neg, e_pos = added
     old = prev.basis.elements
-    parts = {
-        "old-sums": set(_pair_counts(old)) if old_sums is None else old_sums,
-        "shift-by-first": {a + e_neg for a in old},
-        "shift-by-second": {a + e_pos for a in old},
-        "new-pair-sums": {2 * e_neg, e_neg + e_pos, 2 * e_pos},
-    }
-    names = list(parts)
-    for i, p in enumerate(names):
-        for q in names[i + 1:]:
+    parts = dict(zip(_PIECES, (
+        set(_pair_counts(old)),
+        {a + e_neg for a in old},
+        {a + e_pos for a in old},
+        {2 * e_neg, e_neg + e_pos, 2 * e_pos},
+    )))
+    for i, p in enumerate(_PIECES):
+        for q in _PIECES[i + 1:]:
             small, large = sorted((parts[p], parts[q]), key=len)
             overlap = [n for n in small if n in large]
             if overlap:
@@ -253,50 +256,255 @@ def verify_gap_growth(trace: BasisTrace) -> Verdict:
     return Verdict(True, "gap-growth")
 
 
-def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], dict[int, int], set[int]]:
-    """Walk the live table once; return each stage check's verdict and the final table.
+# --- the tagged pass -------------------------------------------------------
 
-    The verdicts are keyed by check name: `unique-window`, `decomposition`,
-    `radius` (each recorded radius against max |a| of its stage) and `gap`.
-    `counts` and `doubled` are the final stage's, as `_stage_counts`
-    describes them.
+
+class _Repeats:
+    """What `_repeats` finds among the pair sums of a nested run of stages.
+
+    count    how many sums have two pairs or more in the last stage
+    least    the least of those sums by witness order, or None
+    second   (stage, n): the least stage at which a sum repeats, and the
+             least sum repeated there; None when no sum repeats
+    overlap  (stage, sums): the least tracked stage >= 2 at which an
+             arriving pair meets a sum already met, and every such sum
+    first    sum -> the first stage that holds it, for the sums with
+             |n| <= the pass's `near`
+    """
+
+    def __init__(self, overlaps_before: int) -> None:  # a plain class: a dataclass adds ~1 ms to each import
+        self.overlaps_before = overlaps_before  # overlaps are tracked at the stages below it only
+        self.count = 0
+        self.least: int | None = None
+        self.second: tuple[int, int] | None = None
+        self.overlap: tuple[int, set[int]] | None = None
+        self.first: dict[int, int] = {}
+
+    def meet(self, stage: int, sums: list[int]) -> None:
+        # `sums` arrive at `stage` and were met before, at this stage or an earlier one
+        n = min(sums, key=_witness_order)
+        if self.second is None or (stage, _witness_order(n)) < (self.second[0], _witness_order(self.second[1])):
+            self.second = (stage, n)
+        if 2 <= stage < self.overlaps_before:
+            if self.overlap is None or stage < self.overlap[0]:
+                self.overlap = (stage, set(sums))
+            elif stage == self.overlap[0]:
+                self.overlap[1].update(sums)
+
+
+def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None = None,
+             overlaps_before: int = 0) -> _Repeats:
+    """One pass over the pair sums of the last of `stages`, a nested run.
+
+    `stages` holds (old, added) per stage: the sorted elements of the stage
+    before it, and the sorted elements that arrive.  The pairs are cut into
+    segments, the sums e + c for c in cols[start:] with e an added element
+    and cols either old, or added from e on; so every pair lies in exactly
+    one segment, which carries the pair's stage.  The segments wait in a
+    heap keyed by their next sum, each with its place in stage order.  A
+    value range takes those whose next sum lies below its end, and reads
+    their slices in stage order; its `seen` maps each sum to the first
+    stage that holds it.  Overlaps are tracked at the stages below
+    `overlaps_before` only, and `first` at |n| <= `near`, when a near
+    bound is given.
+    """
+    found = _Repeats(overlaps_before)
+    heap = []  # (next sum, place in stage order, stage, e, cols, start)
+    for s, (old, added) in enumerate(stages, 1):
+        for i, e in enumerate(added):
+            for cols, start in ((old, 0), (added, i)):
+                if start < len(cols):
+                    heap.append((e + cols[start], len(heap), s, e, cols, start))
+    heapify(heap)
+    pending = [(heap[0][0], 2 * max(seg[3] for seg in heap) + 1)]  # every element heads a segment
+    while pending:
+        lo, hi = pending.pop()
+        segments = []
+        while heap and heap[0][0] < hi:
+            segments.append(heappop(heap))
+        segments.sort(key=itemgetter(1))
+        ends = [bisect_left(cols, hi - e, start) for _, _, _, e, cols, start in segments]
+        count = sum(ends) - sum(seg[5] for seg in segments)
+        if count > _RANGE_SUMS and hi - lo > 1:
+            heap += segments
+            heapify(heap)
+            pending += reversed(_split(segments, ends, lo, hi, count))
+            continue
+        seen: dict[int, int] = {}
+        repeated: set[int] = set()
+        for (_, place, s, e, cols, start), end in zip(segments, ends):
+            if end < len(cols):
+                heappush(heap, (e + cols[end], place, s, e, cols, end))
+            sums = list(map(e.__add__, cols[start:end]))
+            if seen.keys().isdisjoint(sums):
+                seen.update(zip(sums, repeat(s)))
+                continue
+            met = [n for n in sums if n in seen]
+            found.meet(s, met)
+            repeated.update(met)
+            for n in sums:
+                seen.setdefault(n, s)
+        if repeated:
+            found.count += len(repeated)
+            found.least = min(repeated | {found.least} - {None}, key=_witness_order)
+        if near is not None and lo <= near and -near < hi:
+            found.first.update((n, s) for n, s in seen.items() if -near <= n <= near)
+    return found
+
+
+def _split(segments: list[tuple], ends: list[int], lo: int, hi: int, count: int) -> list[tuple[int, int]]:
+    """Cut [lo, hi), which holds `count` > _RANGE_SUMS sums, into ranges of about half as many.
+
+    The cuts are read off a systematic sample of the range's sums, one in
+    every `stride` in segment order, which holds at most about _RANGE_SUMS
+    sums whatever the count; a range the sample misjudges is split again
+    when it is reached.  Every cut lies above lo, so each new range is
+    narrower than [lo, hi).
+    """
+    parts = max(2, min(2 * count // _RANGE_SUMS + 1, _RANGE_SUMS // _SAMPLES_PER_RANGE))
+    stride = max(1, count // (parts * _SAMPLES_PER_RANGE))
+    sample: list[int] = []
+    taken = 0
+    for (_, _, _, e, cols, start), end in zip(segments, ends):
+        sample += map(e.__add__, cols[start + (-taken) % stride:end:stride])
+        taken += end - start
+    sample.sort()
+    step = max(1, len(sample) // parts)
+    cuts = sorted({n for n in sample[step::step] if n > lo})
+    if not cuts:  # the sample is lo but for a few sums at most: cut at the least sum above lo
+        i = bisect_right(sample, lo)
+        cuts = [sample[i] if i < len(sample) else lo + 1]
+    bounds = [lo, *cuts, hi]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _nested_prefix(trace: BasisTrace) -> list[list[int]]:
+    """For each stage of the nested prefix, the sorted elements that arrive there."""
+    added: list[list[int]] = []
+    before: tuple[int, ...] = ()
+    for step in trace.steps:
+        now = step.basis.elements
+        if len(now) == len(before) + 2 and now[1:-1] == before:  # one new element at each end
+            added.append([now[0], now[-1]])
+        elif set(before) <= set(now):
+            added.append(sorted(set(now).difference(before)))
+        else:
+            break
+        before = now
+    return added
+
+
+def _overlap(elements: tuple[int, ...], pair: list[int], sums: Collection[int], stage: int) -> dict:
+    """The decomposition witness at `stage`, whose added `pair` meets each of `sums` again.
+
+    Each pair of the stage lies in one picture piece: old-sums when it
+    holds no added element, new-pair-sums when both are added, else the
+    shift by the added element it holds.  Every sum given lies in two
+    pieces or more; the witness takes the first two pieces in check order,
+    then the least sum by witness order.
+    """
+    e_neg, e_pos = pair
+    members = set(elements)
+
+    def piece(a: int, b: int) -> int:  # an index into _PIECES
+        if a in pair and b in pair:
+            return 3
+        if e_neg in (a, b):
+            return 1
+        return 2 if e_pos in (a, b) else 0
+
+    (p, q), _, n = min(
+        (two, _witness_order(n), n)
+        for n in sums
+        for two in combinations(sorted({piece(a, b) for a, b in _pairs(elements, members, n)}), 2)
+    )
+    return {"reason": "overlap", "stage": stage, "n": n, "parts": [_PIECES[p], _PIECES[q]]}
+
+
+def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], int]:
+    """Decide every row but `gap-growth` in one tagged pass.
+
+    Returns each check's verdict, keyed by check name (`rep-scan`,
+    `unique-window`, `decomposition`, `radius` and `gap`), and the number
+    of the final set's sums that repeat.
     """
     steps = trace.steps
-    repeated = uncovered = decomposition = radius = gap = None
-    for i, (step, counts, doubled) in enumerate(_stage_counts(trace)):
-        if repeated is None and doubled:
-            n = min(doubled, key=_witness_order)
-            repeated = {"reason": "repeated-sum", "stage": step.k, "n": n, "pairs": pairs_for(step.basis, n)}
-        elif repeated is None and uncovered is None and step.k % 2 == 0:
-            half = step.k // 2
-            window = (n for n in range(-half, half + 1) if counts.get(n, 0) != 1)
-            n = min(window, key=_witness_order, default=None)
-            if n is not None:
-                uncovered = {"reason": "uncovered", "stage": step.k, "n": n, "count": counts.get(n, 0)}
-        if decomposition is None and i + 1 < len(steps):
-            try:
-                decomposition = verify_decomposition(step, steps[i + 1], old_sums=counts.keys()).witness
-            except ValueError as e:
-                decomposition = {"refused": str(e), "stage": steps[i + 1].k}
-        if radius is None and step.radius != step.basis.max_abs():
-            radius = {"reason": "radius-mismatch", "stage": step.k,
-                      "recorded": step.radius, "actual": step.basis.max_abs()}
-        if gap is None:
-            n = 1
-            while n in counts and -n in counts:
-                n += 1
-            positive = n not in counts
-            if (step.gap, step.positive_branch) != (n, positive):
-                gap = {
-                    "reason": "gap-mismatch", "stage": step.k,
-                    "recorded": _gap_fields(step.gap, step.positive_branch),
-                    "actual": _gap_fields(n, positive),
-                }
+    added = _nested_prefix(trace)
+    nested = len(added)
+
+    decomposition, placed_before = None, len(steps) + 1
+    for prev, nxt in zip(steps, steps[1:]):
+        try:
+            decomposition = _placement(prev, nxt, added[nxt.k - 1] if nxt.k <= nested else None)
+        except ValueError as e:
+            decomposition = {"refused": str(e), "stage": nxt.k}
+        if decomposition:
+            placed_before = nxt.k
+            break
+
+    m = len(steps[nested - 1].basis)
+    stages = [(steps[s - 2].basis.elements if s > 1 else (), new) for s, new in enumerate(added, 1)]
+    found = _repeats(stages, near=m * (m + 1) // 4 + 1, overlaps_before=placed_before)
+    if found.overlap is not None:  # tracked only at stages before the first failed placement
+        s, sums = found.overlap
+        decomposition = _overlap(steps[s - 1].basis.elements, added[s - 1], sums, s)
     if decomposition is None and trace.final.reach is not None:  # no stage follows to place its pair
         decomposition = {"reason": "final-reach", "stage": trace.final.k, "recorded": trace.final.reach}
-    witnesses = {"unique-window": repeated or uncovered, "decomposition": decomposition, "radius": radius, "gap": gap}
-    verdicts = {check: Verdict(w is None, check, w) for check, w in witnesses.items()}
-    return verdicts, counts, doubled
+
+    # the gap of each nested stage, from the first stage that holds each sum near zero
+    first, never = found.first, nested + 1
+    gaps, g = [], 1
+    for s in range(1, nested + 1):
+        while max(first.get(g, never), first.get(-g, never)) <= s:
+            g += 1
+        gaps.append((g, first.get(g, never) > s))
+
+    unique = None
+    if found.second is not None:
+        s, n = found.second
+        unique = {"reason": "repeated-sum", "stage": s, "n": n, "pairs": pairs_for(steps[s - 1].basis, n)}
+    else:  # no sum repeats, so a sum of stage 2k is missing from [-k, k] exactly when its count is not 1
+        for s in range(2, nested + 1, 2):
+            g, positive = gaps[s - 1]
+            if first.get(0, never) > s:
+                n = 0
+            elif g <= s // 2:
+                n = g if positive else -g
+            else:
+                continue
+            unique = {"reason": "uncovered", "stage": s, "n": n, "count": 0}
+            break
+
+    gap = None
+    for step, (g, positive) in zip(steps, gaps):
+        if (step.gap, step.positive_branch) != (g, positive):
+            gap = {
+                "reason": "gap-mismatch", "stage": step.k,
+                "recorded": _gap_fields(step.gap, step.positive_branch),
+                "actual": _gap_fields(g, positive),
+            }
+            break
+
+    if nested < len(steps):
+        unique = unique or {"reason": "not-nested", "stage": nested + 1}
+        gap = gap or {"reason": "not-nested", "stage": nested + 1}
+        found = _repeats([((), list(trace.final.basis.elements))])
+
+    rep_scan = None
+    if found.least is not None:  # every pair sum of the final set lies in its default window
+        pairs = pairs_for(trace.final.basis, found.least)
+        rep_scan = {"n": found.least, "count": len(pairs), "pairs": pairs}
+
+    radius = None
+    for step in steps:
+        if step.radius != step.basis.max_abs():
+            radius = {"reason": "radius-mismatch", "stage": step.k,
+                      "recorded": step.radius, "actual": step.basis.max_abs()}
+            break
+
+    witnesses = {"rep-scan": rep_scan, "unique-window": unique, "decomposition": decomposition,
+                 "radius": radius, "gap": gap}
+    return {check: Verdict(w is None, check, w) for check, w in witnesses.items()}, found.count
 
 
 def _verdict_row(v: Verdict) -> dict:
@@ -314,17 +522,12 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     legal extension fails with a `refused` witness naming the stage, and
     a reach recorded on the final stage with a `final-reach` witness),
     `gap-growth` when there are two stages or more, `radius` and `gap`.
-    One walk of the live table feeds every check but `gap-growth`.
+    One tagged pass over the last nested stage's pair sums feeds every
+    check but `gap-growth`.
     """
-    lo, hi = default_window(trace)
-    verdicts, counts, doubled = _walk(trace)
-    witness = None
-    if doubled:  # every pair sum of the final set lies in [lo, hi]
-        n = min(doubled, key=_witness_order)
-        witness = {"n": n, "count": counts[n], "pairs": pairs_for(trace.final.basis, n)}
+    verdicts, violations = _walk(trace)
     rows = [
-        {"name": "rep-scan", "ok": not doubled, "witness": witness,
-         "window": [lo, hi], "violations": len(doubled)},
+        {**_verdict_row(verdicts["rep-scan"]), "window": list(default_window(trace)), "violations": violations},
         _verdict_row(verdicts["unique-window"]),
         {**_verdict_row(verdicts["decomposition"]), "pairs": len(trace.steps) - 1},
     ]

@@ -2,10 +2,11 @@
 
 These are the O(K^3) bodies `urbasis.oracle.verify_unique_window` and
 `urbasis.oracle.verify_decomposition` had before they moved onto one live
-count table.  They share no code with the oracle: the tests compare the
-two on corrupted traces and require identical verdicts, witnesses
-included.  The `union-mismatch` branch is kept, so those comparisons also
-show it never fires.
+count table, and then onto one tagged pass.  They share no code with the
+oracle: the tests compare the two on corrupted traces and require
+identical verdicts, witnesses included, on every nested trace.  The
+`union-mismatch` branch is kept, so those comparisons also show it never
+fires.
 """
 
 from urbasis import ConstructionStep, Verdict

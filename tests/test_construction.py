@@ -346,6 +346,17 @@ class TestGrowthPolicies:
         assert policy.descriptor == "table,4:10;6:100"
         assert policy.threshold(4) == 10
 
+    def test_table_from_its_own_pairs(self):
+        policy = ThresholdTable({4: 1, 6: 5})
+        assert ThresholdTable(policy.table) == policy
+        assert replace(policy) == policy
+        assert ThresholdTable(((6, 5), (4, 1))) == policy
+        assert ThresholdTable([[4, 1]]).table == ((4, 1),)
+
+    def test_target_given_twice_in_pairs_refused(self):
+        with pytest.raises(GrowthConfigError, match="gives target 4 twice"):
+            ThresholdTable(((4, 1), (6, 5), (4, 1)))
+
     def test_equal_tables_hash_equal(self):
         first, second = ThresholdTable({4: 10, 6: 100}), ThresholdTable({6: 100, 4: 10})
         assert first == second and hash(first) == hash(second)

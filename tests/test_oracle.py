@@ -1,6 +1,7 @@
 """Brute-force oracle: reports, verifications, and refusals."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from urbasis import (
     BasisTrace,
+    ConstructionStep,
     ExplicitReaches,
     IntSet,
     brute_rep_report,
@@ -24,7 +26,7 @@ from urbasis import (
     verify_unique_window,
 )
 import urbasis.oracle
-from urbasis.oracle import _stage_counts, verify_trace
+from urbasis.oracle import _nested_prefix, _repeats, verify_trace
 
 import reference_oracle
 
@@ -109,14 +111,21 @@ class TestUniqueWindow:
         assert (-47, 47) in [tuple(p) for p in verdict.witness["pairs"]]
 
     def test_detects_uncovered_value(self, greedy4):
-        # drop the element that provides 2 = -2 + (wait) ... drop -4: 2 = 1+1? no; -2 loses its pair
+        # drop -4 from every stage that holds it: the stages still nest, and stage 2 loses -1 = -4 + 3
+        steps = tuple(replace(s, basis=IntSet.of(a for a in s.basis if a != -4)) for s in greedy4.steps)
+        verdict = verify_unique_window(BasisTrace(steps=steps, mode="corrupt"))
+        assert not verdict
+        assert verdict.witness == {"reason": "uncovered", "stage": 2, "n": -1, "count": 0}
+
+    def test_reads_only_the_nested_prefix(self, greedy4):
+        # the final stage drops -4, which stages 2 and 3 hold: stages 1-3 pass, so the row names stage 4
         final = greedy4.final
         pruned = IntSet.of(a for a in final.basis if a != -4)
         spiked = replace(final, basis=IntSet.of(pruned.elements + (1000,)))
         broken = BasisTrace(steps=greedy4.steps[:-1] + (spiked,), mode="corrupt")
         verdict = verify_unique_window(broken)
         assert not verdict
-        assert verdict.witness["reason"] == "uncovered"
+        assert verdict.witness == {"reason": "not-nested", "stage": 4}
 
 
 class TestDecomposition:
@@ -281,24 +290,35 @@ class TestVerifyTrace:
         }
 
     @pytest.mark.parametrize("corrupted", [False, True], ids=["greedy-12", "corrupted"])
-    def test_walks_the_table_once(self, monkeypatch, corrupted):
+    def test_makes_one_tagged_pass(self, monkeypatch, corrupted):
         trace = run_greedy(12)
-        if corrupted:
+        if corrupted:  # stages 7-12 hold -12 for -14, so the final set gets an untagged pass of its own
             trace = _corrupt(random.Random(0), trace)
+        assert (len(_nested_prefix(trace)) < 12) is corrupted
         expected = verify_trace(trace)
         assert expected[0]["ok"] is not corrupted  # the corrupted trace fails rep-scan
-        walks = []
+        passes = []
 
-        def counted(t):
-            walks.append(t)
-            return _stage_counts(t)
+        def counted(stages, *args, **kwargs):
+            passes.append(len(stages))
+            return _repeats(stages, *args, **kwargs)
 
         def forbidden(*args):
             raise AssertionError("rep-scan recounted the final set")
-        monkeypatch.setattr(urbasis.oracle, "_stage_counts", counted)
+        monkeypatch.setattr(urbasis.oracle, "_repeats", counted)
         monkeypatch.setattr(urbasis.oracle, "brute_rep_report", forbidden)
         assert verify_trace(trace) == expected
-        assert len(walks) == 1
+        assert passes == ([len(_nested_prefix(trace)), 1] if corrupted else [12])
+
+    def test_memory_stays_bounded(self):
+        trace = run_greedy(320)  # 205,120 pair sums, which a table of every sum held in 26.7 MB
+        tracemalloc.start()
+        try:
+            assert all(row["ok"] for row in verify_trace(trace))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 def _explicit_trace(rng, k_max):
@@ -383,10 +403,53 @@ def _radius_row(trace):
     return {"name": "radius", "ok": True, "witness": None}
 
 
-class TestAgainstReference:
-    """The live-table checks against the from-scratch recount they replaced."""
+def _nested_length(trace):
+    """How many stages each hold every element of the stage before (the first always does)."""
+    steps = trace.steps
+    return next((i for i in range(1, len(steps))
+                 if not set(steps[i - 1].basis.elements) <= set(steps[i].basis.elements)), len(steps))
 
-    def test_corrupted_traces_give_identical_rows(self):
+
+def _prefix_row(name, trace, row_of):
+    """A `unique-window` or `gap` row: the reference's row on the nested prefix, where it fails or is all."""
+    nested = _nested_length(trace)
+    row = row_of(BasisTrace(steps=trace.steps[:nested], mode=trace.mode))
+    if row["ok"] and nested < len(trace.steps):
+        return {"name": name, "ok": False, "witness": {"reason": "not-nested", "stage": nested + 1}}
+    return row
+
+
+def _reference_unique_window_row(trace):
+    ref = reference_oracle.verify_unique_window(trace)
+    return {"name": "unique-window", "ok": ref.ok, "witness": ref.witness}
+
+
+def _assert_reference_rows(trace):
+    rows = {row["name"]: row for row in verify_trace(trace)}
+    assert rows["unique-window"] == _prefix_row("unique-window", trace, _reference_unique_window_row)
+    assert rows["decomposition"] == reference_oracle.decomposition_row(trace)
+    assert rows["gap"] == _prefix_row("gap", trace, _kernel_gap_row)
+    assert rows["radius"] == _radius_row(trace)
+    assert rows["rep-scan"] == _brute_rep_scan_row(trace)
+    return rows
+
+
+def _ap_trace(k_max):
+    """Stage k holds -k+1..k: nested, and nearly every pair sum repeats."""
+    steps = tuple(ConstructionStep(k=k, basis=IntSet(tuple(range(1 - k, k + 1))), radius=k, gap=1,
+                                   positive_branch=True) for k in range(1, k_max + 1))
+    return BasisTrace(steps=steps, mode="corrupt")
+
+
+class TestAgainstReference:
+    """The tagged pass against the from-scratch recount it replaced.
+
+    On a nested trace every row equals the recount's.  On a trace whose
+    stages stop nesting, `unique-window` and `gap` read only the nested
+    prefix and fail with a `not-nested` witness where that prefix passes.
+    """
+
+    def _compare_corrupted_traces(self):
         rng = random.Random(0xD1FF)
         reasons = set()
         for case in range(400):
@@ -394,36 +457,80 @@ class TestAgainstReference:
             trace = run_greedy(k_max) if case % 2 else _explicit_trace(rng, k_max)
             for _ in range(rng.randint(1, 2)):
                 trace = _corrupt(rng, trace)
-            rows = {row["name"]: row for row in verify_trace(trace)}
-            ref = reference_oracle.verify_unique_window(trace)
-            assert rows["unique-window"] == {"name": "unique-window", "ok": ref.ok, "witness": ref.witness}
-            assert rows["decomposition"] == reference_oracle.decomposition_row(trace)
-            assert rows["gap"] == _kernel_gap_row(trace)
-            assert rows["radius"] == _radius_row(trace)
-            assert rows["rep-scan"] == _brute_rep_scan_row(trace)
+            rows = _assert_reference_rows(trace)
             for name in ("unique-window", "decomposition", "radius", "gap"):
                 witness = rows[name]["witness"] or {}
                 reasons.add(witness.get("reason", "refused" if "refused" in witness else None))
         assert reasons >= {
             "repeated-sum", "uncovered", "reach-mismatch", "overlap", "refused", "gap-mismatch", "final-reach",
-            "radius-mismatch",
+            "radius-mismatch", "not-nested",
         }
 
-    def test_live_table_matches_recount_at_every_stage(self):
+    def test_corrupted_traces_give_identical_rows(self):
+        self._compare_corrupted_traces()
+
+    def test_corrupted_traces_give_identical_rows_in_ranges_of_five_sums(self, monkeypatch):
+        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", 5)
+        self._compare_corrupted_traces()
+
+    @pytest.mark.parametrize("range_sums", [16384, 5], ids=["one-range", "ranges-of-5"])
+    def test_arithmetic_progression(self, monkeypatch, range_sums):
+        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", range_sums)
+        rows = _assert_reference_rows(_ap_trace(12))  # the sum 1 has 12 pairs: a range of one value
+        assert rows["rep-scan"]["violations"] == 43  # every sum but -22, -21, 23 and 24
+
+    def test_only_repeat_on_a_range_boundary(self, monkeypatch):
+        greedy = run_greedy(6)
+        spiked = replace(greedy.final, basis=IntSet.of(greedy.final.basis.elements + (-188,)))
+        trace = BasisTrace(steps=greedy.steps[:-1] + (spiked,), mode="corrupt")
+        cuts = []
+        split = urbasis.oracle._split
+
+        def recorded(*args):
+            ranges = split(*args)
+            cuts.extend(lo for lo, _ in ranges[1:])
+            return ranges
+        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", 6)
+        monkeypatch.setattr(urbasis.oracle, "_split", recorded)
+        rows = _assert_reference_rows(trace)
+        assert rows["rep-scan"]["violations"] == 1
+        assert rows["rep-scan"]["witness"]["n"] == -188 in cuts  # a range starts at the repeated sum
+
+    @pytest.mark.parametrize("range_sums", [16384, 5], ids=["one-range", "ranges-of-5"])
+    def test_pass_matches_recount_at_every_stage(self, monkeypatch, range_sums):
+        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", range_sums)
+        order = lambda n: (abs(n), n < 0)  # noqa: E731
+        near = 40
         rng = random.Random(0x7AB1E)
         for _ in range(100):
             trace = run_greedy(rng.randint(2, 10))
             for _ in range(rng.randint(1, 3)):
                 trace = _corrupt(rng, trace)
-            for step, counts, doubled in _stage_counts(trace):
-                expected = reference_oracle._pair_counts(step.basis.elements)
-                assert counts == expected
-                assert doubled == {n for n, c in expected.items() if c >= 2}
+            added = _nested_prefix(trace)
+            steps = trace.steps[:len(added)]
+            assert len(steps) == _nested_length(trace)
+            stages = [(steps[s - 2].basis.elements if s > 1 else (), new) for s, new in enumerate(added, 1)]
+            found = _repeats(stages, near=near, overlaps_before=len(steps) + 1)
+            counts, met, first = {}, [], {}
+            for step in steps:  # met: the sums whose count grows to 2 or more at the stage
+                before, counts = counts, reference_oracle._pair_counts(step.basis.elements)
+                met.append((step.k, {n for n, c in counts.items() if c >= 2 and c > before.get(n, 0)}))
+                for n in counts:
+                    if abs(n) <= near:
+                        first.setdefault(n, step.k)
+            assert found.first == first
+            repeats = [(k, sums) for k, sums in met if sums]
+            assert found.second == ((repeats[0][0], min(repeats[0][1], key=order)) if repeats else None)
+            overlaps = [(k, sums) for k, sums in repeats if k >= 2]
+            assert found.overlap == (overlaps[0] if overlaps else None)
+            doubled = {n for n, c in counts.items() if c >= 2}
+            assert (found.count, found.least) == (len(doubled), min(doubled, key=order, default=None))
 
-    def test_old_sums_keyword_matches_recount(self, greedy12):
-        for prev, nxt in zip(greedy12.steps, greedy12.steps[1:]):
-            old_sums = set(prev.basis.self_sumset())
-            assert verify_decomposition(prev, nxt, old_sums=old_sums) == verify_decomposition(prev, nxt)
+    def test_stage_that_adds_nothing(self):
+        steps = run_greedy(3).steps
+        trace = BasisTrace(steps=steps[:2] + (replace(steps[1], k=3),))
+        rows = _assert_reference_rows(trace)
+        assert rows["decomposition"]["witness"]["refused"].startswith("next stage does not extend")
 
 
 class TestDualRoute:
