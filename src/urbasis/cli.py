@@ -31,6 +31,8 @@ def _read_c_list(path: str) -> tuple[int, ...]:
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read reach list: {e}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"reach list {path!r} is not valid UTF-8") from None
     cleaned = text.replace("[", " ").replace("]", " ").replace(",", " ")
     try:
         values = tuple(decimal_int(tok, f"an entry of reach list {path!r}") for tok in cleaned.split())

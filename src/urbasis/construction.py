@@ -369,13 +369,9 @@ def parse_budget(text: str) -> ThresholdReach:
     with decimal_io():
         try:
             if family == "table":
-                table: dict[int, int] = {}
-                for target, _, x in (entry.partition(":") for entry in rest.split(";")):
-                    m = _read_number(target, "a table target", integer=True)
-                    if m in table:
-                        raise ValueError(f"target {quote(m)} given twice")
-                    table[m] = _read_number(x, "a table entry", integer=True)
-                return ThresholdTable(table)
+                entries = (entry.partition(":") for entry in rest.split(";"))
+                return ThresholdTable([(_read_number(m, "a table target", integer=True),
+                                        _read_number(x, "a table entry", integer=True)) for m, _, x in entries])
             if family in _LOG_FAMILIES:
                 cls, counts = _LOG_FAMILIES[family]
                 params = rest.split(",")

@@ -10,10 +10,11 @@ run of stages in which each stage holds every element of the one
 before.  Each of its elements is tagged with the first stage that holds
 it, and a pair a + a' (a <= a') is live from the later of its two tags
 on.  The pass (`_repeats`) enumerates the sums one half-open value range
-at a time, each of at most _RANGE_SUMS sums unless they are all equal,
-and within a range in tag order.  Equal sums fall in the same range, so
-the first time a sum is met again is the stage at which it repeats, and
-memory stays bounded by one range whatever K.  From that pass:
+at a time, each of at most _RANGE_SUMS sums and _RANGE_WORDS words of
+digits unless they are all equal, and within a range in tag order.
+Equal sums fall in the same range, so the first time a sum is met again
+is the stage at which it repeats, and memory stays bounded by one range
+whatever K or the integers' length.  From that pass:
 
 - `unique-window` reads the least stage at which a sum repeats, and
   `decomposition` the least stage >= 2 at which an arriving pair meets a
@@ -54,6 +55,7 @@ from .digits import quote
 from .intset import IntSet
 
 _RANGE_SUMS = 16384  # the most pair sums one range of the pass holds, unless all of them are equal
+_RANGE_WORDS = 1 << 17  # the most 64-bit words of digits that one range's sums hold, unless all are equal
 _SAMPLES_PER_RANGE = 16  # sampled sums behind each cut when a range is split
 
 # the picture pieces of a decomposition, in the order their overlaps are checked
@@ -292,6 +294,11 @@ class _Repeats:
                 self.overlap[1].update(sums)
 
 
+def _words(e: int, c0: int, c1: int) -> int:
+    # 64-bit words of digits enough for any e + c with c from c0 to c1, read from bit lengths alone
+    return (max(e.bit_length(), c0.bit_length(), c1.bit_length()) + 1) // 64 + 1
+
+
 def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None = None,
              overlaps_before: int = 0) -> _Repeats:
     """One pass over the pair sums of the last of `stages`, a nested run.
@@ -302,11 +309,13 @@ def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None
     and cols either old, or added from e on; so every pair lies in exactly
     one segment, which carries the pair's stage.  The segments wait in a
     heap keyed by their next sum, each with its place in stage order.  A
-    value range takes those whose next sum lies below its end, and reads
-    their slices in stage order; its `seen` maps each sum to the first
-    stage that holds it.  Overlaps are tracked at the stages below
-    `overlaps_before` only, and `first` at |n| <= `near`, when a near
-    bound is given.
+    value range takes those whose next sum lies below its end.  Before any
+    of its sums is made, it is split if it holds too many sums, or too many
+    words by a bound read from the bit lengths of each segment's element
+    and end columns.  Else it reads the slices in stage order, and its
+    `seen` maps each sum to the first stage that holds it.  Overlaps are
+    tracked at the stages below `overlaps_before` only, and `first` at
+    |n| <= `near`, when a near bound is given.
     """
     found = _Repeats(overlaps_before)
     heap = []  # (next sum, place in stage order, stage, e, cols, start)
@@ -325,10 +334,12 @@ def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None
         segments.sort(key=itemgetter(1))
         ends = [bisect_left(cols, hi - e, start) for _, _, _, e, cols, start in segments]
         count = sum(ends) - sum(seg[5] for seg in segments)
-        if count > _RANGE_SUMS and hi - lo > 1:
+        words = sum((end - start) * _words(e, cols[start], cols[end - 1])
+                    for (_, _, _, e, cols, start), end in zip(segments, ends) if end > start)
+        if (count > _RANGE_SUMS or words > _RANGE_WORDS) and hi - lo > 1:
             heap += segments
             heapify(heap)
-            pending += reversed(_split(segments, ends, lo, hi, count))
+            pending += reversed(_split(segments, ends, lo, hi, count, words))
             continue
         seen: dict[int, int] = {}
         repeated: set[int] = set()
@@ -352,17 +363,21 @@ def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None
     return found
 
 
-def _split(segments: list[tuple], ends: list[int], lo: int, hi: int, count: int) -> list[tuple[int, int]]:
-    """Cut [lo, hi), which holds `count` > _RANGE_SUMS sums, into ranges of about half as many.
+def _split(segments: list[tuple], ends: list[int], lo: int, hi: int, count: int, words: int) -> list[tuple[int, int]]:
+    """Cut [lo, hi), which holds too many sums or words for one range, into ranges of about half the weight.
+
+    The range holds `count` sums of at most `words` words, and its weight
+    is the larger of count / _RANGE_SUMS and words / _RANGE_WORDS.
 
     The cuts are read off a systematic sample of the range's sums, one in
     every `stride` in segment order, which holds at most about _RANGE_SUMS
-    sums whatever the count; a range the sample misjudges is split again
-    when it is reached.  Every cut lies above lo, so each new range is
-    narrower than [lo, hi).
+    sums and _RANGE_WORDS words whatever the range; a range the sample
+    misjudges is split again when it is reached.  Every cut lies above lo,
+    so each new range is narrower than [lo, hi).
     """
-    parts = max(2, min(2 * count // _RANGE_SUMS + 1, _RANGE_SUMS // _SAMPLES_PER_RANGE))
-    stride = max(1, count // (parts * _SAMPLES_PER_RANGE))
+    weight = max(2 * count // _RANGE_SUMS, 2 * words // _RANGE_WORDS)
+    parts = max(2, min(weight + 1, _RANGE_SUMS // _SAMPLES_PER_RANGE))
+    stride = max(1, count // (parts * _SAMPLES_PER_RANGE), -(-words // _RANGE_WORDS))
     sample: list[int] = []
     taken = 0
     for (_, _, _, e, cols, start), end in zip(segments, ends):

@@ -20,6 +20,16 @@ says which texts it records and how it converts long values.
 ASCII `0` or `-?[1-9][0-9]*`, so each integer re-serializes to the same
 digits; JSON spacing, unknown keys, blank lines and CRLF line ends are
 accepted and re-serialize to other bytes.
+
+Files stream one row at a time, so memory follows the parsed stages, not
+the text, which grows as K^3 bytes.  `write_file` writes each line of
+`trace_lines` as it is made.  `read_file` reads the file as binary lines,
+and decodes and splits each one as `str.splitlines()` splits the whole
+text, so its lines and their numbers are `parse`'s; each line is decoded
+from JSON and its row converted before the next is read.  Its errors are
+`parse`'s too: the first line that is not JSON, or here not UTF-8,
+outranks any header or row fault, so after such a fault the rest of the
+file is still read for one.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .construction import BasisTrace, ConstructionStep
-from .digits import canonical_int, decimal_io, decimal_str, quote
+from .digits import DigitLimitError, canonical_int, decimal_io, decimal_str, quote
 from .intset import IntSet
 
 FORMAT_NAME = "urbasis-trace"
@@ -104,20 +114,43 @@ def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
 
 def parse(text: str) -> BasisTrace:
     with decimal_io():
-        return _parse(text)
+        return _parse(text.splitlines())
 
 
-def _parse(text: str) -> BasisTrace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TraceFormatError("empty trace file")
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
+def _rows(lines: Iterable[str | None]) -> Iterator[tuple[int, object]]:
+    """(line number, decoded JSON) for each nonblank line, numbered from 1.
+
+    None stands for a line that is not UTF-8; it, or a line that is not
+    JSON, raises TraceFormatError.
+    """
+    for lineno, ln in enumerate((ln for ln in lines if ln is None or ln.strip()), start=1):
+        if ln is None:
+            raise TraceFormatError(f"line {lineno}: not valid UTF-8")
         try:
-            rows.append(json.loads(ln))
+            obj = json.loads(ln)
         except json.JSONDecodeError as e:
             raise TraceFormatError(f"line {lineno}: not valid JSON ({e.msg})") from None
-    header, *stage_rows = rows
+        yield lineno, obj
+
+
+def _parse(lines: Iterable[str | None]) -> BasisTrace:
+    rows = _rows(lines)
+    try:
+        return _read_rows(rows)
+    except (TraceFormatError, DigitLimitError):
+        try:
+            for _ in rows:  # a later line that is not JSON outranks every header or row fault
+                pass
+        except TraceFormatError as later:
+            raise later from None
+        raise
+
+
+def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
+    first = next(rows, None)
+    if first is None:
+        raise TraceFormatError("empty trace file")
+    _, header = first
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError("missing or unrecognized header line")
     if header.get("version") != FORMAT_VERSION:
@@ -125,12 +158,10 @@ def _parse(text: str) -> BasisTrace:
     mode = header.get("mode", "")
     if not isinstance(mode, str):
         raise TraceFormatError("header mode must be a string")
-    if not stage_rows:
-        raise TraceFormatError("trace file has no stages")
 
     ints: dict[str, int] = {}  # one int per distinct decimal string in the file
     steps: list[ConstructionStep] = []
-    for lineno, row in enumerate(stage_rows, start=2):
+    for lineno, row in rows:
         if not isinstance(row, dict):
             raise TraceFormatError(f"line {lineno}: stage row must be an object")
         k = row.get("k")
@@ -160,15 +191,28 @@ def _parse(text: str) -> BasisTrace:
             positive_branch=(branch == "positive"),
             reach=reach,
         ))
+    if not steps:
+        raise TraceFormatError("trace file has no stages")
     return BasisTrace(steps=tuple(steps), mode=mode)
 
 
 def write_file(trace: BasisTrace, path: str) -> None:
-    text = serialize(trace)  # before opening, so a trace past the digit limit leaves no file
+    lines = trace_lines(trace)  # before opening, so a trace past the digit limit leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(lines)
+
+
+def _text_lines(raw_lines: Iterable[bytes]) -> Iterator[str | None]:
+    """The lines of UTF-8 text, cut where str.splitlines() cuts it; None for a raw line that is not UTF-8."""
+    for raw in raw_lines:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield None
+            continue
+        yield from text.splitlines()
 
 
 def read_file(path: str) -> BasisTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh, decimal_io():
+        return _parse(_text_lines(fh))

@@ -160,7 +160,7 @@ class TestBuild:
 
     def test_repeated_table_target_refused(self, tmp_path, capsys):
         assert run_cli("build", "--threshold", "table,4:10;4:20", "2", "-o", str(tmp_path / "x")) == 2
-        assert "target 4 given twice" in capsys.readouterr().err
+        assert "threshold table gives target 4 twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, target", [("table,3:1;4:10;6:100", 3), ("table,4:10;5:1", 5)])
     def test_table_target_no_stage_reads_refused(self, tmp_path, capsys, spec, target):
@@ -839,7 +839,7 @@ class TestLongValueMessages:
          "threshold map decreases: t(6)=1 < t(4)=<200000-digit integer>"),
         (["build", "--threshold", f"table,{_FOURS}:1;{_FOURS}:2", "3", "-o", "OUT"],
          f"bad threshold spec {'table,' + '4' * 34!r}... (400011 characters): "
-         "target <200000-digit integer> given twice"),
+         "threshold table gives target <200000-digit integer> twice"),
         (["build", "--greedy", "x" * 100_000, "-o", "OUT"],
          f"K must be an integer, got {'x' * 40!r}... (100000 characters)"),
         (["build", "--greedy", "-" + "9" * 5000, "-o", "OUT"], "K must be >= 1, got -<5000-digit integer>"),
@@ -873,3 +873,21 @@ class TestLongValueMessages:
         err = capsys.readouterr().err
         assert err == f"trace format error: line {lineno}: stage indices must run 1..K in order, got k={shown}\n"
         assert len(err.encode()) < 1024
+
+
+_LAUNCH = "import sys; from urbasis.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "bad.trace"], "trace format error: line 1: not valid UTF-8"),
+    (["analyze", "bad.trace"], "trace format error: line 1: not valid UTF-8"),
+    (["export", "bad.trace"], "trace format error: line 1: not valid UTF-8"),
+    (["build", "--c-list", "bad.txt", "-o", "out.trace"], "error: reach list 'bad.txt' is not valid UTF-8"),
+], ids=["verify", "analyze", "export", "build-c-list"])
+def test_input_not_utf8_exits_2(tmp_path, argv, message):
+    (tmp_path / "bad.trace").write_bytes(b"\xff{}\n")
+    (tmp_path / "bad.txt").write_bytes(b"10\n\xff\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(digits.__file__)))
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", message + "\n")  # one short line, no traceback
+    assert not (tmp_path / "out.trace").exists()

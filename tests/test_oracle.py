@@ -320,6 +320,23 @@ class TestVerifyTrace:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
+    def test_memory_stays_bounded_on_long_integers(self):
+        # the benchmark's replay-digits trace (seed 7): its final set's 2,080 sums of up to 15k digits
+        # hold 8.6 MB, which one range of the pass held before a range was bounded in words
+        rng, length, step, reaches = random.Random(7), 1, 0, []
+        for i in range(31):
+            reaches.append(10**length)
+            step = rng.randint(1, 1000) if i % 2 == 0 else 1001 - step
+            length += step
+        trace = run_with_growth(ExplicitReaches(tuple(reaches)), 32)
+        tracemalloc.start()
+        try:
+            assert all(row["ok"] for row in verify_trace(trace))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
 
 def _explicit_trace(rng, k_max):
     """A legal trace whose reaches exceed the radius by a random slack."""
@@ -472,6 +489,25 @@ class TestAgainstReference:
     def test_corrupted_traces_give_identical_rows_in_ranges_of_five_sums(self, monkeypatch):
         monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", 5)
         self._compare_corrupted_traces()
+
+    @pytest.mark.parametrize("range_words", [1 << 17, 40], ids=["one-range", "ranges-of-40-words"])
+    def test_long_integers_split_by_words(self, monkeypatch, range_words):
+        # 231 sums of up to 2 words: far below _RANGE_SUMS, so only the words can split a range
+        # (the reference oracle writes integers in full, so they stay below 40 digits)
+        rng = random.Random(0x10AD)
+        trace = run_with_growth(ExplicitReaches(tuple(10**(4 * e) + rng.randint(0, 9) for e in range(10))), 11)
+        splits = []
+        split = urbasis.oracle._split
+
+        def recorded(*args):
+            splits.append(args[-1])  # the range's words
+            return split(*args)
+        monkeypatch.setattr(urbasis.oracle, "_RANGE_WORDS", range_words)
+        monkeypatch.setattr(urbasis.oracle, "_split", recorded)
+        for corrupted in (trace, *(_corrupt(rng, trace) for _ in range(20))):
+            _assert_reference_rows(corrupted)
+        assert bool(splits) is (range_words == 40)
+        assert all(words > 40 for words in splits)
 
     @pytest.mark.parametrize("range_sums", [16384, 5], ids=["one-range", "ranges-of-5"])
     def test_arithmetic_progression(self, monkeypatch, range_sums):

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,37 @@ from urbasis import (
     run_with_growth,
 )
 import urbasis
-from urbasis import digits
-from urbasis.tracefile import parse, read_file, serialize, write_file
+from urbasis import digits, tracefile
+from urbasis.tracefile import read_file, serialize, write_file
 
 import reference_codec
+
+
+def _outcome(read, source):
+    try:
+        return read(source), None
+    except (TraceFormatError, DigitLimitError) as e:
+        return None, (type(e), str(e))
+
+
+def parse(text):
+    """tracefile.parse(text), checked against read_file of the same text written to a file.
+
+    Both must give equal traces, or the same error with the same message,
+    so every text this module parses, well-formed or not, also tests the
+    reader that streams a file one line at a time.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.trace")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        from_file = _outcome(read_file, path)
+    from_text = _outcome(tracefile.parse, text)
+    assert from_file == from_text
+    trace, error = from_text
+    if error is not None:
+        raise error[0](error[1])
+    return trace
 
 
 def explicit_trace(slack):
@@ -211,7 +240,7 @@ class TestMalformed:
             return digits.quote(value)
         monkeypatch.setattr("urbasis.intset.quote", quote)
         with pytest.raises(TraceFormatError) as refused:
-            parse(text)
+            tracefile.parse(text)  # once: test_unsorted_elements reads this text from a file too
         assert str(refused.value) == "line 3: elements must be strictly increasing: 0 then -4"
         assert quoted == [0, -4]
 
@@ -270,3 +299,83 @@ class TestDigitLimit:
         monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 5000)
         with pytest.raises(DigitLimitError, match="line 3: element has more than 5000 decimal digits"):
             parse(text)
+
+
+class TestStreamingReader:
+    """read_file reads one line at a time and reports what parse reports on the same text.
+
+    `parse` in this module checks that for every text it is given; the
+    tests here pin the cases where a line-at-a-time reader could differ.
+    """
+
+    def test_bad_json_outranks_an_earlier_wrong_k(self):
+        lines = serialize(run_greedy(4)).splitlines()
+        lines[2] = lines[2].replace('"k":2', '"k":7')
+        lines[4] = lines[4][:-5]
+        with pytest.raises(TraceFormatError, match=r"^line 5: not valid JSON"):
+            parse("\n".join(lines) + "\n")
+
+    def test_bad_json_outranks_an_earlier_value_past_limit(self, monkeypatch):
+        text = edit_rows(serialize(run_greedy(4)), {3: set_element("-4", "1" + "0" * 5000)})
+        lines = text.splitlines()
+        lines[4] = lines[4][:-5]
+        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 5000)
+        with pytest.raises(TraceFormatError, match=r"^line 5: not valid JSON"):
+            parse("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("separator", [" ", "\x85", "\x1e"], ids=["U+2028", "NEL", "RS"])
+    def test_line_separator_inside_a_string_cuts_the_line(self, separator):
+        # str.splitlines() cuts at these, so the header's first half is not JSON
+        text = serialize(run_greedy(2)).replace('"mode":"greedy"', f'"mode":"gr{separator}eedy"')
+        with pytest.raises(TraceFormatError, match=r"^line 1: not valid JSON \(Unterminated string starting at\)$"):
+            parse(text)
+
+    def test_crlf_and_blank_lines_keep_the_numbering(self):
+        lines = serialize(run_greedy(4)).splitlines()
+        text = "\r\n\r\n".join(lines[:3]) + "\r\n  \t\r\n\n" + "\r\n".join(lines[3:]) + "\r\n"
+        assert parse(text) == run_greedy(4)
+        with pytest.raises(TraceFormatError, match=r"^line 4: stage indices must run 1..K in order, got k=9$"):
+            parse(text.replace('"k":3', '"k":9'))  # the sixth raw line, and the ninth at a CR
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\xff{}\n", "line 1: not valid UTF-8"),
+        (b"\n \n{}\xc3\n", "line 1: not valid UTF-8"),
+        (b'{"format":"other"}\n\n{"k":1}\n\xed\xa0\x80\n', "line 3: not valid UTF-8"),  # an encoded surrogate
+        (b"[\n\xff\n", "line 1: not valid JSON (Expecting value)"),
+    ], ids=["first-line", "after-blank-lines", "outranks-a-header-fault", "after-bad-json"])
+    def test_line_not_utf8(self, tmp_path, raw, message):
+        path = tmp_path / "t.trace"
+        path.write_bytes(raw)
+        with pytest.raises(TraceFormatError) as refused:
+            read_file(str(path))
+        assert str(refused.value) == message
+
+
+@pytest.fixture(scope="module")
+def greedy320():
+    return run_greedy(320)
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """Greedy K=320 is 5.6 MB of trace text; reading or writing it holds one line of it at a time."""
+
+    def test_write_file(self, tmp_path, greedy320):
+        path = str(tmp_path / "t.trace")
+        assert _peak(lambda: write_file(greedy320, path)) <= 4 * 2**20  # 10.9 MB with the whole text held
+        assert os.path.getsize(path) == len(serialize(greedy320))
+
+    def test_read_file(self, tmp_path, greedy320):
+        path = str(tmp_path / "t.trace")
+        write_file(greedy320, path)
+        read = []
+        assert _peak(lambda: read.append(read_file(path))) <= 4 * 2**20  # 22.8 MB with the whole text held
+        assert read == [greedy320]
