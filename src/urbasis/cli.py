@@ -73,15 +73,18 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode  # made once: json.dumps makes an encoder per call for these options
+
+
 def _json(value) -> str:
-    """json.dumps(value, sort_keys=True) for str keys, with every integer written by decimal_str."""
+    """json.dumps(value, sort_keys=True, allow_nan=False) for str keys, with every integer written by decimal_str."""
     if isinstance(value, dict):
         return "{" + ", ".join(json.dumps(k) + ": " + _json(v) for k, v in sorted(value.items())) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_json, value)) + "]"
     if isinstance(value, int) and not isinstance(value, bool):
         return decimal_str(value)
-    return json.dumps(value)
+    return _encode(value)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -100,9 +103,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_samples(text: str) -> list[int]:
     try:
-        return [decimal_int(tok, "a sample point") for tok in text.replace(",", " ").split()]
+        xs = [decimal_int(tok, "a sample point") for tok in text.replace(",", " ").split()]
     except ValueError:
         raise UsageError(f"sample list must contain only integers: {quote(text)}") from None
+    if not xs:
+        raise UsageError("sample list is empty")
+    return xs
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -124,13 +130,11 @@ def _default_samples(trace: BasisTrace) -> list[int]:
     return sorted(xs)
 
 
-def _bound_json(check: BoundCheck, encode) -> str:
-    """The row as `encode` writes it with sorted keys, "x" (which sorts last) written by decimal_str."""
+def _bound_row(check: BoundCheck) -> dict:
     # JSON has no infinity: a display bound past double range is written as null
     lower, upper = (v if v is None or math.isfinite(v) else None for v in (check.lower, check.upper))
-    head = encode({"holds": check.holds, "lower": lower, "name": check.name,
-                   "observed": check.observed, "upper": upper})
-    return head[:-1] + ', "x": ' + decimal_str(check.x) + "}"
+    return {"holds": check.holds, "lower": lower, "name": check.name,
+            "observed": check.observed, "upper": upper, "x": check.x}
 
 
 def _display(v: float) -> str:
@@ -164,13 +168,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ok = False
 
     if args.format == "json":
-        # json.dumps of the whole payload with sort_keys=True, allow_nan=False: "bounds" sorts first
-        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
-        rows = ", ".join(_bound_json(c, encode) for c in checks)
-        payload = {"ok": ok}
+        payload = {"bounds": [_bound_row(c) for c in checks], "ok": ok}
         if rep_block is not None:
             payload["rep_window"] = rep_block
-        print('{"bounds": [' + rows + '], ' + _json(payload)[1:])  # the window's integers by decimal_str
+        print(_json(payload))
     else:
         for c in checks:
             status = "HOLD" if c.holds else "VIOL"

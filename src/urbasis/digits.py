@@ -3,13 +3,12 @@
 This module alone decides whether an integer is too long for decimal
 text.  Every conversion here is checked from the value's length (an
 integer's from its bit length) before any work, against the
-interpreter's int<->str digit limit (4300 by default since Python 3.11,
-which slow-growth traces pass by far), or against DECIMAL_DIGIT_LIMIT
-where the interpreter has none (Python 3.10), inside a block or not.
-Code that converts integers to or from decimal runs inside
-`decimal_io()`, which raises the interpreter's limit to
-DECIMAL_DIGIT_LIMIT for that block only (nothing changes it at import)
-and reports a conversion made elsewhere past it as DigitLimitError.
+interpreter's int<->str digit limit (4300 by default, which slow-growth
+traces pass by far), inside a block or not.  Code that converts integers
+to or from decimal runs inside `decimal_io()`, which raises the
+interpreter's limit to DECIMAL_DIGIT_LIMIT for that block only (nothing
+changes it at import) and reports a conversion made elsewhere past it as
+DigitLimitError.
 
 Before Python 3.12, int() and str() take time quadratic in the digit
 count, and a slow budget's radii run to thousands or millions of digits.
@@ -130,15 +129,9 @@ def _digit_count(n: int) -> int:
     return low + (abs(n) >= 10**low)
 
 
-def _limit() -> int:
-    """The digit limit every conversion is checked against: the interpreter's (DECIMAL_DIGIT_LIMIT inside
-    decimal_io(), 0 when switched off), or DECIMAL_DIGIT_LIMIT where the interpreter has none (Python 3.10)."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else DECIMAL_DIGIT_LIMIT
-
-
 def _limit_error(what: str) -> DigitLimitError:
-    return DigitLimitError(f"{what} has more than {_limit()} decimal digits, the decimal I/O limit")
+    limit = sys.get_int_max_str_digits()
+    return DigitLimitError(f"{what} has more than {limit} decimal digits, the decimal I/O limit")
 
 
 def _past_limit(exc: ValueError) -> bool:
@@ -152,16 +145,12 @@ def decimal_io() -> Iterator[None]:
 
     The interpreter's limit is restored on exit, and a conversion past the
     limit inside the block raises DigitLimitError instead of ValueError,
-    also one made outside this module.  An interpreter without the limit
-    (Python 3.10) leaves every conversion outside this module unchecked.
-    The outermost block creates the conversion memo and the power tables,
-    and drops them on exit.
+    also one made outside this module.  The outermost block creates the
+    conversion memo and the power tables, and drops them on exit.
     """
     global _memo, _powers
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(DECIMAL_DIGIT_LIMIT)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DECIMAL_DIGIT_LIMIT)
     outermost = _memo is None
     if outermost:
         _memo, _powers = {}, _Powers()
@@ -172,8 +161,7 @@ def decimal_io() -> Iterator[None]:
             raise
         raise _limit_error("an integer") from None
     finally:
-        if limited:
-            sys.set_int_max_str_digits(saved)
+        sys.set_int_max_str_digits(saved)
         if outermost:
             _memo = _powers = None
 
@@ -182,7 +170,7 @@ def _convert(text: str, what: str) -> int:
     # int(text, 10), refused first if the text has more digits than the limit, counted as int() counts
     # them: leading zeros count; the sign, surrounding spaces and underscores do not
     body = text.strip()
-    limit = _limit()
+    limit = sys.get_int_max_str_digits()  # 0 when switched off
     if limit and len(body) - body.count("_") - body.startswith(("+", "-")) > limit:
         raise _limit_error(what)
     return int(text, 10)
@@ -238,7 +226,7 @@ def canonical_int(text: str, what: str) -> int | None:
         return None
     negative = text[0] == "-"
     digits = len(text) - negative
-    limit = _limit()
+    limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
         raise _limit_error(what)
     if _SPLITS and digits > _READ_SPLIT:
@@ -276,7 +264,7 @@ def decimal_str(n: int) -> str:
         if text is not None:
             return text[1:] if n > 0 else "-" + text
     low = _least_digits(n)
-    limit = _limit()
+    limit = sys.get_int_max_str_digits()
     if limit and low >= limit and _digit_count(n) > limit:
         raise _limit_error("an integer")
     if _SPLITS and n.bit_length() > _WRITE_CUTOFF:

@@ -28,8 +28,9 @@ whatever K or the integers' length.  From that pass:
 - `rep-scan` counts the final set's repeated sums.
 
 `decomposition` also checks each added pair against the branch rule and
-the recorded reach (`_placement`, shared with `verify_decomposition`),
-and `radius` reads each stage's largest |a|; both cost O(k) per stage.
+the recorded reach (`_placement`), and `radius` reads each stage's
+largest |a|; both cost O(k) per stage.  `verify_decomposition` checks
+one pair of stages by the same placement and a pass over the two.
 A K-stage trace costs O(K^2) sums in all.
 
 A stage that drops an element ends the nested prefix, and
@@ -65,18 +66,6 @@ _PIECES = ("old-sums", "shift-by-first", "shift-by-second", "new-pair-sums")
 def _witness_order(n: int) -> tuple[int, bool]:
     # smallest |n| first, +n before -n on ties
     return (abs(n), n < 0)
-
-
-def _pair_counts(elements: tuple[int, ...], lo: int | None = None, hi: int | None = None) -> dict[int, int]:
-    """Count every unordered pair sum a + a' (a <= a') by explicit enumeration."""
-    counts: dict[int, int] = {}
-    for i, a in enumerate(elements):
-        for b in elements[i:]:
-            s = a + b
-            if lo is not None and (s < lo or s > hi):
-                continue
-            counts[s] = counts.get(s, 0) + 1
-    return counts
 
 
 def _pairs(elements: Sequence[int], members: Container[int], n: int) -> list[tuple[int, int]]:
@@ -122,10 +111,17 @@ class RepReport:
 
 
 def brute_rep_report(a: IntSet, lo: int, hi: int) -> RepReport:
-    """Exhaustively count pair sums of `a` landing in [lo, hi]."""
+    """Exhaustively count the pair sums x + y (x <= y) of `a` landing in [lo, hi]."""
     if lo > hi:
         raise ValueError(f"invalid window: lo={quote(lo)} exceeds hi={quote(hi)}")
-    return RepReport(lo=lo, hi=hi, nonzero=_pair_counts(a.elements, lo, hi))
+    counts: dict[int, int] = {}
+    elements = a.elements
+    for i, x in enumerate(elements):
+        for y in elements[i:]:
+            s = x + y
+            if lo <= s <= hi:
+                counts[s] = counts.get(s, 0) + 1
+    return RepReport(lo=lo, hi=hi, nonzero=counts)
 
 
 def default_window(trace: BasisTrace) -> tuple[int, int]:
@@ -212,23 +208,10 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
     witness = _placement(prev, nxt, added)
     if witness:
         return Verdict(False, "decomposition", witness)
-    e_neg, e_pos = added
     old = prev.basis.elements
-    parts = dict(zip(_PIECES, (
-        set(_pair_counts(old)),
-        {a + e_neg for a in old},
-        {a + e_pos for a in old},
-        {2 * e_neg, e_neg + e_pos, 2 * e_pos},
-    )))
-    for i, p in enumerate(_PIECES):
-        for q in _PIECES[i + 1:]:
-            small, large = sorted((parts[p], parts[q]), key=len)
-            overlap = [n for n in small if n in large]
-            if overlap:
-                n = min(overlap, key=_witness_order)
-                return Verdict(False, "decomposition", {
-                    "reason": "overlap", "stage": nxt.k, "n": n, "parts": [p, q],
-                })
+    found = _repeats([((), old), (old, added)], overlaps_before=3)  # stage 2 repeats a sum only across pieces
+    if found.overlap is not None:
+        return Verdict(False, "decomposition", _overlap(nxt.basis.elements, added, found.overlap[1], nxt.k))
     return Verdict(True, "decomposition")
 
 

@@ -433,7 +433,13 @@ class TestVerify:
         max_leaves=12,
     ))
     def test_json_writer_is_json_dumps(self, value):
-        assert cli._json(value) == json.dumps(value, sort_keys=True)
+        try:
+            expected = json.dumps(value, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float, which JSON cannot write
+            with pytest.raises(ValueError):
+                cli._json(value)
+        else:
+            assert cli._json(value) == expected
 
 
 class TestAnalyze:
@@ -459,6 +465,17 @@ class TestAnalyze:
         path = build_greedy(tmp_path, 3)
         assert run_cli("analyze", path, "--x", "0") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build", [["--greedy", "3"], ["--threshold", "loglog,2,4,3", "6"]],
+                             ids=["greedy", "budget"])
+    @pytest.mark.parametrize("xs", ["", ",", " , "])
+    def test_empty_sample_list_refused(self, tmp_path, capsys, build, xs):
+        path = str(tmp_path / "t.trace")
+        assert run_cli("build", *build, "-o", path) == 0
+        capsys.readouterr()
+        for fmt in ("text", "json"):
+            assert run_cli("analyze", path, "--x", xs, "--format", fmt) == 2
+            assert capsys.readouterr() == ("", "error: sample list is empty\n")
 
     def test_rep_window_with_negative_lo(self, tmp_path, capsys):
         path = build_greedy(tmp_path, 3)

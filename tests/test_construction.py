@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from urbasis import (
     run_with_growth,
     verify_trace,
 )
-from urbasis import DigitLimitError, construction, digits
+from urbasis import DigitLimitError, construction
 from urbasis.digits import decimal_io
 
 import reference_kernel
@@ -381,10 +382,8 @@ class TestGrowthPolicies:
             entries = parse_budget(spec).table
             assert ThresholdTable({Undecimal(m): Undecimal(x) for m, x in entries}).descriptor == spec
 
-    def test_table_label_past_the_limit(self, monkeypatch):
-        # outside a block, the interpreter's limit if it has one, else DECIMAL_DIGIT_LIMIT
-        monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
-        limit = digits._limit()
+    def test_table_label_past_the_limit(self):
+        limit = sys.get_int_max_str_digits()  # outside a block, the interpreter's limit
         with pytest.raises(DigitLimitError, match=f"^an integer has more than {limit} decimal digits"):
             ThresholdTable({4: 10**limit}).descriptor
 

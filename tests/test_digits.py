@@ -127,9 +127,8 @@ class TestLifetime:
         def refuse(limit):  # as the interpreter refuses a limit below 640
             raise ValueError(f"cannot set a limit of {limit}")
 
-        # injected, so that this runs also where the interpreter has no digit limit
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
-        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
         with pytest.raises(ValueError, match="cannot set a limit of 2000000"):
             with decimal_io():
                 pass
@@ -151,7 +150,6 @@ class TestLifetime:
             assert digits._memo == {}
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
 def test_block_reports_a_conversion_made_elsewhere(monkeypatch):
     monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 1000)
     with pytest.raises(DigitLimitError, match="^an integer has more than 1000 decimal digits"):
@@ -230,9 +228,8 @@ class TestSplitConversion:
                 with pytest.raises(DigitLimitError, match="an integer has more than 1000 decimal digits"):
                     decimal_str(n)
             assert digits._memo == {}
-        with mock.patch.multiple(digits, **SMALL_SPLITS):  # outside a block, the interpreter's limit, if any
-            limit = digits._limit()
-            assert limit == (sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 1000)
+        with mock.patch.multiple(digits, **SMALL_SPLITS):  # outside a block, the interpreter's limit
+            limit = sys.get_int_max_str_digits()
             with pytest.raises(DigitLimitError, match=f"a reach has more than {limit} decimal digits"):
                 canonical_int("7" * (limit + 1), "a reach")
             with pytest.raises(DigitLimitError, match=f"an integer has more than {limit} decimal digits"):
@@ -341,10 +338,9 @@ class TestQuoteIntegers:
     ], ids=["41-digits", "641-digits"])
     def test_never_converts_a_long_integer(self, n, shown):
         assert quote(Undecimal(n)) == shown
-        if hasattr(sys, "set_int_max_str_digits"):  # also under the interpreter's lowest digit limit
-            saved = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(640)
-            try:
-                assert quote(n) == shown
-            finally:
-                sys.set_int_max_str_digits(saved)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # also under the interpreter's lowest digit limit
+        try:
+            assert quote(n) == shown
+        finally:
+            sys.set_int_max_str_digits(saved)

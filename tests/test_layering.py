@@ -1,7 +1,9 @@
 """Package layering: no module reaches into another module's private names,
-only a log or log-log budget loads mpmath, and no command on small integers loads decimal."""
+only a log or log-log budget loads mpmath, no command on small integers loads decimal,
+and every span group of the benchmark's tracer still finds a name to wrap."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -88,3 +90,14 @@ def test_only_a_log_budget_loads_mpmath(tmp_path):
     assert len(loaded) == 10
     assert loaded.pop("build log") == {"mpmath": True, "decimal": False}  # mpmath once a budget is inverted
     assert loaded == dict.fromkeys(loaded, {"mpmath": False, "decimal": False})
+
+
+def test_every_tracer_group_resolves_a_callable():
+    # a group none of whose names resolves is left out of a traced run, so its per-layer metric goes missing
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines TARGETS and _lookup; install() is not called
+    unresolved = [group for group, names in tracer.TARGETS.items()
+                  if not any(callable(tracer._lookup(name)) for name in names)]
+    assert tracer.TARGETS and unresolved == []

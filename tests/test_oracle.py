@@ -198,6 +198,33 @@ class TestDecomposition:
             assert verify_decomposition(s, nxt)
             s = nxt
 
+    def test_matches_the_reference_on_seeded_stage_pairs(self):
+        # greedy stage pairs, then random old sets extended by the branch rule under a recorded radius
+        # and reach that may lie, so that many pairs overlap and some are refused or mismatch their reach
+        pairs = [p for t in map(run_greedy, (12, 30, 60)) for p in zip(t.steps, t.steps[1:])]
+        rng = random.Random(2002)
+        while len(pairs) < 10_000:
+            old = IntSet.of(rng.sample(range(-40, 41), rng.randint(1, 12)))
+            radius = rng.randint(1, old.max_abs() or 1)
+            reach = rng.randint(radius - 1, old.max_abs() + 3)
+            prev = ConstructionStep(k=rng.randint(1, 9), basis=old, radius=radius, gap=rng.randint(1, 20),
+                                    positive_branch=rng.random() < 0.5,
+                                    reach=rng.choice([None, reach, reach + 1]))
+            anchor = prev.gap + 3 * reach
+            pair = (-3 * reach, anchor) if prev.positive_branch else (-anchor, 3 * reach)
+            pairs.append((prev, replace(prev, k=prev.k + 1, basis=IntSet.of(old.elements + pair), reach=None)))
+        overlaps = 0
+        for prev, nxt in pairs:
+            try:
+                expected = reference_oracle.verify_decomposition(prev, nxt)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    verify_decomposition(prev, nxt)
+                continue
+            assert verify_decomposition(prev, nxt) == expected
+            overlaps += not expected and expected.witness["reason"] == "overlap"
+        assert overlaps >= 1000
+
 
 class TestGapGrowth:
     def test_greedy_passes(self, greedy12):

@@ -265,12 +265,7 @@ class TestMalformed:
                   '{"k":1,"d":"1","b":"1","branch":"negative"}')
 
 
-no_interpreter_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                                          reason="no interpreter digit limit before Python 3.11")
-
-
 class TestDigitLimit:
-    @no_interpreter_limit
     def test_import_leaves_interpreter_limit(self):
         code = ("import sys; before = sys.get_int_max_str_digits(); import urbasis.cli; "
                 "print(before == sys.get_int_max_str_digits())")
@@ -278,7 +273,6 @@ class TestDigitLimit:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "True"
 
-    @no_interpreter_limit
     def test_codec_restores_limit(self):
         before = sys.get_int_max_str_digits()
         trace = run_with_growth(ExplicitReaches((10**5000,)), 2)  # past the default 4300 digits
