@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -25,7 +26,7 @@ if TYPE_CHECKING:
     import mpmath
 
 from .digits import DECIMAL_DIGIT_LIMIT, decimal_int, decimal_io, decimal_str, quote
-from .intset import IntSet, PairSums, min_abs_missing
+from .intset import IntSet, min_abs_missing
 
 
 class GrowthConfigError(ValueError):
@@ -90,15 +91,23 @@ def extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     recorded and as max |a|.  RuntimeError, a bug rather than bad input,
     means the basis already repeats a pairwise sum or the new pair would.
     """
-    nxt = _extend(step, reach)
-    n = len(step.basis)
-    if len(step.basis.self_sumset()) != n * (n + 1) // 2:  # _extend assumes the old sums are unique
+    sums, n = step.basis.self_sumset(), len(step.basis)
+    window = _window(abs(step.gap), n + 2)
+    nxt = _extend(step, reach, {s for s in sums if -window <= s <= window}, window)
+    if len(sums) != n * (n + 1) // 2:  # _extend assumes the old sums are unique
         raise RuntimeError(f"stage {quote(step.k)} already repeats a pairwise sum")
     return nxt
 
 
-def _extend(step: ConstructionStep, reach: int) -> ConstructionStep:
-    # extend, for a basis whose pairwise sums are known to be unique
+def _window(start: int, n: int) -> int:
+    # n elements make at most n(n + 1)/2 pair sums, and a gap search from start that
+    # returns b has found both of +-start .. +-(b - 1) among them, so b < this bound
+    return start + n * (n + 1) // 4 + 1
+
+
+def _extend(step: ConstructionStep, reach: int, sums: set[int], window: int) -> ConstructionStep:
+    # extend, for a basis whose pairwise sums are known to be unique; `sums` holds those
+    # in [-window, window], a window past the new stage's gap, and gains the new ones
     d = step.basis.max_abs()
     if reach < max(step.radius, d):
         raise ValueError(f"reach {quote(reach)} below radius {quote(max(step.radius, d))} at stage {quote(step.k)}")
@@ -116,11 +125,17 @@ def _extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     # in [-3c-d, -3c+d], at or below -2d; old + e2 in [b+3c-d, b+3c+d], at or above
     # 2d; 2*e1 and 2*e2 lie beyond those, and e1 < old < e2 keeps the new sums apart.
     # The pieces touch only at -+2d, when c == d and both +-d are old elements; apart
-    # from that, e1 + e2 = b is the one new sum that can repeat an old one.
-    if e1 + e2 in PairSums(step.basis) or (reach == d and d in step.basis and -d in step.basis):
+    # from that, e1 + e2 = b is the one new sum that can repeat an old one.  The
+    # window holds +-b, so the set test below is exact there, but 2d can lie past
+    # the window: the touching case keeps its own check.
+    new = [s for s in (2 * e1, e1 + e2, 2 * e2) if -window <= s <= window]
+    for e in (e1, e2):  # the old elements a with a + e in the window
+        new += [a + e for a in old[bisect_left(old, -window - e):bisect_right(old, window - e)]]
+    if not sums.isdisjoint(new) or (reach == d and d in step.basis and -d in step.basis):
         raise RuntimeError(f"extension of stage {quote(step.k)} collided two pairwise sums")
+    sums.update(new)
     basis = IntSet((e1,) + old + (e2,))
-    gap, positive = min_abs_missing(PairSums(basis), step.gap)  # the sums only grow: resume at the old gap
+    gap, positive = min_abs_missing(sums, step.gap)  # the sums only grow: resume at the old gap
     return ConstructionStep(k=step.k + 1, basis=basis, radius=far, gap=gap, positive_branch=positive)
 
 
@@ -401,17 +416,20 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
 
     Stages 1..k_max-1 carry the reach that extended them; the final stage
     carries none.  Each stage is checked and certified as extend does it,
-    without a set of pairwise sums.  The mode string is made in a
+    with one set of the pair sums that no gap search up to stage k_max
+    can pass, however large the elements.  The mode string is made in a
     decimal_io() block, since a table budget writes its integers in decimal.
     """
     if k_max < 1:
         raise ValueError(f"K must be >= 1, got {quote(k_max)}")
     step = initial_state()
+    window = _window(1, 2 * k_max)  # every stage's gap equals a search's from 1
+    sums = {a + b for a in step.basis for b in step.basis}  # the seed's, all within the window
     steps: list[ConstructionStep] = []
     while step.k < k_max:
         reach = policy.reach_for(step)
         steps.append(replace(step, reach=reach))
-        step = _extend(step, reach)  # every stage's sums are unique by induction
+        step = _extend(step, reach, sums, window)  # every stage's sums are unique by induction
     steps.append(step)
     with decimal_io():
         return BasisTrace(steps=tuple(steps), mode=policy.descriptor)

@@ -76,27 +76,13 @@ class IntSet:
         return max(-self.elements[0], self.elements[-1])
 
 
-class PairSums:
-    """The pairwise sums A + A of an IntSet A, as a container that stores only A.
-
-    `n in view` tests n - a against a frozenset of the elements, for each a.
-    """
-
-    def __init__(self, basis: IntSet) -> None:
-        self._elements, self._members = basis.elements, frozenset(basis.elements)
-
-    def __contains__(self, n: int) -> bool:
-        members = self._members
-        return any(n - a in members for a in self._elements)
-
-
 def min_abs_missing(sums: Container[int], start: int = 1) -> tuple[int, bool]:
     """Smallest b >= start such that b or -b is absent from `sums`.
 
     Returns (b, positive_missing); positive_missing is True exactly when +b
     is absent, which is also the tie-break when both signs are absent.
-    `sums` is any container supporting `in`, such as an IntSet or a
-    PairSums view, holding the pairwise sums of a set containing 0.
+    `sums` is any container supporting `in`, such as an IntSet or a set,
+    holding the pairwise sums of a set containing 0.
     The scan starts at `start` (at least 1) and assumes, without checking,
     that every b below it is present with both signs; a caller whose sums
     only grow can therefore resume from the previous answer.  It

@@ -1,8 +1,8 @@
 """Brute-force verification, kept independent of the arithmetic kernel.
 
 Every check finds pair sums with its own explicit loops rather than
-calling IntSet.self_sumset, PairSums or min_abs_missing, so agreement
-between this module and the kernel is evidence, not tautology.
+calling IntSet.self_sumset or min_abs_missing, so agreement between this
+module and the kernel is evidence, not tautology.
 
 `verify_trace` decides its rows in one pass over the pair sums of the
 trace's last nested stage (`_walk`).  The nested prefix is the longest

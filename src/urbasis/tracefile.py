@@ -23,13 +23,13 @@ accepted and re-serialize to other bytes.
 
 Files stream one row at a time, so memory follows the parsed stages, not
 the text, which grows as K^3 bytes.  `write_file` writes each line of
-`trace_lines` as it is made.  `read_file` reads the file as binary lines,
-and decodes and splits each one as `str.splitlines()` splits the whole
-text, so its lines and their numbers are `parse`'s; each line is decoded
-from JSON and its row converted before the next is read.  Its errors are
-`parse`'s too: the first line that is not JSON, or here not UTF-8,
-outranks any header or row fault, so after such a fault the rest of the
-file is still read for one.
+`trace_lines` as it is made, and `step_rows` makes each row when taken.
+`read_file` reads the file as binary lines, and decodes and splits each
+one as `str.splitlines()` splits the whole text, so its lines and their
+numbers are `parse`'s; each line is decoded from JSON and its row
+converted before the next is read.  Its errors are `parse`'s too: the
+first line that is not JSON, or here not UTF-8, outranks any header or
+row fault, so after such a fault the rest of the file is still read for one.
 """
 
 from __future__ import annotations
@@ -54,34 +54,29 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def step_rows(steps: Iterable[ConstructionStep]) -> list[dict]:
-    """The stages as trace rows: k as a number, every other integer as a decimal string.
+def step_rows(steps: Iterable[ConstructionStep]) -> Iterator[dict]:
+    """The stages as trace rows, made as they are taken: k as a number, other integers in decimal.
 
-    Each distinct integer is converted to decimal once for the whole call,
-    and not at all when the enclosing decimal_io() block has read its text.
+    Each distinct integer is converted to decimal once, before this returns,
+    so a value past the digit limit raises here; none is converted when the
+    enclosing decimal_io() block has read its text.
     """
+    steps = tuple(steps)
     texts: dict[int, str] = {}
-
-    def text(n: int) -> str:
-        s = texts.get(n)
-        if s is None:
-            s = texts[n] = decimal_str(n)
-        return s
-
-    rows = []
     with decimal_io():
         for step in steps:
-            row = {
-                "k": step.k,
-                "elements": [text(a) for a in step.basis.elements],
-                "d": text(step.radius),
-                "b": text(step.gap),
-                "branch": "positive" if step.positive_branch else "negative",
-            }
-            if step.reach is not None:
-                row["c"] = text(step.reach)
-            rows.append(row)
-    return rows
+            for n in chain(step.basis.elements, (step.radius, step.gap, step.reach)):
+                if n is not None and n not in texts:
+                    texts[n] = decimal_str(n)
+    return (_row(step, texts) for step in steps)
+
+
+def _row(step: ConstructionStep, texts: dict[int, str]) -> dict:
+    row = {"k": step.k, "elements": [texts[a] for a in step.basis.elements], "d": texts[step.radius],
+           "b": texts[step.gap], "branch": "positive" if step.positive_branch else "negative"}
+    if step.reach is not None:
+        row["c"] = texts[step.reach]
+    return row
 
 
 def trace_lines(trace: BasisTrace) -> Iterator[str]:

@@ -715,7 +715,7 @@ class TestExport:
             values = [str(a) for a in trace.final.basis.elements]
             expected = (json.dumps(values) if fmt == "json" else "\n".join(values)) + "\n"
         elif fmt == "json":
-            expected = json.dumps({"mode": trace.mode, "steps": step_rows(trace.steps)}, sort_keys=True) + "\n"
+            expected = json.dumps({"mode": trace.mode, "steps": list(step_rows(trace.steps))}, sort_keys=True) + "\n"
         else:
             expected = serialize(trace)
         path = str(tmp_path / "t.trace")

@@ -134,7 +134,8 @@ class TestExtend:
         """20,000 seeded steps: the certificate agrees with a kernel that keeps every pair sum.
 
         The steps are greedy and explicit stages through K = 12 and small
-        bases holding both +-d, with the gap moved, the branch flipped or
+        bases holding both +-d, with the gap moved (by up to 10**6, so the
+        gap search starts far past the true gap), the branch flipped or
         the radius moved, and reaches around the recorded radius.  A reach
         below max |a| is refused, which the reference allows when the
         recorded radius is too small.
@@ -151,7 +152,7 @@ class TestExtend:
             step = rng.choice(stages) if rng.random() < 0.7 else _basis_with_both_signs(rng)
             kind = rng.randrange(5)
             if kind == 1:
-                step = replace(step, gap=step.gap + rng.choice((-3, -2, -1, 1, 2, 3)))
+                step = replace(step, gap=step.gap + rng.choice((-3, -2, -1, 1, 2, 3, 10, 1000, 10**6)))
             elif kind == 2:
                 step = replace(step, positive_branch=not step.positive_branch)
             elif kind == 3:
@@ -234,6 +235,36 @@ class TestRunGreedy:
         finally:
             tracemalloc.stop()
         assert peak < 10_000_000
+
+    def test_gap_search_reads_a_window_of_the_sums(self, monkeypatch):
+        # the full pair sums of K=640 number 819,840; the window holds 924 of them
+        containers = []
+
+        def recording(sums, start=1):
+            containers.append((type(sums), len(sums)))
+            return min_abs_missing(sums, start)
+
+        monkeypatch.setattr(construction, "min_abs_missing", recording)
+        assert len(run_greedy(640).final.basis) == 1280
+        assert len(containers) == 640  # the seed's, then one per extension
+        assert all(kind is set and size <= 4 * 640 for kind, size in containers[1:]), containers[-1]
+
+    def test_driver_matches_reference_chain(self):
+        """300 seeded reach lists: every stage equals a chain of the full-sum reference extend."""
+        rng = random.Random(23)
+        slacks = [0, 1, 2, 5] + [10**j for j in range(41)]
+        for _ in range(300):
+            k_max, s, stages, reaches = rng.randrange(2, 41), initial_state(), [], []
+            while s.k < k_max:
+                c = s.radius * 10**30 if rng.random() < 0.1 else s.radius + rng.choice(slacks)
+                stages.append(s)
+                reaches.append(c)
+                s = reference_kernel.extend(s, c)
+            stages.append(s)
+            trace = run_with_growth(ExplicitReaches(tuple(reaches)), k_max)
+            for got, want in zip(trace.steps, stages, strict=True):
+                assert (got.basis, got.radius, got.gap, got.positive_branch) == \
+                    (want.basis, want.radius, want.gap, want.positive_branch), (reaches, got.k)
 
     def test_invariants_through_k12(self, greedy12):
         assert_verifies(greedy12)

@@ -373,3 +373,10 @@ class TestStreamedMemory:
         read = []
         assert _peak(lambda: read.append(read_file(path))) <= 4 * 2**20  # 22.8 MB with the whole text held
         assert read == [greedy320]
+
+    def test_write_file_makes_each_row_as_its_line_is_written(self, tmp_path):
+        # all 640 rows and their element lists at once peak at 4.3 MB; one row at a time, under 1 MB
+        trace, path = run_greedy(640), str(tmp_path / "t.trace")
+        assert _peak(lambda: write_file(trace, path)) <= 1.5 * 2**20
+        with open(path, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 641
