@@ -27,7 +27,6 @@ from .construction import (
     LogLogGrowth,
     ThresholdReach,
     ThresholdTable,
-    counting_profile,
     extend,
     initial_state,
     parse_budget,
@@ -69,7 +68,6 @@ __all__ = [
     "TraceFormatError",
     "Verdict",
     "brute_rep_report",
-    "counting_profile",
     "default_window",
     "extend",
     "growth_report",

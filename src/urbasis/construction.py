@@ -89,14 +89,15 @@ def extend(step: ConstructionStep, reach: int) -> ConstructionStep:
     The two new elements are {gap + 3*reach, -3*reach} when +gap is missing
     and the negated pair otherwise; reach must be at least the radius, as
     recorded and as max |a|.  RuntimeError, a bug rather than bad input,
-    means the basis already repeats a pairwise sum or the new pair would.
+    means the pair is misplaced, the basis already repeats a pairwise sum
+    or the new pair would, checked in that order.
     """
+    pair = _pair(step, reach)
     sums, n = step.basis.self_sumset(), len(step.basis)
-    window = _window(abs(step.gap), n + 2)
-    nxt = _extend(step, reach, {s for s in sums if -window <= s <= window}, window)
     if len(sums) != n * (n + 1) // 2:  # _extend assumes the old sums are unique
         raise RuntimeError(f"stage {quote(step.k)} already repeats a pairwise sum")
-    return nxt
+    window = _window(abs(step.gap), n + 2)
+    return _extend(step, pair, {s for s in sums if -window <= s <= window}, window)
 
 
 def _window(start: int, n: int) -> int:
@@ -105,9 +106,8 @@ def _window(start: int, n: int) -> int:
     return start + n * (n + 1) // 4 + 1
 
 
-def _extend(step: ConstructionStep, reach: int, sums: set[int], window: int) -> ConstructionStep:
-    # extend, for a basis whose pairwise sums are known to be unique; `sums` holds those
-    # in [-window, window], a window past the new stage's gap, and gains the new ones
+def _pair(step: ConstructionStep, reach: int) -> tuple[int, int]:
+    # the pair that extends the stage at this reach, checked against the radius and the old elements
     d = step.basis.max_abs()
     if reach < max(step.radius, d):
         raise ValueError(f"reach {quote(reach)} below radius {quote(max(step.radius, d))} at stage {quote(step.k)}")
@@ -119,6 +119,14 @@ def _extend(step: ConstructionStep, reach: int, sums: set[int], window: int) -> 
     old = step.basis.elements
     if not (e1 < old[0] and old[-1] < e2 and max(-e1, e2) == far):
         raise RuntimeError(f"extension of stage {quote(step.k)} misplaced its new pair")
+    return e1, e2
+
+
+def _extend(step: ConstructionStep, pair: tuple[int, int], sums: set[int], window: int) -> ConstructionStep:
+    # extend by a placed pair, for a basis whose pairwise sums are known to be unique; `sums`
+    # holds those in [-window, window], a window past the new stage's gap, and gains the new ones
+    e1, e2 = pair
+    d, old = step.basis.max_abs(), step.basis.elements
     # The new sums are the old ones, old + e1, old + e2 and 2*e1, e1 + e2, 2*e2.
     # Take the positive branch (the other mirrors it), c = reach >= d and b = gap,
     # which the placement check keeps >= 0.  The old sums lie in [-2d, 2d]; old + e1
@@ -127,16 +135,16 @@ def _extend(step: ConstructionStep, reach: int, sums: set[int], window: int) -> 
     # The pieces touch only at -+2d, when c == d and both +-d are old elements; apart
     # from that, e1 + e2 = b is the one new sum that can repeat an old one.  The
     # window holds +-b, so the set test below is exact there, but 2d can lie past
-    # the window: the touching case keeps its own check.
+    # the window: the touching case keeps its own check, with 3c the nearer of -e1, e2.
     new = [s for s in (2 * e1, e1 + e2, 2 * e2) if -window <= s <= window]
     for e in (e1, e2):  # the old elements a with a + e in the window
         new += [a + e for a in old[bisect_left(old, -window - e):bisect_right(old, window - e)]]
-    if not sums.isdisjoint(new) or (reach == d and d in step.basis and -d in step.basis):
+    if not sums.isdisjoint(new) or (min(-e1, e2) == 3 * d and d in step.basis and -d in step.basis):
         raise RuntimeError(f"extension of stage {quote(step.k)} collided two pairwise sums")
     sums.update(new)
     basis = IntSet((e1,) + old + (e2,))
     gap, positive = min_abs_missing(sums, step.gap)  # the sums only grow: resume at the old gap
-    return ConstructionStep(k=step.k + 1, basis=basis, radius=far, gap=gap, positive_branch=positive)
+    return ConstructionStep(k=step.k + 1, basis=basis, radius=max(-e1, e2), gap=gap, positive_branch=positive)
 
 
 # --- growth policies -------------------------------------------------------
@@ -429,7 +437,7 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
     while step.k < k_max:
         reach = policy.reach_for(step)
         steps.append(replace(step, reach=reach))
-        step = _extend(step, reach, sums, window)  # every stage's sums are unique by induction
+        step = _extend(step, _pair(step, reach), sums, window)  # every stage's sums are unique by induction
     steps.append(step)
     with decimal_io():
         return BasisTrace(steps=tuple(steps), mode=policy.descriptor)
@@ -438,12 +446,4 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
 def run_greedy(k_max: int) -> BasisTrace:
     """Densest variant: reach = radius at every stage."""
     return run_with_growth(Greedy(), k_max)
-
-
-def counting_profile(trace: BasisTrace, x: int) -> int:
-    """Number of final-stage elements in [-x, x], for x at least the seed radius."""
-    first = trace.steps[0].radius
-    if x < first:
-        raise ValueError(f"x must be >= {quote(first)}, got {quote(x)}")
-    return trace.final.basis.counting(-x, x)
 

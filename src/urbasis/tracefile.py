@@ -24,22 +24,23 @@ accepted and re-serialize to other bytes.
 Files stream one row at a time, so memory follows the parsed stages, not
 the text, which grows as K^3 bytes.  `write_file` writes each line of
 `trace_lines` as it is made, and `step_rows` makes each row when taken.
-`read_file` reads the file as binary lines, and decodes and splits each
-one as `str.splitlines()` splits the whole text, so its lines and their
-numbers are `parse`'s; each line is decoded from JSON and its row
-converted before the next is read.  Its errors are `parse`'s too: the
-first line that is not JSON, or here not UTF-8, outranks any header or
-row fault, so after such a fault the rest of the file is still read for one.
+`read_file` and `parse` share one reader of raw byte lines; `parse`
+reads its text's UTF-8 bytes, a lone surrogate included.  A line ends at
+LF alone; the CRs and LFs it ends with are dropped.  Each nonblank line
+is numbered from 1 and decoded as UTF-8, then as JSON, and its row is
+converted before the next line is read.  The first fault in file order
+is the one reported, and nothing after it is read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import chain
 from typing import Iterable, Iterator
 
 from .construction import BasisTrace, ConstructionStep
-from .digits import DigitLimitError, canonical_int, decimal_io, decimal_str, quote
+from .digits import canonical_int, decimal_io, decimal_str, quote
 from .intset import IntSet
 
 FORMAT_NAME = "urbasis-trace"
@@ -109,36 +110,29 @@ def _parse_int(value, what: str, lineno: int, ints: dict[str, int]) -> int:
 
 def parse(text: str) -> BasisTrace:
     with decimal_io():
-        return _parse(text.splitlines())
+        return _read_rows(_rows(io.BytesIO(text.encode("utf-8", "surrogatepass"))))
 
 
-def _rows(lines: Iterable[str | None]) -> Iterator[tuple[int, object]]:
+def _rows(raw_lines: Iterable[bytes]) -> Iterator[tuple[int, object]]:
     """(line number, decoded JSON) for each nonblank line, numbered from 1.
 
-    None stands for a line that is not UTF-8; it, or a line that is not
-    JSON, raises TraceFormatError.
+    A line ends at LF, and the CRs and LFs it ends with are dropped.  A
+    line that is not UTF-8, or not JSON, raises TraceFormatError.
     """
-    for lineno, ln in enumerate((ln for ln in lines if ln is None or ln.strip()), start=1):
-        if ln is None:
-            raise TraceFormatError(f"line {lineno}: not valid UTF-8")
+    lineno = 0
+    for raw in raw_lines:
         try:
-            obj = json.loads(ln)
+            line = raw.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError:
+            raise TraceFormatError(f"line {lineno + 1}: not valid UTF-8") from None
+        if not line.strip():
+            continue
+        lineno += 1
+        try:
+            obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise TraceFormatError(f"line {lineno}: not valid JSON ({e.msg})") from None
         yield lineno, obj
-
-
-def _parse(lines: Iterable[str | None]) -> BasisTrace:
-    rows = _rows(lines)
-    try:
-        return _read_rows(rows)
-    except (TraceFormatError, DigitLimitError):
-        try:
-            for _ in rows:  # a later line that is not JSON outranks every header or row fault
-                pass
-        except TraceFormatError as later:
-            raise later from None
-        raise
 
 
 def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
@@ -197,17 +191,6 @@ def write_file(trace: BasisTrace, path: str) -> None:
         fh.writelines(lines)
 
 
-def _text_lines(raw_lines: Iterable[bytes]) -> Iterator[str | None]:
-    """The lines of UTF-8 text, cut where str.splitlines() cuts it; None for a raw line that is not UTF-8."""
-    for raw in raw_lines:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            yield None
-            continue
-        yield from text.splitlines()
-
-
 def read_file(path: str) -> BasisTrace:
     with open(path, "rb") as fh, decimal_io():
-        return _parse(_text_lines(fh))
+        return _read_rows(_rows(fh))

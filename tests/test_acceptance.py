@@ -16,7 +16,6 @@ from urbasis import (
     IntSet,
     LogLogGrowth,
     brute_rep_report,
-    counting_profile,
     log_envelope,
     reach_envelope,
     run_greedy,
@@ -120,7 +119,7 @@ def test_5_log_envelope():
     reaches.append(trace.final.radius)  # final reach never used, but equals the radius here
     radii = [s.radius for s in trace.steps]
     xs = sorted(set(radii) | set(reaches) | {3 * c for c in reaches})
-    envelope_ok = all(log_envelope(x, counting_profile(trace, x)).holds for x in xs)
+    envelope_ok = all(log_envelope(x, trace.final.basis.counting(-x, x)).holds for x in xs)
     reach_ok = all(reach_envelope(k, c).holds for k, c in enumerate(reaches, start=1))
     ok = envelope_ok and reach_ok and len(xs) >= 80
     _verdict(5, "log-envelope", ok, f"{len(xs)} samples, 40 exact reach checks")
@@ -139,19 +138,19 @@ def test_6_growth_budget(slow10):
     with mpmath.workdps(60):
         margin = mpmath.mpf("1e-30")
         over = [x for x in xs
-                if not mpmath.mpf(counting_profile(slow10, x)) <= family.value(x) + margin]
+                if not mpmath.mpf(slow10.final.basis.counting(-x, x)) <= family.value(x) + margin]
     ok = not over and len(xs) >= 30
     _verdict(6, "growth-budget", ok, f"count <= 2*ln(ln(x+3))+4 at {len(xs)} samples")
 
 
 def test_7_sqrt_cap(greedy12, slow10):
     built_ok = all(
-        sqrt_cap(1, x, counting_profile(trace, x)).holds
+        sqrt_cap(1, x, trace.final.basis.counting(-x, x)).holds
         for trace in (greedy12, slow10)
         for x in sorted({s.radius for s in trace.steps}
                         | {s.reach for s in trace.steps if s.reach is not None})
     )
-    sweep_ok = all(sqrt_cap(1, x, counting_profile(greedy12, x)).holds for x in range(1, 401))
+    sweep_ok = all(sqrt_cap(1, x, greedy12.final.basis.counting(-x, x)).holds for x in range(1, 401))
     m = 100
     interval = IntSet.of(range(-m, m + 1))
     rejected = not sqrt_cap(1, m, interval.counting(-m, m)).holds

@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -21,7 +23,6 @@ from urbasis import (
     LogLogGrowth,
     ThresholdReach,
     ThresholdTable,
-    counting_profile,
     extend,
     initial_state,
     min_abs_missing,
@@ -109,13 +110,17 @@ class TestExtend:
         bad = ConstructionStep(k=10**5000, basis=IntSet((0, 1, 2, 3)), radius=3, gap=4, positive_branch=True)
         with pytest.raises(RuntimeError) as refused:
             extend(bad, 3)
+        assert str(refused.value) == "stage <5001-digit integer> already repeats a pairwise sum"
+        with pytest.raises(RuntimeError) as refused:
+            extend(replace(big, gap=0), 1)
         assert str(refused.value) == "extension of stage <5001-digit integer> collided two pairwise sums"
 
     def test_basis_repeating_a_sum_raises(self):
-        # 0 + 3 == 1 + 2
-        bad = ConstructionStep(k=2, basis=IntSet((0, 1, 2, 3)), radius=3, gap=4, positive_branch=True)
-        with pytest.raises(RuntimeError, match="stage 2"):
-            extend(bad, 3)
+        # 0 + 3 == 1 + 2, and 1 + 4 == 2 + 3 under a gap of 0, which the gap search would refuse
+        for elements, gap in (((0, 1, 2, 3), 4), ((1, 2, 3, 4), 0)):
+            bad = ConstructionStep(k=2, basis=IntSet(elements), radius=elements[-1], gap=gap, positive_branch=True)
+            with pytest.raises(RuntimeError, match="^stage 2 already repeats a pairwise sum$"):
+                extend(bad, elements[-1])
 
     def test_new_pair_colliding_raises(self):
         # a recorded gap of 0 places the pair at -3, 3, whose sum repeats 0 + 0
@@ -133,12 +138,13 @@ class TestExtend:
     def test_matches_set_based_reference_on_corrupted_steps(self):
         """20,000 seeded steps: the certificate agrees with a kernel that keeps every pair sum.
 
-        The steps are greedy and explicit stages through K = 12 and small
-        bases holding both +-d, with the gap moved (by up to 10**6, so the
-        gap search starts far past the true gap), the branch flipped or
-        the radius moved, and reaches around the recorded radius.  A reach
-        below max |a| is refused, which the reference allows when the
-        recorded radius is too small.
+        The steps are greedy and explicit stages through K = 12, small
+        bases holding both +-d, and small bases that repeat a sum, with any
+        gap from -2 up; the gap is moved (by up to 10**6, so the gap search
+        starts far past the true gap), the branch flipped or the radius
+        moved, and reaches around the recorded radius.  A reach below
+        max |a| is refused, which the reference allows when the recorded
+        radius is too small.  A RuntimeError must name the same failed check.
         """
         rng = random.Random(9)
         stages = list(run_greedy(12).steps)
@@ -147,9 +153,13 @@ class TestExtend:
             while s.k < 12:
                 stages.append(s)
                 s = extend(s, s.radius + rng.choice((0, 1, 2, 5, 40)))
-        seen = {ValueError: 0, RuntimeError: 0, ConstructionStep: 0}
+        seen = Counter()
         for _ in range(20_000):
-            step = rng.choice(stages) if rng.random() < 0.7 else _basis_with_both_signs(rng)
+            draw = rng.random()
+            if draw < 0.7:
+                step = rng.choice(stages)
+            else:
+                step = _basis_with_both_signs(rng) if draw < 0.85 else _basis_repeating_a_sum(rng)
             kind = rng.randrange(5)
             if kind == 1:
                 step = replace(step, gap=step.gap + rng.choice((-3, -2, -1, 1, 2, 3, 10, 1000, 10**6)))
@@ -161,8 +171,11 @@ class TestExtend:
             outcome = _outcome(extend, step, reach)
             expected = ValueError if reach < step.basis.max_abs() else _outcome(reference_kernel.extend, step, reach)
             assert outcome == expected, (step, reach)
-            seen[outcome if isinstance(outcome, type) else ConstructionStep] += 1
-        assert min(seen.values()) > 1000, seen
+            if isinstance(outcome, str):
+                seen[re.sub(r"stage \d+", "stage k", outcome)] += 1
+            else:
+                seen[outcome if isinstance(outcome, type) else ConstructionStep] += 1
+        assert len(seen) == 5 and min(seen.values()) > 500, seen  # a step, ValueError and each RuntimeError
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=6))
@@ -181,10 +194,13 @@ class TestExtend:
 
 
 def _outcome(extend_fn, step, reach):
+    """The step extend_fn makes, ValueError, or the message of its RuntimeError, which names the failed check."""
     try:
         return extend_fn(step, reach)
-    except (ValueError, RuntimeError) as e:
-        return type(e)
+    except ValueError:
+        return ValueError
+    except RuntimeError as e:
+        return str(e)
 
 
 def _basis_with_both_signs(rng):
@@ -196,6 +212,16 @@ def _basis_with_both_signs(rng):
         if len(sums) == len(basis) * (len(basis) + 1) // 2:
             gap, positive = min_abs_missing(sums)
             return ConstructionStep(k=len(basis) // 2, basis=basis, radius=d, gap=gap, positive_branch=positive)
+
+
+def _basis_repeating_a_sum(rng):
+    """A stage on a small basis that repeats a pair sum, with a gap from -2 up."""
+    while True:
+        d = rng.randrange(3, 40)
+        basis = IntSet.of([d] + rng.sample(range(-d, d), rng.randrange(3, 6)))
+        if len(basis.self_sumset()) < len(basis) * (len(basis) + 1) // 2:
+            return ConstructionStep(k=len(basis) // 2, basis=basis, radius=d, gap=rng.randrange(-2, 8),
+                                    positive_branch=rng.random() < 0.5)
 
 
 class TestRunGreedy:
@@ -520,6 +546,17 @@ class TestBudgetFamilies:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             family(scale, offset)
 
+    @pytest.mark.parametrize("m", range(4, 17))
+    def test_log_value_decides_each_threshold(self, m):
+        """value(x) >= m exactly as the interval check decides it, at threshold(m) and one below."""
+        f = LogGrowth(3, 1)
+        x = f.threshold(m)
+        assert [f.value(y) >= m for y in (x, x - 1)] == [budget_at_least(f, y, m) for y in (x, x - 1)] == [True, False]
+
+    def test_log_value_refuses_x_below_one(self):
+        with pytest.raises(ValueError, match="x >= 1, got 0"):
+            LogGrowth(3, 1).value(0)
+
     def test_shift_keeps_domain_safe(self):
         with pytest.raises(ValueError):
             LogLogGrowth(2, 4, 0)
@@ -593,13 +630,9 @@ class TestParseBudget:
 class TestCountingProfile:
     def test_known_values(self):
         trace = run_greedy(3)
-        assert counting_profile(trace, 4) == 4
-        assert counting_profile(trace, 12) == 5
-        assert counting_profile(run_greedy(2), 1) == 2
-
-    def test_rejects_below_seed_radius(self):
-        with pytest.raises(ValueError):
-            counting_profile(run_greedy(3), 0)
+        assert trace.final.basis.counting(-4, 4) == 4
+        assert trace.final.basis.counting(-12, 12) == 5
+        assert run_greedy(2).final.basis.counting(-1, 1) == 2
 
     def test_matches_piecewise_formula(self, greedy12):
         xs = set()
@@ -610,14 +643,14 @@ class TestCountingProfile:
                 xs.update((3 * step.reach - 1, 3 * step.reach, 3 * step.reach + 1))
         xs.add(greedy12.final.radius + 10**6)
         for x in sorted(xs):
-            assert counting_profile(greedy12, x) == _bookkeeping_count(greedy12, x)
+            assert greedy12.final.basis.counting(-x, x) == _bookkeeping_count(greedy12, x)
 
     def test_matches_piecewise_on_slow_trace(self, slow10):
         xs = []
         for step in slow10.steps[:-1]:
             xs += [step.radius, 3 * step.reach - 1, 3 * step.reach]
         for x in xs:
-            assert counting_profile(slow10, x) == _bookkeeping_count(slow10, x)
+            assert slow10.final.basis.counting(-x, x) == _bookkeeping_count(slow10, x)
 
 
 class TestTraceStructure:

@@ -541,6 +541,15 @@ class TestAgainstReference:
         monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", range_sums)
         rows = _assert_reference_rows(_ap_trace(12))  # the sum 1 has 12 pairs: a range of one value
         assert rows["rep-scan"]["violations"] == 43  # every sum but -22, -21, 23 and 24
+        # 0, 2, ..., 58 and 1: an even sum has up to 15 pairs and the odd sum above it one, so the sample
+        # of a range can be its least sum alone, and _split, the one caller of bisect_right, cuts past it
+        fallbacks = []
+        bisect_right = urbasis.oracle.bisect_right
+        monkeypatch.setattr(urbasis.oracle, "bisect_right", lambda *args: fallbacks.append(args) or bisect_right(*args))
+        evens = ConstructionStep(k=1, basis=IntSet((0, 1, *range(2, 60, 2))), radius=58, gap=1, positive_branch=True)
+        rows = _assert_reference_rows(BasisTrace(steps=(evens,), mode="corrupt"))
+        assert rows["rep-scan"]["violations"] == 56  # every even sum but 0, 114 and 116
+        assert bool(fallbacks) is (range_sums == 5)
 
     def test_only_repeat_on_a_range_boundary(self, monkeypatch):
         greedy = run_greedy(6)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,14 +40,15 @@ def _outcome(read, source):
 def parse(text):
     """tracefile.parse(text), checked against read_file of the same text written to a file.
 
-    Both must give equal traces, or the same error with the same message,
-    so every text this module parses, well-formed or not, also tests the
+    The file holds the text's UTF-8 bytes, a lone surrogate included.  Both
+    must give equal traces, or the same error with the same message, so
+    every text this module parses, well-formed or not, also tests the
     reader that streams a file one line at a time.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.trace")
         with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            fh.write(text.encode("utf-8", "surrogatepass"))
         from_file = _outcome(read_file, path)
     from_text = _outcome(tracefile.parse, text)
     assert from_file == from_text
@@ -296,47 +298,83 @@ class TestDigitLimit:
 
 
 class TestStreamingReader:
-    """read_file reads one line at a time and reports what parse reports on the same text.
+    """read_file reads one line at a time, and parse reads the same bytes the same way.
 
-    `parse` in this module checks that for every text it is given; the
-    tests here pin the cases where a line-at-a-time reader could differ.
+    A line ends at LF alone, and the first fault in file order is the one
+    reported: nothing after it is read.  `parse` in this module checks
+    that both readers agree on every text it is given; the tests here pin
+    where a line ends and which fault wins.
     """
 
-    def test_bad_json_outranks_an_earlier_wrong_k(self):
+    def test_an_earlier_wrong_k_outranks_bad_json(self):
         lines = serialize(run_greedy(4)).splitlines()
         lines[2] = lines[2].replace('"k":2', '"k":7')
         lines[4] = lines[4][:-5]
-        with pytest.raises(TraceFormatError, match=r"^line 5: not valid JSON"):
+        with pytest.raises(TraceFormatError, match=r"^line 3: stage indices must run 1..K in order, got k=7$"):
             parse("\n".join(lines) + "\n")
 
-    def test_bad_json_outranks_an_earlier_value_past_limit(self, monkeypatch):
+    def test_an_earlier_value_past_limit_outranks_bad_json(self, monkeypatch):
         text = edit_rows(serialize(run_greedy(4)), {3: set_element("-4", "1" + "0" * 5000)})
         lines = text.splitlines()
         lines[4] = lines[4][:-5]
         monkeypatch.setattr(digits, "DECIMAL_DIGIT_LIMIT", 5000)
-        with pytest.raises(TraceFormatError, match=r"^line 5: not valid JSON"):
+        with pytest.raises(DigitLimitError, match=r"^line 3: element has more than 5000 decimal digits"):
             parse("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("separator", [" ", "\x85", "\x1e"], ids=["U+2028", "NEL", "RS"])
-    def test_line_separator_inside_a_string_cuts_the_line(self, separator):
-        # str.splitlines() cuts at these, so the header's first half is not JSON
-        text = serialize(run_greedy(2)).replace('"mode":"greedy"', f'"mode":"gr{separator}eedy"')
-        with pytest.raises(TraceFormatError, match=r"^line 1: not valid JSON \(Unterminated string starting at\)$"):
-            parse(text)
+    @pytest.mark.parametrize("source", ["parse", "read_file"])
+    def test_reading_stops_at_the_first_fault(self, tmp_path, monkeypatch, source):
+        # greedy K=40 is 41 lines; a wrong k on line 3 is refused before line 4 is decoded
+        text = serialize(run_greedy(40)).replace('"k":2}', '"k":9}')
+        path = tmp_path / "t.trace"
+        path.write_text(text, encoding="utf-8")
+        decoded = []
+        loads = json.loads
+
+        def counted(line, *args, **kwargs):
+            decoded.append(line)
+            return loads(line, *args, **kwargs)
+        monkeypatch.setattr(tracefile.json, "loads", counted)
+        with pytest.raises(TraceFormatError, match=r"^line 3: stage indices must run 1..K in order, got k=9$"):
+            tracefile.parse(text) if source == "parse" else read_file(str(path))
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("separator, message", [
+        ("\u2028", None),
+        ("\x85", None),
+        ("\x1e", "line 1: not valid JSON (Invalid control character at)"),
+        ("\r", "line 1: not valid JSON (Invalid control character at)"),
+    ], ids=["U+2028", "NEL", "RS", "CR"])
+    def test_line_separator_inside_a_string_stays_in_the_line(self, separator, message):
+        # only LF ends a line: JSON allows U+2028 and NEL raw in a string, but no control character
+        trace = run_greedy(2)
+        text = serialize(trace).replace('"mode":"greedy"', f'"mode":"gr{separator}eedy"')
+        if message is None:
+            assert parse(text) == replace(trace, mode=f"gr{separator}eedy")
+        else:
+            with pytest.raises(TraceFormatError) as refused:
+                parse(text)
+            assert str(refused.value) == message
 
     def test_crlf_and_blank_lines_keep_the_numbering(self):
         lines = serialize(run_greedy(4)).splitlines()
         text = "\r\n\r\n".join(lines[:3]) + "\r\n  \t\r\n\n" + "\r\n".join(lines[3:]) + "\r\n"
         assert parse(text) == run_greedy(4)
         with pytest.raises(TraceFormatError, match=r"^line 4: stage indices must run 1..K in order, got k=9$"):
-            parse(text.replace('"k":3', '"k":9'))  # the sixth raw line, and the ninth at a CR
+            parse(text.replace('"k":3', '"k":9'))  # the eighth raw line
+
+    def test_lone_surrogate_is_not_utf8(self):
+        # parse reads the text's bytes, so it refuses what a file holding them is refused for
+        text = serialize(run_greedy(2)).replace('"mode":"greedy"', '"mode":"gr\ud800eedy"')
+        with pytest.raises(TraceFormatError, match=r"^line 1: not valid UTF-8$"):
+            parse(text)
 
     @pytest.mark.parametrize("raw, message", [
         (b"\xff{}\n", "line 1: not valid UTF-8"),
         (b"\n \n{}\xc3\n", "line 1: not valid UTF-8"),
-        (b'{"format":"other"}\n\n{"k":1}\n\xed\xa0\x80\n', "line 3: not valid UTF-8"),  # an encoded surrogate
+        (b'{"format":"other"}\xed\xa0\x80\n', "line 1: not valid UTF-8"),  # an encoded surrogate
+        (b'{"format":"other"}\n\n{"k":1}\n\xed\xa0\x80\n', "missing or unrecognized header line"),
         (b"[\n\xff\n", "line 1: not valid JSON (Expecting value)"),
-    ], ids=["first-line", "after-blank-lines", "outranks-a-header-fault", "after-bad-json"])
+    ], ids=["first-line", "after-blank-lines", "outranks-a-header-fault", "after-a-header-fault", "after-bad-json"])
     def test_line_not_utf8(self, tmp_path, raw, message):
         path = tmp_path / "t.trace"
         path.write_bytes(raw)
