@@ -12,13 +12,13 @@ import json
 import math
 import sys
 from itertools import chain
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .bounds import BoundCheck, growth_report
-from .construction import BasisTrace, ExplicitReaches, Greedy, parse_budget, run_with_growth
 from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str, quote
-from .oracle import brute_rep_report, verify_trace
-from .tracefile import TraceFormatError, read_file, step_rows, trace_lines, write_file
+
+if TYPE_CHECKING:  # only annotations name these: each command imports the modules it runs, and no others
+    from .bounds import BoundCheck
+    from .construction import BasisTrace
 
 
 class UsageError(Exception):
@@ -51,6 +51,8 @@ def _read_k(text: str) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .construction import ExplicitReaches, Greedy, parse_budget, run_with_growth
+    from .tracefile import write_file
     if args.greedy is not None:
         k_max, policy = _read_k(args.greedy), Greedy()
     elif args.threshold is not None:
@@ -88,6 +90,8 @@ def _json(value) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify_trace
+    from .tracefile import read_file
     rows = verify_trace(read_file(args.trace))
     ok = all(row["ok"] for row in rows)
     if args.format == "json":
@@ -146,6 +150,8 @@ _DENSE_WINDOW_LIMIT = 20_001
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .bounds import growth_report
+    from .tracefile import read_file
     trace = read_file(args.trace)
     xs = _parse_samples(args.x) if args.x is not None else _default_samples(trace)
     try:
@@ -156,6 +162,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     rep_block = None
     if args.rep_window is not None:
+        from .oracle import brute_rep_report
         lo, hi = _parse_window(args.rep_window)
         report = brute_rep_report(trace.final.basis, lo, hi)
         dense = hi - lo + 1 <= _DENSE_WINDOW_LIMIT
@@ -191,6 +198,7 @@ def _json_steps(trace: BasisTrace) -> Iterator[str]:
 
     Every integer is converted before this returns, as in trace_lines.
     """
+    from .tracefile import step_rows
     rows = step_rows(trace.steps)
     head = '{"mode": ' + json.dumps(trace.mode) + ', "steps": ['
     body = ((", " if i else "") + json.dumps(row, sort_keys=True) for i, row in enumerate(rows))
@@ -198,6 +206,7 @@ def _json_steps(trace: BasisTrace) -> Iterator[str]:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .tracefile import read_file, trace_lines
     trace = read_file(args.trace)
     if args.what == "elements":
         values = [decimal_str(a) for a in trace.final.basis.elements]
@@ -273,6 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_absorb_values(list(argv)))
+    from .tracefile import TraceFormatError  # every command reads or writes a trace
     try:
         with decimal_io():
             return args.func(args)

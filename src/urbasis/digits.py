@@ -35,7 +35,8 @@ its integer, and a later conversion of either one, in either direction,
 is a lookup, as is writing the integer's negation.  A text read from a
 file or a reach list is then not converted back when it is written:
 `build` writes the reach-list texts, and `export` and `analyze` the
-texts of the trace they read.  Only
+texts of the trace they read.  A long integer twice a recorded one, of
+either sign, is written by doubling its text, in linear time.  Only
 canonical text (`0` or `-?[1-9][0-9]*`, what str(int) writes) is
 recorded, so `decimal_str` always returns str(n).  `canonical_int` reads
 only canonical text and matches it once; `decimal_int` reads any text
@@ -198,14 +199,16 @@ def _write_split(n: int, powers: _Powers, context):
     return context.add(context.multiply(high, powers.two(j, context)), low)
 
 
-def _write_decimal(n: int, digits: int, powers: _Powers) -> str:
+def _write_decimal(n: int, digits: int, powers: _Powers, half: str | None) -> str:
     """str(n), joined in the decimal module exactly.  `digits` bounds the digit count of |n|, and so of
-    every value on the way, since each is a bit field of |n| or a power of two below it."""
+    every value on the way, since each is a bit field of |n| or a power of two below it.  `half`, the
+    text of n / 2 or -n / 2 when the memo holds one, is doubled instead, in linear time."""
     import decimal
 
     context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
     context.traps[decimal.Inexact] = True
-    text = str(_write_split(abs(n), powers, context))
+    doubled = half and context.multiply(context.create_decimal(half.lstrip("-")), 2)  # |n| = 2 * |half|
+    text = str(doubled or _write_split(abs(n), powers, context))
     return "-" + text if n < 0 else text
 
 
@@ -268,7 +271,8 @@ def decimal_str(n: int) -> str:
     if limit and low >= limit and _digit_count(n) > limit:
         raise _limit_error("an integer")
     if _SPLITS and n.bit_length() > _WRITE_CUTOFF:
-        text = _write_decimal(n, low + 1, _powers or _Powers())
+        half = None if memo is None or n & 1 else memo.get(n >> 1) or memo.get(-(n >> 1))  # r's text for n = ±2r
+        text = _write_decimal(n, low + 1, _powers or _Powers(), half)
     else:
         text = str(n)
     if memo is not None and len(text) >= _MEMO_FLOOR:

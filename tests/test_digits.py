@@ -213,6 +213,27 @@ class TestSplitConversion:
                 digits._memo.clear()
                 assert decimal_str(n) == text
 
+    @pytest.mark.parametrize("half", [10**15_000 - 1, 5 * 10**14_999, 7**17_000],
+                             ids=["twice-gains-a-digit", "twice-is-a-power-of-ten", "power-of-seven"])
+    @pytest.mark.parametrize("negative_first", [False, True])
+    @pytest.mark.parametrize("recorded_sign", [1, -1])
+    @mock.patch.object(digits, "_SPLITS", True)  # on every interpreter
+    def test_twice_a_recorded_value_is_written_by_doubling_its_text(self, monkeypatch, half, negative_first,
+                                                                   recorded_sign):
+        def no_split(*args):
+            raise AssertionError("converted from scratch")
+
+        twice = [-2 * half, 2 * half] if negative_first else [2 * half, -2 * half]
+        expected = [str_of(n) for n in twice]
+        monkeypatch.setattr(digits, "_write_split", no_split)
+        with decimal_io():
+            assert canonical_int(str_of(recorded_sign * half), "a radius") == recorded_sign * half
+            assert [decimal_str(n) for n in twice] == expected
+        with decimal_io():  # an odd neighbour is converted in full
+            canonical_int(str_of(half), "a radius")
+            with pytest.raises(AssertionError, match="converted from scratch"):
+                decimal_str(2 * half + 1)
+
     def test_past_limit_fails_before_any_work(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("converted past the limit")

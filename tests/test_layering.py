@@ -1,6 +1,7 @@
 """Package layering: no module reaches into another module's private names,
 only a log or log-log budget loads mpmath, no command on small integers loads decimal,
-and every span group of the benchmark's tracer still finds a name to wrap."""
+each command loads only the modules it runs, the lazily loaded package keeps its
+public names, and every span group of the benchmark's tracer still finds a name to wrap."""
 
 import ast
 import importlib.util
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import urbasis
 
@@ -49,12 +52,15 @@ def test_only_decimal_text_io_names_decimal_io():
     assert naming == {"digits", "construction", "tracefile", "cli"}
 
 
-# Runs in a fresh interpreter and prints, after each step, whether mpmath and decimal are loaded.
+# Runs in a fresh interpreter.  Given only the trace and reach-list paths, it runs the commands below but the
+# last, in order, and prints whether mpmath and decimal are loaded after each step.  Given command names after
+# the paths, it runs only those, and prints the loaded modules named dataclasses or urbasis* after each step.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-loaded = {}
+loaded, modules = {}, {}
 def probe(step):
     loaded[step] = {module: module in sys.modules for module in ("mpmath", "decimal")}
+    modules[step] = sorted(m for m in sys.modules if m == "dataclasses" or m.partition(".")[0] == "urbasis")
 import urbasis
 probe("import urbasis")
 from urbasis.cli import main
@@ -62,20 +68,22 @@ probe("import urbasis.cli")
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(list(argv)) == 0, argv
-trace, reaches = sys.argv[1:]
-for command, argv in [
-    ("build", ["build", "--greedy", "12", "-o", trace]),
-    ("verify", ["verify", trace]),
-    ("verify json", ["verify", trace, "--format", "json"]),
-    ("analyze", ["analyze", trace]),
-    ("export", ["export", trace]),
-    ("build --c-list", ["build", "--c-list", reaches, "-o", trace]),
-    ("build table", ["build", "--threshold", "table,4:10;6:100", "3", "-o", trace]),
-    ("build log", ["build", "--threshold", "log,3,1", "8", "-o", trace]),
-]:
-    run(*argv)
+trace, reaches, *only = sys.argv[1:]
+commands = {
+    "build": ["build", "--greedy", "12", "-o", trace],
+    "verify": ["verify", trace],
+    "verify json": ["verify", trace, "--format", "json"],
+    "analyze": ["analyze", trace],
+    "export": ["export", trace],
+    "build --c-list": ["build", "--c-list", reaches, "-o", trace],
+    "build table": ["build", "--threshold", "table,4:10;6:100", "3", "-o", trace],
+    "build log": ["build", "--threshold", "log,3,1", "8", "-o", trace],
+    "analyze --rep-window": ["analyze", trace, "--rep-window", "-3,3"],
+}
+for command in only or list(commands)[:-1]:
+    run(*commands[command])
     probe(command)
-print(json.dumps(loaded))
+print(json.dumps(modules if only else loaded))
 """
 
 
@@ -101,3 +109,71 @@ def test_every_tracer_group_resolves_a_callable():
     unresolved = [group for group, names in tracer.TARGETS.items()
                   if not any(callable(tracer._lookup(name)) for name in names)]
     assert tracer.TARGETS and unresolved == []
+
+
+def _modules_after(tmp_path, command):
+    """The modules named dataclasses or urbasis* that a fresh interpreter holds after each probe step."""
+    (tmp_path / "c.txt").write_text("1 4 14\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "t.trace"), str(tmp_path / "c.txt"), command]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+    return {step: set(names) for step, names in json.loads(out.stdout).items()}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    cli = {"urbasis", "urbasis.cli", "urbasis.digits"}
+    trace_io = cli | {"dataclasses", "urbasis.construction", "urbasis.intset", "urbasis.tracefile"}
+    assert _modules_after(tmp_path, "build") == {"import urbasis": {"urbasis"}, "import urbasis.cli": cli,
+                                                 "build": trace_io}  # and it writes the trace the others read
+    expected = {
+        "verify": trace_io | {"urbasis.oracle"},
+        "verify json": trace_io | {"urbasis.oracle"},
+        "analyze": trace_io | {"urbasis.bounds"},
+        "analyze --rep-window": trace_io | {"urbasis.bounds", "urbasis.oracle"},
+        "export": trace_io,
+        "build --c-list": trace_io,
+        "build log": trace_io,
+    }
+    assert {command: _modules_after(tmp_path, command)[command] for command in expected} == expected
+
+
+# the public names of the package, by the module that defines each
+PUBLIC = {
+    "bounds": ("BoundCheck", "growth_report", "log_envelope", "reach_envelope", "sqrt_cap"),
+    "construction": (
+        "BasisTrace", "ConstructionStep", "ExplicitReaches", "Greedy", "GrowthConfigError", "GrowthPolicy",
+        "LogGrowth", "LogLogGrowth", "ThresholdReach", "ThresholdTable", "extend", "initial_state",
+        "parse_budget", "run_greedy", "run_with_growth",
+    ),
+    "digits": ("DigitLimitError",),
+    "intset": ("IntSet", "min_abs_missing"),
+    "oracle": (
+        "RepReport", "Verdict", "brute_rep_report", "default_window", "pairs_for", "verify_decomposition",
+        "verify_gap_growth", "verify_trace", "verify_unique_window",
+    ),
+    "tracefile": ("TraceFormatError", "parse", "read_file", "serialize", "write_file"),
+}
+
+
+def test_the_lazy_namespace_keeps_the_public_api():
+    namespace = {}
+    exec("from urbasis import *", namespace)
+    del namespace["__builtins__"]
+    assert len(urbasis.__all__) == 37
+    assert sorted(namespace) == sorted(urbasis.__all__) == sorted(name for names in PUBLIC.values() for name in names)
+    for home, names in PUBLIC.items():
+        module = importlib.import_module(f"urbasis.{home}")
+        for name in names:
+            assert namespace[name] is getattr(urbasis, name) is vars(module)[name], name
+    assert urbasis.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match=r"^module 'urbasis' has no attribute 'no_such_name'$"):
+        urbasis.no_such_name
+
+
+def test_dir_lists_every_public_name_before_any_is_read():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import json, sys, urbasis; print(json.dumps([dir(urbasis), sorted(sys.modules)]))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    listed, loaded = json.loads(out.stdout)
+    assert set(urbasis.__all__) | {"__all__", "__version__"} <= set(listed)
+    assert [m for m in loaded if m.startswith("urbasis.")] == []
