@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .construction import BasisTrace
 from .digits import quote
+from .record import Record
 
 _LN3 = math.log(3)
 _LN5 = math.log(5)
@@ -37,16 +37,14 @@ def _sqrt_float(n) -> float:
     return math.sqrt(n)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """One evaluated bound: observed count against lower/upper envelopes."""
 
-    name: str
-    x: int
-    observed: int
-    lower: float | None
-    upper: float | None
-    holds: bool
+    __match_args__ = ("name", "x", "observed", "lower", "upper", "holds")
+
+    def __init__(self, name: str, x: int, observed: int, lower: float | None, upper: float | None,
+                 holds: bool) -> None:
+        self._set(name, x, observed, lower, upper, holds)
 
 
 def log_envelope(x: int, observed: int) -> BoundCheck:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Union
 
 if TYPE_CHECKING:
@@ -27,14 +26,14 @@ if TYPE_CHECKING:
 
 from .digits import DECIMAL_DIGIT_LIMIT, decimal_int, decimal_io, decimal_str, quote
 from .intset import IntSet, min_abs_missing
+from .record import Record
 
 
 class GrowthConfigError(ValueError):
     """A growth policy cannot produce a reach for the requested stage."""
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
+class ConstructionStep(Record):
     """One stage of the construction.
 
     k               stage index, starting at 1
@@ -46,27 +45,25 @@ class ConstructionStep:
                     stage that has not been extended
     """
 
-    k: int
-    basis: IntSet
-    radius: int
-    gap: int
-    positive_branch: bool
-    reach: int | None = None
+    __match_args__ = ("k", "basis", "radius", "gap", "positive_branch", "reach")
+
+    def __init__(self, k: int, basis: IntSet, radius: int, gap: int, positive_branch: bool,
+                 reach: int | None = None) -> None:
+        self._set(k, basis, radius, gap, positive_branch, reach)
 
 
-@dataclass(frozen=True)
-class BasisTrace:
+class BasisTrace(Record):
     """A finished run: stages 1..K in order, plus the policy descriptor."""
 
-    steps: tuple[ConstructionStep, ...]
-    mode: str = ""
+    __match_args__ = ("steps", "mode")
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, steps: tuple[ConstructionStep, ...], mode: str = "") -> None:
+        if not steps:
             raise ValueError("a trace needs at least one stage")
-        for i, step in enumerate(self.steps):
+        for i, step in enumerate(steps):
             if step.k != i + 1:
                 raise ValueError(f"stage indices must run 1..K without gaps; position {i} holds k={quote(step.k)}")
+        self._set(steps, mode)
 
     @property
     def final(self) -> ConstructionStep:
@@ -150,8 +147,7 @@ def _extend(step: ConstructionStep, pair: tuple[int, int], sums: set[int], windo
 # --- growth policies -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Greedy:
+class Greedy(Record):
     """Smallest admissible reach at every stage: reach = radius."""
 
     @property
@@ -162,11 +158,13 @@ class Greedy:
         return step.radius
 
 
-@dataclass(frozen=True)
-class ExplicitReaches:
+class ExplicitReaches(Record):
     """A fixed list of reaches, one per extension, in stage order."""
 
-    values: tuple[int, ...]
+    __match_args__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        self._set(values)
 
     @property
     def descriptor(self) -> str:
@@ -195,8 +193,7 @@ class ThresholdReach:
         return max(step.radius, self.threshold(2 * step.k + 2))
 
 
-@dataclass(frozen=True)
-class ThresholdTable(ThresholdReach):
+class ThresholdTable(ThresholdReach, Record):
     """An explicit {target: least x} table, refused if empty or if x decreases as the target grows.
 
     The table is given as a mapping or as (target, x) pairs, and a target given twice is refused.
@@ -205,10 +202,10 @@ class ThresholdTable(ThresholdReach):
     and a table built from another's `table` equals it.
     """
 
-    table: Mapping[int, int] | tuple[tuple[int, int], ...]
+    __match_args__ = ("table",)
 
-    def __post_init__(self) -> None:
-        pairs = self.table.items() if isinstance(self.table, Mapping) else self.table
+    def __init__(self, table: Mapping[int, int] | tuple[tuple[int, int], ...]) -> None:
+        pairs = table.items() if isinstance(table, Mapping) else table
         entries = tuple(sorted((m, x) for m, x in pairs))
         if not entries:
             raise GrowthConfigError("threshold table is empty: a stage needs an entry for target 4")
@@ -224,7 +221,7 @@ class ThresholdTable(ThresholdReach):
             if x1 < x0:
                 raise GrowthConfigError(f"threshold map decreases: t({quote(m1)})={quote(x1)} "
                                         f"< t({quote(m0)})={quote(x0)}")
-        object.__setattr__(self, "table", entries)
+        self._set(entries)
 
     @property
     def descriptor(self) -> str:
@@ -312,15 +309,14 @@ def _check_budget(scale: float, offset: float) -> None:
         raise ValueError("scale must be positive for an unbounded budget")
 
 
-@dataclass(frozen=True)
-class LogGrowth(ThresholdReach):
+class LogGrowth(ThresholdReach, Record):
     """Budget f(x) = scale * ln(x) + offset, for x >= 1."""
 
-    scale: float = 1.0
-    offset: float = 0.0
+    __match_args__ = ("scale", "offset")
 
-    def __post_init__(self) -> None:
-        _check_budget(self.scale, self.offset)
+    def __init__(self, scale: float = 1.0, offset: float = 0.0) -> None:
+        _check_budget(scale, offset)
+        self._set(scale, offset)
 
     @property
     def descriptor(self) -> str:
@@ -339,21 +335,19 @@ class LogGrowth(ThresholdReach):
         return _least_x(m, self.scale, self.offset, nested=False, shift=0)
 
 
-@dataclass(frozen=True)
-class LogLogGrowth(ThresholdReach):
+class LogLogGrowth(ThresholdReach, Record):
     """Budget f(x) = scale * ln(ln(x + shift)) + offset, for x >= 1.
 
     shift >= 1 keeps the inner log above 0 on the whole domain.
     """
 
-    scale: float = 1.0
-    offset: float = 0.0
-    shift: int = 3
+    __match_args__ = ("scale", "offset", "shift")
 
-    def __post_init__(self) -> None:
-        _check_budget(self.scale, self.offset)
-        if self.shift < 1:
+    def __init__(self, scale: float = 1.0, offset: float = 0.0, shift: int = 3) -> None:
+        _check_budget(scale, offset)
+        if shift < 1:
             raise ValueError("shift must be >= 1 to keep the inner log positive")
+        self._set(scale, offset, shift)
 
     @property
     def descriptor(self) -> str:
@@ -436,7 +430,7 @@ def run_with_growth(policy: GrowthPolicy, k_max: int) -> BasisTrace:
     steps: list[ConstructionStep] = []
     while step.k < k_max:
         reach = policy.reach_for(step)
-        steps.append(replace(step, reach=reach))
+        steps.append(ConstructionStep(step.k, step.basis, step.radius, step.gap, step.positive_branch, reach))
         step = _extend(step, _pair(step, reach), sums, window)  # every stage's sums are unique by induction
     steps.append(step)
     with decimal_io():

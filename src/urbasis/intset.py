@@ -9,26 +9,23 @@ the rest of the package is built on.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
 from .digits import quote
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(Record):
     """Finite set of integers stored as a strictly increasing tuple."""
 
-    elements: tuple[int, ...] = ()
+    __match_args__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        els = self.elements
-        if not isinstance(els, tuple):
-            object.__setattr__(self, "elements", tuple(els))
-            els = self.elements
+    def __init__(self, elements: tuple[int, ...] = ()) -> None:
+        els = elements if isinstance(elements, tuple) else tuple(elements)
         for prev, cur in zip(els, els[1:]):
             if prev >= cur:
                 raise ValueError(f"elements must be strictly increasing: {quote(prev)} then {quote(cur)}")
+        self._set(els)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntSet":

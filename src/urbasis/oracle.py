@@ -45,7 +45,6 @@ one row per check; `urbasis verify` only prints those rows.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, repeat
 from operator import itemgetter
@@ -54,6 +53,7 @@ from typing import Collection, Container, Mapping, Sequence
 from .construction import BasisTrace, ConstructionStep
 from .digits import quote
 from .intset import IntSet
+from .record import Record
 
 _RANGE_SUMS = 16384  # the most pair sums one range of the pass holds, unless all of them are equal
 _RANGE_WORDS = 1 << 17  # the most 64-bit words of digits that one range's sums hold, unless all are equal
@@ -78,8 +78,7 @@ def pairs_for(a: IntSet, n: int) -> list[tuple[int, int]]:
     return _pairs(a.elements, set(a.elements), n)
 
 
-@dataclass(frozen=True)
-class RepReport:
+class RepReport(Record):
     """Pair-sum counts over a window [lo, hi].
 
     `nonzero` holds only sums that occur; zero counts are implicit, which
@@ -87,9 +86,10 @@ class RepReport:
     dense `counts` mapping is built on demand, for small windows only.
     """
 
-    lo: int
-    hi: int
-    nonzero: Mapping[int, int]
+    __match_args__ = ("lo", "hi", "nonzero")
+
+    def __init__(self, lo: int, hi: int, nonzero: Mapping[int, int]) -> None:
+        self._set(lo, hi, nonzero)
 
     def count(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
@@ -134,13 +134,13 @@ def default_window(trace: BasisTrace) -> tuple[int, int]:
     return (-2 * r, 2 * r)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one verification, with a witness when it fails."""
 
-    ok: bool
-    check: str
-    witness: dict | None = None
+    __match_args__ = ("ok", "check", "witness")
+
+    def __init__(self, ok: bool, check: str, witness: dict | None = None) -> None:
+        self._set(ok, check, witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -257,7 +257,7 @@ class _Repeats:
              |n| <= the pass's `near`
     """
 
-    def __init__(self, overlaps_before: int) -> None:  # a plain class: a dataclass adds ~1 ms to each import
+    def __init__(self, overlaps_before: int) -> None:  # not a Record: a pass updates it
         self.overlaps_before = overlaps_before  # overlaps are tracked at the stages below it only
         self.count = 0
         self.least: int | None = None

@@ -15,7 +15,9 @@ distinct integer once per call: `step_rows` keeps one int -> str dict,
 element.  Across calls, the conversions go through `digits`, whose memo
 lets `step_rows` write a long integer that `parse` read in the same
 outermost `decimal_io()` block with the text it was read from; `digits`
-says which texts it records and how it converts long values.
+says which texts it records and how it converts long values.  A row that
+nests the last one, its strings with one new string at each end, parses
+only those two.
 `parse` accepts only the canonical integer text `serialize` writes,
 ASCII `0` or `-?[1-9][0-9]*`, so each integer re-serializes to the same
 digits; JSON spacing, unknown keys, blank lines and CRLF line ends are
@@ -135,6 +137,19 @@ def _rows(raw_lines: Iterable[bytes]) -> Iterator[tuple[int, object]]:
         yield lineno, obj
 
 
+def _elements(raw: list, prev: tuple[list, tuple[int, ...]], lineno: int, ints: dict[str, int]) -> tuple[int, ...]:
+    """The integers a row's element strings spell.
+
+    A nested row is the last row's strings with one new string at each end;
+    only those two are parsed, which is also where a fault in it can lie.
+    """
+    prev_raw, prev_values = prev
+    if len(raw) == len(prev_raw) + 2 and raw[1:-1] == prev_raw:
+        first = _parse_int(raw[0], "element", lineno, ints)
+        return (first, *prev_values, _parse_int(raw[-1], "element", lineno, ints))
+    return tuple(_parse_int(v, "element", lineno, ints) for v in raw)
+
+
 def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
     first = next(rows, None)
     if first is None:
@@ -150,6 +165,7 @@ def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
 
     ints: dict[str, int] = {}  # one int per distinct decimal string in the file
     steps: list[ConstructionStep] = []
+    prev: tuple[list, tuple[int, ...]] = ([], ())  # the last row's element strings and their values
     for lineno, row in rows:
         if not isinstance(row, dict):
             raise TraceFormatError(f"line {lineno}: stage row must be an object")
@@ -161,11 +177,12 @@ def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
         raw = row.get("elements")
         if not isinstance(raw, list) or not raw:
             raise TraceFormatError(f"line {lineno}: elements must be a nonempty list")
-        values = tuple(_parse_int(v, "element", lineno, ints) for v in raw)
+        values = _elements(raw, prev, lineno, ints)
         try:
             basis = IntSet(values)
         except ValueError as e:  # elements out of order
             raise TraceFormatError(f"line {lineno}: {e}") from None
+        prev = raw, values
         branch = row.get("branch")
         if branch not in ("positive", "negative"):
             raise TraceFormatError(f"line {lineno}: branch must be 'positive' or 'negative'")

@@ -1,7 +1,7 @@
 """Density bound predicates: frozen values, exactness, cross-checks."""
 
 import math
-from dataclasses import replace
+from records import replace
 
 import mpmath
 import pytest

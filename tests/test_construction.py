@@ -6,7 +6,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from records import replace
 
 import pytest
 from hypothesis import given, settings

@@ -54,13 +54,14 @@ def test_only_decimal_text_io_names_decimal_io():
 
 # Runs in a fresh interpreter.  Given only the trace and reach-list paths, it runs the commands below but the
 # last, in order, and prints whether mpmath and decimal are loaded after each step.  Given command names after
-# the paths, it runs only those, and prints the loaded modules named dataclasses or urbasis* after each step.
+# the paths, it runs only those, and prints the loaded modules named dataclasses, inspect or urbasis* after each step.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 loaded, modules = {}, {}
 def probe(step):
     loaded[step] = {module: module in sys.modules for module in ("mpmath", "decimal")}
-    modules[step] = sorted(m for m in sys.modules if m == "dataclasses" or m.partition(".")[0] == "urbasis")
+    modules[step] = sorted(m for m in sys.modules
+                           if m in ("dataclasses", "inspect") or m.partition(".")[0] == "urbasis")
 import urbasis
 probe("import urbasis")
 from urbasis.cli import main
@@ -112,7 +113,7 @@ def test_every_tracer_group_resolves_a_callable():
 
 
 def _modules_after(tmp_path, command):
-    """The modules named dataclasses or urbasis* that a fresh interpreter holds after each probe step."""
+    """The modules named dataclasses, inspect or urbasis* that a fresh interpreter holds after each probe step."""
     (tmp_path / "c.txt").write_text("1 4 14\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "t.trace"), str(tmp_path / "c.txt"), command]
@@ -121,8 +122,9 @@ def _modules_after(tmp_path, command):
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """And none loads dataclasses or inspect, which cost ~10 ms to import."""
     cli = {"urbasis", "urbasis.cli", "urbasis.digits"}
-    trace_io = cli | {"dataclasses", "urbasis.construction", "urbasis.intset", "urbasis.tracefile"}
+    trace_io = cli | {"urbasis.construction", "urbasis.intset", "urbasis.record", "urbasis.tracefile"}
     assert _modules_after(tmp_path, "build") == {"import urbasis": {"urbasis"}, "import urbasis.cli": cli,
                                                  "build": trace_io}  # and it writes the trace the others read
     expected = {
@@ -134,7 +136,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "build --c-list": trace_io,
         "build log": trace_io,
     }
-    assert {command: _modules_after(tmp_path, command)[command] for command in expected} == expected
+    loaded = {command: _modules_after(tmp_path, command)[command] for command in expected}
+    assert [command for command, names in loaded.items() if names & {"dataclasses", "inspect"}] == []
+    assert loaded == expected
 
 
 # the public names of the package, by the module that defines each

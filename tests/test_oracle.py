@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
+from records import replace
 
 import pytest
 from hypothesis import given, settings

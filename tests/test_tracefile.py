@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
+from records import replace
 
 import pytest
 from hypothesis import given, settings
@@ -381,6 +383,73 @@ class TestStreamingReader:
         with pytest.raises(TraceFormatError) as refused:
             read_file(str(path))
         assert str(refused.value) == message
+
+
+def _every_element(raw, prev, lineno, ints):
+    # the reader with the nested-row path switched off: every element string of the row is parsed
+    return tuple(tracefile._parse_int(v, "element", lineno, ints) for v in raw)
+
+
+class TestNestedRows:
+    """A row that holds the last row's element strings with one new string at each end parses only those two.
+
+    The values and the first fault of every row are those of parsing every string.
+    """
+
+    @pytest.mark.parametrize("source", ["parse", "read_file"])
+    def test_each_row_decodes_two_element_strings(self, tmp_path, monkeypatch, source):
+        text = serialize(run_greedy(40))
+        path = tmp_path / "t.trace"
+        path.write_text(text, encoding="utf-8")
+        decoded = Counter()
+        parse_int = tracefile._parse_int
+
+        def counted(value, what, lineno, ints):
+            decoded[lineno, what] += 1
+            return parse_int(value, what, lineno, ints)
+        monkeypatch.setattr(tracefile, "_parse_int", counted)
+        trace = tracefile.parse(text) if source == "parse" else read_file(str(path))
+        assert trace == run_greedy(40)
+        elements = {lineno: n for (lineno, what), n in decoded.items() if what == "element"}
+        assert elements == dict.fromkeys(range(2, 42), 2)  # rows 1..40 on lines 2..41
+
+    def test_one_element_edits_give_the_faults_of_a_full_parse(self, tmp_path, monkeypatch):
+        rng = random.Random(27)
+        text = serialize(run_greedy(12))
+        path = tmp_path / "t.trace"
+        outcomes = Counter()
+        for _ in range(300):
+            lines = text.splitlines()
+            lineno = rng.randrange(2, len(lines) + 1)
+            row = json.loads(lines[lineno - 1])
+            elements = row["elements"]
+            middle = [rng.randrange(1, len(elements) - 1)] if len(elements) > 2 else []
+            i = rng.choice([0, len(elements) - 1, *middle])
+            kind = rng.choice(["changed", "number", "dropped"])
+            if kind == "changed":
+                elements[i] = rng.choice([str(int(elements[i]) + rng.choice((-2, -1, 1, 2))),
+                                          rng.choice(["0x", "-0", "+1", " 1", "01", "", "\uff14"])])
+            elif kind == "number":
+                elements[i] = int(elements[i])
+            else:
+                del elements[i]
+            lines[lineno - 1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+            edited = "\n".join(lines) + "\n"
+            path.write_text(edited, encoding="utf-8")
+            nested = _outcome(tracefile.parse, edited), _outcome(read_file, str(path))
+            with monkeypatch.context() as patched:
+                patched.setattr(tracefile, "_elements", _every_element)
+                full = _outcome(tracefile.parse, edited), _outcome(read_file, str(path))
+            assert nested == full, (lineno, i, kind, elements)
+            outcomes[nested[0][1] is None] += 1
+        assert outcomes[True] > 50 and outcomes[False] > 50  # edits the reader refuses, and edits it reads
+
+
+    def test_both_new_strings_bad_reports_the_first(self):
+        def edit(row):
+            row["elements"] = ["a", *row["elements"][1:-1], "b"]
+        with pytest.raises(TraceFormatError, match=r"^line 4: element is not a decimal integer: 'a'$"):
+            parse(edit_rows(serialize(run_greedy(4)), {4: edit}))
 
 
 @pytest.fixture(scope="module")
