@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOME = {name: home for home, names in {
     "bounds": "BoundCheck growth_report log_envelope reach_envelope sqrt_cap",
-    "construction": "BasisTrace ConstructionStep ExplicitReaches Greedy GrowthConfigError GrowthPolicy LogGrowth"
-                    " LogLogGrowth ThresholdReach ThresholdTable extend initial_state parse_budget run_greedy"
-                    " run_with_growth",
+    "construction": "ExplicitReaches Greedy GrowthConfigError GrowthPolicy LogGrowth LogLogGrowth ThresholdReach"
+                    " ThresholdTable extend initial_state parse_budget run_greedy run_with_growth",
     "digits": "DigitLimitError",
     "intset": "IntSet min_abs_missing",
     "oracle": "RepReport Verdict brute_rep_report default_window pairs_for verify_decomposition"
               " verify_gap_growth verify_trace verify_unique_window",
+    "record": "BasisTrace ConstructionStep",
     "tracefile": "TraceFormatError parse read_file serialize write_file",
 }.items() for name in names.split()}
 

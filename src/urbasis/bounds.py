@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .construction import BasisTrace
 from .digits import quote
 from .record import Record
+
+if TYPE_CHECKING:
+    from .record import BasisTrace
 
 _LN3 = math.log(3)
 _LN5 = math.log(5)

@@ -18,7 +18,7 @@ from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str, quote
 
 if TYPE_CHECKING:  # only annotations name these: each command imports the modules it runs, and no others
     from .bounds import BoundCheck
-    from .construction import BasisTrace
+    from .record import BasisTrace
 
 
 class UsageError(Exception):

@@ -10,8 +10,9 @@ desired.  Growth policies encapsulate that choice.
 Only the log and log-log budgets need real arithmetic.  mpmath is imported
 inside the three functions that use it, `_least_x` and the two `value`
 methods, so it loads only when such a budget is inverted or valued; greedy,
-explicit and table builds, and every module that reads a trace, run on
-integers alone.
+explicit and table builds run on integers alone.  The stages are built as
+`record`'s ConstructionStep and BasisTrace, which this module re-exports;
+a command that only reads a trace loads neither this module nor mpmath.
 """
 
 from __future__ import annotations
@@ -26,51 +27,11 @@ if TYPE_CHECKING:
 
 from .digits import DECIMAL_DIGIT_LIMIT, decimal_int, decimal_io, decimal_str, quote
 from .intset import IntSet, min_abs_missing
-from .record import Record
+from .record import BasisTrace, ConstructionStep, Record
 
 
 class GrowthConfigError(ValueError):
     """A growth policy cannot produce a reach for the requested stage."""
-
-
-class ConstructionStep(Record):
-    """One stage of the construction.
-
-    k               stage index, starting at 1
-    basis           the set built so far (2k elements)
-    radius          largest absolute value in basis
-    gap             smallest |n| not yet realized as a pairwise sum
-    positive_branch True when +gap is the missing value (else -gap is)
-    reach           placement scale used to extend this stage; None on a
-                    stage that has not been extended
-    """
-
-    __match_args__ = ("k", "basis", "radius", "gap", "positive_branch", "reach")
-
-    def __init__(self, k: int, basis: IntSet, radius: int, gap: int, positive_branch: bool,
-                 reach: int | None = None) -> None:
-        self._set(k, basis, radius, gap, positive_branch, reach)
-
-
-class BasisTrace(Record):
-    """A finished run: stages 1..K in order, plus the policy descriptor."""
-
-    __match_args__ = ("steps", "mode")
-
-    def __init__(self, steps: tuple[ConstructionStep, ...], mode: str = "") -> None:
-        if not steps:
-            raise ValueError("a trace needs at least one stage")
-        for i, step in enumerate(steps):
-            if step.k != i + 1:
-                raise ValueError(f"stage indices must run 1..K without gaps; position {i} holds k={quote(step.k)}")
-        self._set(steps, mode)
-
-    @property
-    def final(self) -> ConstructionStep:
-        return self.steps[-1]
-
-    def step(self, k: int) -> ConstructionStep:
-        return self.steps[k - 1]
 
 
 def initial_state() -> ConstructionStep:

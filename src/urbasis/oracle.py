@@ -2,12 +2,14 @@
 
 Every check finds pair sums with its own explicit loops rather than
 calling IntSet.self_sumset or min_abs_missing, so agreement between this
-module and the kernel is evidence, not tautology.
+module and the kernel is evidence, not tautology.  At run time it imports
+no kernel module, only `digits` and `record`.
 
 `verify_trace` decides its rows in one pass over the pair sums of the
 trace's last nested stage (`_walk`).  The nested prefix is the longest
 run of stages in which each stage holds every element of the one
-before.  Each of its elements is tagged with the first stage that holds
+before; `_nested_stages` works out once what each of its stages adds.
+Each of its elements is tagged with the first stage that holds
 it, and a pair a + a' (a <= a') is live from the later of its two tags
 on.  The pass (`_repeats`) enumerates the sums one half-open value range
 at a time, each of at most _RANGE_SUMS sums and _RANGE_WORDS words of
@@ -38,8 +40,8 @@ A stage that drops an element ends the nested prefix, and
 failure within the prefix if there is one, and otherwise fail with a
 `not-nested` witness naming that stage.  `radius` and `rep-scan` stay
 exact on every trace, `rep-scan` by a second, untagged pass over the
-final set.  `verify_trace` runs every check in a fixed order and returns
-one row per check; `urbasis verify` only prints those rows.
+final set.  `verify_trace` makes one row per check, in a fixed order,
+from the witnesses `_walk` returns; `urbasis verify` only prints them.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Collection, Container, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Container, Mapping, Sequence
 
-from .construction import BasisTrace, ConstructionStep
 from .digits import quote
-from .intset import IntSet
 from .record import Record
+
+if TYPE_CHECKING:
+    from .intset import IntSet
+    from .record import BasisTrace, ConstructionStep
 
 _RANGE_SUMS = 16384  # the most pair sums one range of the pass holds, unless all of them are equal
 _RANGE_WORDS = 1 << 17  # the most 64-bit words of digits that one range's sums hold, unless all are equal
@@ -155,7 +159,8 @@ def verify_unique_window(trace: BasisTrace) -> Verdict:
     least n by smallest |n|, +n before -n.  On a trace whose stages stop
     nesting, only the nested prefix is read, as the module docstring says.
     """
-    return _walk(trace)[0]["unique-window"]
+    witness = _walk(trace)[0]["unique-window"]
+    return Verdict(witness is None, "unique-window", witness)
 
 
 def _placement(prev: ConstructionStep, nxt: ConstructionStep, added: list[int] | None) -> dict | None:
@@ -202,14 +207,12 @@ def verify_decomposition(prev: ConstructionStep, nxt: ConstructionStep) -> Verdi
     rule, reach below radius) are refused with ValueError rather than
     reported as failures.
     """
-    prev_set = set(prev.basis.elements)
-    nxt_set = set(nxt.basis.elements)
-    added = sorted(nxt_set - prev_set) if prev_set <= nxt_set else None
+    stages = _nested_stages([prev.basis.elements, nxt.basis.elements])
+    added = stages[1][1] if len(stages) == 2 else None
     witness = _placement(prev, nxt, added)
     if witness:
         return Verdict(False, "decomposition", witness)
-    old = prev.basis.elements
-    found = _repeats([((), old), (old, added)], overlaps_before=3)  # stage 2 repeats a sum only across pieces
+    found = _repeats(stages)  # stage 2 repeats a sum only across pieces
     if found.overlap is not None:
         return Verdict(False, "decomposition", _overlap(nxt.basis.elements, added, found.overlap[1], nxt.k))
     return Verdict(True, "decomposition")
@@ -251,14 +254,13 @@ class _Repeats:
     least    the least of those sums by witness order, or None
     second   (stage, n): the least stage at which a sum repeats, and the
              least sum repeated there; None when no sum repeats
-    overlap  (stage, sums): the least tracked stage >= 2 at which an
-             arriving pair meets a sum already met, and every such sum
+    overlap  (stage, sums): the least stage >= 2 at which an arriving
+             pair meets a sum already met, and every such sum
     first    sum -> the first stage that holds it, for the sums with
              |n| <= the pass's `near`
     """
 
-    def __init__(self, overlaps_before: int) -> None:  # not a Record: a pass updates it
-        self.overlaps_before = overlaps_before  # overlaps are tracked at the stages below it only
+    def __init__(self) -> None:  # not a Record: a pass updates it
         self.count = 0
         self.least: int | None = None
         self.second: tuple[int, int] | None = None
@@ -270,11 +272,10 @@ class _Repeats:
         n = min(sums, key=_witness_order)
         if self.second is None or (stage, _witness_order(n)) < (self.second[0], _witness_order(self.second[1])):
             self.second = (stage, n)
-        if 2 <= stage < self.overlaps_before:
-            if self.overlap is None or stage < self.overlap[0]:
-                self.overlap = (stage, set(sums))
-            elif stage == self.overlap[0]:
-                self.overlap[1].update(sums)
+        if stage >= 2 and (self.overlap is None or stage < self.overlap[0]):
+            self.overlap = (stage, set(sums))
+        elif self.overlap is not None and stage == self.overlap[0]:
+            self.overlap[1].update(sums)
 
 
 def _words(e: int, c0: int, c1: int) -> int:
@@ -282,8 +283,7 @@ def _words(e: int, c0: int, c1: int) -> int:
     return (max(e.bit_length(), c0.bit_length(), c1.bit_length()) + 1) // 64 + 1
 
 
-def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None = None,
-             overlaps_before: int = 0) -> _Repeats:
+def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None = None) -> _Repeats:
     """One pass over the pair sums of the last of `stages`, a nested run.
 
     `stages` holds (old, added) per stage: the sorted elements of the stage
@@ -296,11 +296,10 @@ def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None
     of its sums is made, it is split if it holds too many sums, or too many
     words by a bound read from the bit lengths of each segment's element
     and end columns.  Else it reads the slices in stage order, and its
-    `seen` maps each sum to the first stage that holds it.  Overlaps are
-    tracked at the stages below `overlaps_before` only, and `first` at
-    |n| <= `near`, when a near bound is given.
+    `seen` maps each sum to the first stage that holds it.  `first` is
+    kept at |n| <= `near`, when a near bound is given.
     """
-    found = _Repeats(overlaps_before)
+    found = _Repeats()
     heap = []  # (next sum, place in stage order, stage, e, cols, start)
     for s, (old, added) in enumerate(stages, 1):
         for i, e in enumerate(added):
@@ -376,20 +375,19 @@ def _split(segments: list[tuple], ends: list[int], lo: int, hi: int, count: int,
     return list(zip(bounds, bounds[1:]))
 
 
-def _nested_prefix(trace: BasisTrace) -> list[list[int]]:
-    """For each stage of the nested prefix, the sorted elements that arrive there."""
-    added: list[list[int]] = []
-    before: tuple[int, ...] = ()
-    for step in trace.steps:
-        now = step.basis.elements
+def _nested_stages(element_lists: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], list[int]]]:
+    """(old, added) for each stage of the nested prefix of the sorted element lists, as `_repeats` reads them."""
+    stages: list[tuple[Sequence[int], list[int]]] = []
+    before: Sequence[int] = ()
+    for now in element_lists:
         if len(now) == len(before) + 2 and now[1:-1] == before:  # one new element at each end
-            added.append([now[0], now[-1]])
+            stages.append((before, [now[0], now[-1]]))
         elif set(before) <= set(now):
-            added.append(sorted(set(now).difference(before)))
+            stages.append((before, sorted(set(now).difference(before))))
         else:
             break
         before = now
-    return added
+    return stages
 
 
 def _overlap(elements: tuple[int, ...], pair: list[int], sums: Collection[int], stage: int) -> dict:
@@ -419,21 +417,21 @@ def _overlap(elements: tuple[int, ...], pair: list[int], sums: Collection[int], 
     return {"reason": "overlap", "stage": stage, "n": n, "parts": [_PIECES[p], _PIECES[q]]}
 
 
-def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], int]:
+def _walk(trace: BasisTrace) -> tuple[dict[str, dict | None], int]:
     """Decide every row but `gap-growth` in one tagged pass.
 
-    Returns each check's verdict, keyed by check name (`rep-scan`,
-    `unique-window`, `decomposition`, `radius` and `gap`), and the number
-    of the final set's sums that repeat.
+    Returns each check's witness, None on a pass, keyed by check name in
+    row order (`rep-scan`, `unique-window`, `decomposition`, `radius` and
+    `gap`), and the number of the final set's sums that repeat.
     """
     steps = trace.steps
-    added = _nested_prefix(trace)
-    nested = len(added)
+    stages = _nested_stages([step.basis.elements for step in steps])
+    nested = len(stages)
 
     decomposition, placed_before = None, len(steps) + 1
     for prev, nxt in zip(steps, steps[1:]):
         try:
-            decomposition = _placement(prev, nxt, added[nxt.k - 1] if nxt.k <= nested else None)
+            decomposition = _placement(prev, nxt, stages[nxt.k - 1][1] if nxt.k <= nested else None)
         except ValueError as e:
             decomposition = {"refused": str(e), "stage": nxt.k}
         if decomposition:
@@ -441,11 +439,10 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], int]:
             break
 
     m = len(steps[nested - 1].basis)
-    stages = [(steps[s - 2].basis.elements if s > 1 else (), new) for s, new in enumerate(added, 1)]
-    found = _repeats(stages, near=m * (m + 1) // 4 + 1, overlaps_before=placed_before)
-    if found.overlap is not None:  # tracked only at stages before the first failed placement
+    found = _repeats(stages, near=m * (m + 1) // 4 + 1)
+    if found.overlap is not None and found.overlap[0] < placed_before:  # the least overlap decides if any does
         s, sums = found.overlap
-        decomposition = _overlap(steps[s - 1].basis.elements, added[s - 1], sums, s)
+        decomposition = _overlap(steps[s - 1].basis.elements, stages[s - 1][1], sums, s)
     if decomposition is None and trace.final.reach is not None:  # no stage follows to place its pair
         decomposition = {"reason": "final-reach", "stage": trace.final.k, "recorded": trace.final.reach}
 
@@ -486,7 +483,7 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], int]:
     if nested < len(steps):
         unique = unique or {"reason": "not-nested", "stage": nested + 1}
         gap = gap or {"reason": "not-nested", "stage": nested + 1}
-        found = _repeats([((), list(trace.final.basis.elements))])
+        found = _repeats(_nested_stages([trace.final.basis.elements]))
 
     rep_scan = None
     if found.least is not None:  # every pair sum of the final set lies in its default window
@@ -502,11 +499,7 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, Verdict], int]:
 
     witnesses = {"rep-scan": rep_scan, "unique-window": unique, "decomposition": decomposition,
                  "radius": radius, "gap": gap}
-    return {check: Verdict(w is None, check, w) for check, w in witnesses.items()}, found.count
-
-
-def _verdict_row(v: Verdict) -> dict:
-    return {"name": v.check, "ok": v.ok, "witness": v.witness}
+    return witnesses, found.count
 
 
 def verify_trace(trace: BasisTrace) -> list[dict]:
@@ -523,13 +516,11 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     One tagged pass over the last nested stage's pair sums feeds every
     check but `gap-growth`.
     """
-    verdicts, violations = _walk(trace)
-    rows = [
-        {**_verdict_row(verdicts["rep-scan"]), "window": list(default_window(trace)), "violations": violations},
-        _verdict_row(verdicts["unique-window"]),
-        {**_verdict_row(verdicts["decomposition"]), "pairs": len(trace.steps) - 1},
-    ]
+    witnesses, violations = _walk(trace)
+    rows = [{"name": check, "ok": w is None, "witness": w} for check, w in witnesses.items()]
+    rows[0].update(window=list(default_window(trace)), violations=violations)
+    rows[2]["pairs"] = len(trace.steps) - 1
     if len(trace.steps) >= 2:
-        rows.append(_verdict_row(verify_gap_growth(trace)))
-    rows.extend(_verdict_row(verdicts[check]) for check in ("radius", "gap"))
+        growth = verify_gap_growth(trace)
+        rows.insert(3, {"name": growth.check, "ok": growth.ok, "witness": growth.witness})
     return rows

@@ -41,9 +41,9 @@ import json
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .construction import BasisTrace, ConstructionStep
 from .digits import canonical_int, decimal_io, decimal_str, quote
 from .intset import IntSet
+from .record import BasisTrace, ConstructionStep
 
 FORMAT_NAME = "urbasis-trace"
 FORMAT_VERSION = "1"

@@ -1,4 +1,5 @@
 """Package layering: no module reaches into another module's private names,
+the oracle and the bounds import no kernel module at run time,
 only a log or log-log budget loads mpmath, no command on small integers loads decimal,
 each command loads only the modules it runs, the lazily loaded package keeps its
 public names, and every span group of the benchmark's tracer still finds a name to wrap."""
@@ -7,6 +8,7 @@ import ast
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,46 @@ def _private_imports(path):
 def test_no_module_imports_a_private_name_of_another():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_imports(path)]
     assert offenders == []
+
+
+def _runtime_imports(path):
+    """The package modules a module imports outside `if TYPE_CHECKING:` blocks, without the package prefix."""
+    todo, found = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))], set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+            found.update(name.partition(".")[2] for name in names if name.partition(".")[0] == "urbasis")
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", ["oracle", "bounds"])
+def test_readers_import_only_digits_and_record_at_run_time(module):
+    # the oracle's agreement with the kernel is evidence only while it runs none of the kernel's code
+    assert _runtime_imports(PACKAGE / f"{module}.py") <= {"digits", "record"}
+
+
+# pickle.dumps(initial_state(), protocol=0), written while the class was defined in urbasis.construction
+_OLD_STEP_PICKLE = (
+    b"ccopy_reg\n_reconstructor\np0\n(curbasis.construction\nConstructionStep\np1\nc__builtin__\nobject\np2\n"
+    b"Ntp3\nRp4\n(dp5\nVk\np6\nI1\nsVbasis\np7\ng0\n(curbasis.intset\nIntSet\np8\ng2\nNtp9\nRp10\n(dp11\n"
+    b"Velements\np12\n(I0\nI1\ntp13\nsbsVradius\np14\nI1\nsVgap\np15\nI1\nsVpositive_branch\np16\nI00\n"
+    b"sVreach\np17\nNsb."
+)
+
+
+def test_trace_records_keep_their_construction_names():
+    import urbasis.construction
+    import urbasis.record
+    assert urbasis.construction.BasisTrace is urbasis.record.BasisTrace
+    assert urbasis.construction.ConstructionStep is urbasis.record.ConstructionStep
+    assert pickle.loads(_OLD_STEP_PICKLE) == urbasis.construction.initial_state()
 
 
 def _names(path):
@@ -124,17 +166,18 @@ def _modules_after(tmp_path, command):
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """And none loads dataclasses or inspect, which cost ~10 ms to import."""
     cli = {"urbasis", "urbasis.cli", "urbasis.digits"}
-    trace_io = cli | {"urbasis.construction", "urbasis.intset", "urbasis.record", "urbasis.tracefile"}
+    reader = cli | {"urbasis.intset", "urbasis.record", "urbasis.tracefile"}  # no command that reads loads the builder
+    builder = reader | {"urbasis.construction"}
     assert _modules_after(tmp_path, "build") == {"import urbasis": {"urbasis"}, "import urbasis.cli": cli,
-                                                 "build": trace_io}  # and it writes the trace the others read
+                                                 "build": builder}  # and it writes the trace the others read
     expected = {
-        "verify": trace_io | {"urbasis.oracle"},
-        "verify json": trace_io | {"urbasis.oracle"},
-        "analyze": trace_io | {"urbasis.bounds"},
-        "analyze --rep-window": trace_io | {"urbasis.bounds", "urbasis.oracle"},
-        "export": trace_io,
-        "build --c-list": trace_io,
-        "build log": trace_io,
+        "verify": reader | {"urbasis.oracle"},
+        "verify json": reader | {"urbasis.oracle"},
+        "analyze": reader | {"urbasis.bounds"},
+        "analyze --rep-window": reader | {"urbasis.bounds", "urbasis.oracle"},
+        "export": reader,
+        "build --c-list": builder,
+        "build log": builder,
     }
     loaded = {command: _modules_after(tmp_path, command)[command] for command in expected}
     assert [command for command, names in loaded.items() if names & {"dataclasses", "inspect"}] == []
@@ -145,9 +188,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 PUBLIC = {
     "bounds": ("BoundCheck", "growth_report", "log_envelope", "reach_envelope", "sqrt_cap"),
     "construction": (
-        "BasisTrace", "ConstructionStep", "ExplicitReaches", "Greedy", "GrowthConfigError", "GrowthPolicy",
-        "LogGrowth", "LogLogGrowth", "ThresholdReach", "ThresholdTable", "extend", "initial_state",
-        "parse_budget", "run_greedy", "run_with_growth",
+        "ExplicitReaches", "Greedy", "GrowthConfigError", "GrowthPolicy", "LogGrowth", "LogLogGrowth",
+        "ThresholdReach", "ThresholdTable", "extend", "initial_state", "parse_budget", "run_greedy",
+        "run_with_growth",
     ),
     "digits": ("DigitLimitError",),
     "intset": ("IntSet", "min_abs_missing"),
@@ -155,6 +198,7 @@ PUBLIC = {
         "RepReport", "Verdict", "brute_rep_report", "default_window", "pairs_for", "verify_decomposition",
         "verify_gap_growth", "verify_trace", "verify_unique_window",
     ),
+    "record": ("BasisTrace", "ConstructionStep"),
     "tracefile": ("TraceFormatError", "parse", "read_file", "serialize", "write_file"),
 }
 

@@ -26,7 +26,7 @@ from urbasis import (
     verify_unique_window,
 )
 import urbasis.oracle
-from urbasis.oracle import _nested_prefix, _repeats, verify_trace
+from urbasis.oracle import _nested_stages, _repeats, verify_trace
 
 import reference_oracle
 
@@ -321,7 +321,8 @@ class TestVerifyTrace:
         trace = run_greedy(12)
         if corrupted:  # stages 7-12 hold -12 for -14, so the final set gets an untagged pass of its own
             trace = _corrupt(random.Random(0), trace)
-        assert (len(_nested_prefix(trace)) < 12) is corrupted
+        nested = len(_nested_stages([step.basis.elements for step in trace.steps]))
+        assert (nested < 12) is corrupted
         expected = verify_trace(trace)
         assert expected[0]["ok"] is not corrupted  # the corrupted trace fails rep-scan
         passes = []
@@ -335,7 +336,7 @@ class TestVerifyTrace:
         monkeypatch.setattr(urbasis.oracle, "_repeats", counted)
         monkeypatch.setattr(urbasis.oracle, "brute_rep_report", forbidden)
         assert verify_trace(trace) == expected
-        assert passes == ([len(_nested_prefix(trace)), 1] if corrupted else [12])
+        assert passes == ([nested, 1] if corrupted else [12])
 
     def test_memory_stays_bounded(self):
         trace = run_greedy(320)  # 205,120 pair sums, which a table of every sum held in 26.7 MB
@@ -578,11 +579,10 @@ class TestAgainstReference:
             trace = run_greedy(rng.randint(2, 10))
             for _ in range(rng.randint(1, 3)):
                 trace = _corrupt(rng, trace)
-            added = _nested_prefix(trace)
-            steps = trace.steps[:len(added)]
+            stages = _nested_stages([step.basis.elements for step in trace.steps])
+            steps = trace.steps[:len(stages)]
             assert len(steps) == _nested_length(trace)
-            stages = [(steps[s - 2].basis.elements if s > 1 else (), new) for s, new in enumerate(added, 1)]
-            found = _repeats(stages, near=near, overlaps_before=len(steps) + 1)
+            found = _repeats(stages, near=near)
             counts, met, first = {}, [], {}
             for step in steps:  # met: the sums whose count grows to 2 or more at the stage
                 before, counts = counts, reference_oracle._pair_counts(step.basis.elements)
