@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator
 
 from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str, quote
@@ -198,10 +198,10 @@ def _json_steps(trace: BasisTrace) -> Iterator[str]:
 
     Every integer is converted before this returns, as in trace_lines.
     """
-    from .tracefile import step_rows
-    rows = step_rows(trace.steps)
+    from .tracefile import joined_rows, step_rows
+    rows = joined_rows(step_rows(trace.steps), (", ", ": "))
     head = '{"mode": ' + json.dumps(trace.mode) + ', "steps": ['
-    body = ((", " if i else "") + json.dumps(row, sort_keys=True) for i, row in enumerate(rows))
+    body = islice(chain.from_iterable((", ", row) for row in rows), 1, None)  # no separator before the first
     return chain([head], body, ["]}\n"])
 
 

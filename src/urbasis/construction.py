@@ -100,7 +100,7 @@ def _extend(step: ConstructionStep, pair: tuple[int, int], sums: set[int], windo
     if not sums.isdisjoint(new) or (min(-e1, e2) == 3 * d and d in step.basis and -d in step.basis):
         raise RuntimeError(f"extension of stage {quote(step.k)} collided two pairwise sums")
     sums.update(new)
-    basis = IntSet((e1,) + old + (e2,))
+    basis = step.basis.with_ends(e1, e2)
     gap, positive = min_abs_missing(sums, step.gap)  # the sums only grow: resume at the old gap
     return ConstructionStep(k=step.k + 1, basis=basis, radius=max(-e1, e2), gap=gap, positive_branch=positive)
 

@@ -20,8 +20,7 @@ so Python's Karatsuba multiplication sets the cost.  `decimal_str` writes
 an integer of more than _WRITE_CUTOFF bits by splitting it at the bit
 widths _WRITE_SPLIT * 2**j and joining the parts in the stdlib `decimal`
 module, whose multiplication is subquadratic and whose str() is linear,
-in an exact context that traps Inexact.  `decimal` is imported only
-there, so builds of small integers never load it.  The tables of powers
+in an exact context that traps Inexact.  The tables of powers
 (5**w for reading, the Decimal 2**w for writing) are built by squaring,
 each power when first needed.  Shorter values go to int() and str()
 directly, and so does every value from Python 3.12 on, whose int()
@@ -35,16 +34,29 @@ its integer, and a later conversion of either one, in either direction,
 is a lookup, as is writing the integer's negation.  A text read from a
 file or a reach list is then not converted back when it is written:
 `build` writes the reach-list texts, and `export` and `analyze` the
-texts of the trace they read.  A long integer twice a recorded one, of
-either sign, is written by doubling its text, in linear time.  Only
-canonical text (`0` or `-?[1-9][0-9]*`, what str(int) writes) is
-recorded, so `decimal_str` always returns str(n).  `canonical_int` reads
-only canonical text and matches it once; `decimal_int` reads any text
-int() reads.  Shorter texts are not recorded: a memo of every small
-integer pins more memory than it saves time.  The memo and the power
-tables are dropped when the outermost block exits, normally or by an
-exception; outside any block each call converts with tables of its own.
-`quote`, how every error message shows a value, converts no long integer.
+texts of the trace they read.  Only canonical text (`0` or
+`-?[1-9][0-9]*`, what str(int) writes) is recorded, so `decimal_str`
+always returns str(n).  `canonical_int` reads only canonical text and
+matches it once; `decimal_int` reads any text int() reads.  Shorter
+texts are not recorded: a memo of every small integer pins more memory
+than it saves time.  The memo and the power tables are dropped when the
+outermost block exits, normally or by an exception; outside any block
+each call converts with tables of its own.  `quote`, how every error
+message shows a value, converts no long integer.
+
+A new long integer is often a small multiple of a recorded one: a stage
+places its new pair at 3c and 3c + b, where c is the last stage's reach
+and b its gap, and the window bound 2r of `verify --format json` doubles
+a radius.  So, on every interpreter, `decimal_str(n, near=r)` writes an
+integer of more than _WRITE_SPLIT bits whose |n| is q * |r| + s, with
+1 <= q <= 3 and 0 <= s < 2**64, as q times r's recorded text plus s in
+the `decimal` module, in the same exact context, in linear time.  Without
+a hint that fits, r is n / 2 for even n: the q = 2, s = 0 case.  When the
+memo holds neither text, n is converted as above, so the text never
+depends on the hint.  Below _WRITE_SPLIT bits the gain is nil, and
+`decimal` is imported only by these two writers, so builds whose
+integers all stay below it never load it: greedy ones, and log-log
+K = 10, whose radius has 1,296 digits.
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ _MEMO_FLOOR = 500  # shortest text, in characters, that the block memo records
 _SPLITS = sys.version_info < (3, 12)  # later interpreters split long conversions themselves, as fast or faster
 _READ_SPLIT = 1024  # digits: a longer canonical text is read in parts of 1024 * 2**j digits
 _WRITE_CUTOFF = 30_000  # bits: a longer integer is written in parts; a shorter one goes to str()
-_WRITE_SPLIT = 10_000  # bits: the parts are 10_000 * 2**j bits wide, and one this short is not split
+_WRITE_SPLIT = 10_000  # bits: the parts are 10_000 * 2**j bits wide; one this short is neither split nor derived
 
 # the outermost open block's memo: a str key maps to its int, an int key to its text
 _memo: dict | None = None
@@ -199,17 +211,40 @@ def _write_split(n: int, powers: _Powers, context):
     return context.add(context.multiply(high, powers.two(j, context)), low)
 
 
-def _write_decimal(n: int, digits: int, powers: _Powers, half: str | None) -> str:
-    """str(n), joined in the decimal module exactly.  `digits` bounds the digit count of |n|, and so of
-    every value on the way, since each is a bit field of |n| or a power of two below it.  `half`, the
-    text of n / 2 or -n / 2 when the memo holds one, is doubled instead, in linear time."""
+def _exact(digits: int):
+    """A decimal context that holds integers of up to `digits` digits exactly and traps Inexact."""
     import decimal
 
     context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
     context.traps[decimal.Inexact] = True
-    doubled = half and context.multiply(context.create_decimal(half.lstrip("-")), 2)  # |n| = 2 * |half|
-    text = str(doubled or _write_split(abs(n), powers, context))
+    return context
+
+
+def _write_decimal(n: int, digits: int, powers: _Powers) -> str:
+    """str(n), joined in the decimal module exactly.  `digits` bounds the digit count of |n|, and so of
+    every value on the way, since each is a bit field of |n| or a power of two below it."""
+    text = str(_write_split(abs(n), powers, _exact(digits)))
     return "-" + text if n < 0 else text
+
+
+def _derived(n: int, near: int | None, digits: int, memo: dict) -> str | None:
+    """str(n) as q * text(r) + s in the decimal module, in linear time, where q, s = divmod(|n|, |r|) with
+    1 <= q <= 3 and 0 <= s < 2**64, and the memo holds the text of r or -r.  r is `near`, then n / 2 for
+    even n; None when neither fits.  `digits` bounds the digit count of |n|, and so of every value on the way."""
+    size = abs(n)
+    for r in (near, None if n & 1 else n >> 1):
+        if not r or not 0 <= size.bit_length() - r.bit_length() <= 2:  # |n| >= 4|r| would need q >= 4
+            continue
+        q, s = divmod(size, abs(r))
+        if not 1 <= q <= 3 or s >> 64:
+            continue
+        text = memo.get(r) or memo.get(-r)
+        if text is None:
+            continue
+        context = _exact(digits)
+        joined = str(context.add(context.multiply(context.create_decimal(text.lstrip("-")), q), s))
+        return "-" + joined if n < 0 else joined
+    return None
 
 
 def canonical_int(text: str, what: str) -> int | None:
@@ -256,8 +291,12 @@ def decimal_int(text: str, what: str) -> int:
     return _convert(text, what) if n is None else n
 
 
-def decimal_str(n: int) -> str:
-    """str(n), raising DigitLimitError for a value past the limit.  Callers run inside decimal_io()."""
+def decimal_str(n: int, near: int | None = None) -> str:
+    """str(n), raising DigitLimitError for a value past the limit.  Callers run inside decimal_io().
+
+    `near` is a hint: a value whose text the memo may hold, and which n is one to three times plus a
+    small remainder.  Then n is written from that text (see _derived); the text does not depend on it.
+    """
     memo = _memo
     if memo is not None:
         text = memo.get(n)
@@ -270,11 +309,10 @@ def decimal_str(n: int) -> str:
     limit = sys.get_int_max_str_digits()
     if limit and low >= limit and _digit_count(n) > limit:
         raise _limit_error("an integer")
-    if _SPLITS and n.bit_length() > _WRITE_CUTOFF:
-        half = None if memo is None or n & 1 else memo.get(n >> 1) or memo.get(-(n >> 1))  # r's text for n = ±2r
-        text = _write_decimal(n, low + 1, _powers or _Powers(), half)
-    else:
-        text = str(n)
+    bits = n.bit_length()
+    text = _derived(n, near, low + 1, memo) if memo is not None and bits > _WRITE_SPLIT else None
+    if text is None:
+        text = _write_decimal(n, low + 1, _powers or _Powers()) if _SPLITS and bits > _WRITE_CUTOFF else str(n)
     if memo is not None and len(text) >= _MEMO_FLOOR:
         memo[n] = text
         memo[text] = n

@@ -22,15 +22,25 @@ class IntSet(Record):
 
     def __init__(self, elements: tuple[int, ...] = ()) -> None:
         els = elements if isinstance(elements, tuple) else tuple(elements)
-        for prev, cur in zip(els, els[1:]):
-            if prev >= cur:
-                raise ValueError(f"elements must be strictly increasing: {quote(prev)} then {quote(cur)}")
+        _check_increasing(zip(els, els[1:]))
         self._set(els)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntSet":
         """Build from any iterable, sorting and deduplicating."""
         return cls(tuple(sorted(set(values))))
+
+    def with_ends(self, low: int, high: int) -> "IntSet":
+        """This set with `low` below its least element and `high` above its greatest.
+
+        Only the two new elements are compared, and a misplaced one raises the
+        constructor's error for the first pair out of order.
+        """
+        els = self.elements
+        _check_increasing(((low, els[0]), (els[-1], high)) if els else ((low, high),))
+        widened = object.__new__(IntSet)
+        widened._set((low,) + els + (high,))
+        return widened
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -71,6 +81,12 @@ class IntSet(Record):
         if not self.elements:
             raise ValueError("max_abs is undefined for the empty set")
         return max(-self.elements[0], self.elements[-1])
+
+
+def _check_increasing(pairs: Iterable[tuple[int, int]]) -> None:
+    for prev, cur in pairs:
+        if prev >= cur:
+            raise ValueError(f"elements must be strictly increasing: {quote(prev)} then {quote(cur)}")
 
 
 def min_abs_missing(sums: Container[int], start: int = 1) -> tuple[int, bool]:

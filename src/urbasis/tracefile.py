@@ -4,9 +4,14 @@ One JSON object per line: a header, then one row per stage in order.  All
 unbounded integers (elements, d, b, c) travel as decimal strings so no
 consumer needs big-int JSON; the stage index k stays a plain number.
 Serialization is canonical (sorted keys, fixed separators, trailing
-newline), so identical traces produce byte-identical files.  Both
-directions run under the package's decimal digit limit (`digits`); a
-value past it raises DigitLimitError.
+newline), so identical traces produce byte-identical files.  A stage row
+is joined from its texts in sorted-key order (`joined_rows`), to the
+bytes json.dumps writes: every value but k is canonical decimal text or
+a branch word, and none needs escaping.  `export` joins its JSON rows
+the same way with its own separators.  The header, whose mode can need
+escaping, goes through json.dumps.  Both directions run under the
+package's decimal digit limit (`digits`); a value past it raises
+DigitLimitError.
 
 Every v1 row repeats all of its stage's elements, and a long integer costs
 far more to convert than to look up.  So each direction converts each
@@ -15,9 +20,13 @@ distinct integer once per call: `step_rows` keeps one int -> str dict,
 element.  Across calls, the conversions go through `digits`, whose memo
 lets `step_rows` write a long integer that `parse` read in the same
 outermost `decimal_io()` block with the text it was read from; `digits`
-says which texts it records and how it converts long values.  A row that
-nests the last one, its strings with one new string at each end, parses
-only those two.
+says which texts it records and how it converts long values.  A stage's
+new pair lies at 3c and 3c + b, where c is the last stage's reach and b
+its gap, so `step_rows` hands `decimal_str` that reach as the hint: its
+text is recorded by then, and a long new element is written from it in
+linear time.  A row that nests the last one, its strings with one new
+string at each end, parses only those two, and `IntSet.with_ends`
+compares only them with the last row's ends.
 `parse` accepts only the canonical integer text `serialize` writes,
 ASCII `0` or `-?[1-9][0-9]*`, so each integer re-serializes to the same
 digits; JSON spacing, unknown keys, blank lines and CRLF line ends are
@@ -53,24 +62,24 @@ class TraceFormatError(ValueError):
     """The text is not a well-formed trace file."""
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def step_rows(steps: Iterable[ConstructionStep]) -> Iterator[dict]:
     """The stages as trace rows, made as they are taken: k as a number, other integers in decimal.
 
     Each distinct integer is converted to decimal once, before this returns,
     so a value past the digit limit raises here; none is converted when the
-    enclosing decimal_io() block has read its text.
+    enclosing decimal_io() block has read its text.  A stage's new integers
+    are written with the last stage's reach as the hint (digits.decimal_str):
+    its new pair lies at 3c and 3c + b.
     """
     steps = tuple(steps)
     texts: dict[int, str] = {}
     with decimal_io():
+        near = None
         for step in steps:
             for n in chain(step.basis.elements, (step.radius, step.gap, step.reach)):
                 if n is not None and n not in texts:
-                    texts[n] = decimal_str(n)
+                    texts[n] = decimal_str(n, near)
+            near = step.reach
     return (_row(step, texts) for step in steps)
 
 
@@ -82,15 +91,32 @@ def _row(step: ConstructionStep, texts: dict[int, str]) -> dict:
     return row
 
 
+def joined_rows(rows: Iterable[dict], separators: tuple[str, str]) -> Iterator[str]:
+    """json.dumps(row, sort_keys=True, separators=separators) for each row of step_rows, joined from its texts.
+
+    Every value but k is canonical decimal text or a branch word, so none needs escaping.
+    """
+    item, key = separators
+    between = '"' + item + '"'
+    for row in rows:
+        elements = row["elements"]
+        quote = '"' if elements else ""  # an empty list is []
+        reach = f'"c"{key}"{row["c"]}"{item}' if "c" in row else ""
+        # one f-string, so no part of a long row outlives the line it is joined into
+        yield (f'{{"b"{key}"{row["b"]}"{item}"branch"{key}"{row["branch"]}"{item}{reach}"d"{key}"{row["d"]}"{item}'
+               f'"elements"{key}[{quote}{between.join(elements)}{quote}]{item}"k"{key}{json.dumps(row["k"])}}}')
+
+
 def trace_lines(trace: BasisTrace) -> Iterator[str]:
     """The lines of the trace file, each ending in a newline, made as they are taken.
 
     Every integer is converted before this returns, so a value past the
     digit limit raises here and not between lines.
     """
-    rows = step_rows(trace.steps)
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": trace.mode}
-    return (_dump_line(obj) + "\n" for obj in chain([header], rows))
+    rows = joined_rows(step_rows(trace.steps), (",", ":"))
+    header = json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": trace.mode},
+                        sort_keys=True, separators=(",", ":"))
+    return map("{}\n".format, chain([header], rows))  # map holds no line while the next is written
 
 
 def serialize(trace: BasisTrace) -> str:
@@ -137,17 +163,22 @@ def _rows(raw_lines: Iterable[bytes]) -> Iterator[tuple[int, object]]:
         yield lineno, obj
 
 
-def _elements(raw: list, prev: tuple[list, tuple[int, ...]], lineno: int, ints: dict[str, int]) -> tuple[int, ...]:
-    """The integers a row's element strings spell.
+def _elements(raw: list, prev: tuple[list, IntSet], lineno: int, ints: dict[str, int]) -> IntSet:
+    """The set a row's element strings spell, checked to be strictly increasing.
 
     A nested row is the last row's strings with one new string at each end;
-    only those two are parsed, which is also where a fault in it can lie.
+    only those two are parsed and placed, which is also where a fault in it can lie.
     """
-    prev_raw, prev_values = prev
-    if len(raw) == len(prev_raw) + 2 and raw[1:-1] == prev_raw:
-        first = _parse_int(raw[0], "element", lineno, ints)
-        return (first, *prev_values, _parse_int(raw[-1], "element", lineno, ints))
-    return tuple(_parse_int(v, "element", lineno, ints) for v in raw)
+    prev_raw, prev_basis = prev
+    nested = len(raw) == len(prev_raw) + 2 and raw[1:-1] == prev_raw
+    if nested:
+        ends = _parse_int(raw[0], "element", lineno, ints), _parse_int(raw[-1], "element", lineno, ints)
+    else:
+        values = tuple(_parse_int(v, "element", lineno, ints) for v in raw)
+    try:
+        return prev_basis.with_ends(*ends) if nested else IntSet(values)
+    except ValueError as e:  # elements out of order
+        raise TraceFormatError(f"line {lineno}: {e}") from None
 
 
 def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
@@ -165,7 +196,7 @@ def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
 
     ints: dict[str, int] = {}  # one int per distinct decimal string in the file
     steps: list[ConstructionStep] = []
-    prev: tuple[list, tuple[int, ...]] = ([], ())  # the last row's element strings and their values
+    prev: tuple[list, IntSet] = ([], IntSet())  # the last row's element strings and their set
     for lineno, row in rows:
         if not isinstance(row, dict):
             raise TraceFormatError(f"line {lineno}: stage row must be an object")
@@ -177,12 +208,8 @@ def _read_rows(rows: Iterator[tuple[int, object]]) -> BasisTrace:
         raw = row.get("elements")
         if not isinstance(raw, list) or not raw:
             raise TraceFormatError(f"line {lineno}: elements must be a nonempty list")
-        values = _elements(raw, prev, lineno, ints)
-        try:
-            basis = IntSet(values)
-        except ValueError as e:  # elements out of order
-            raise TraceFormatError(f"line {lineno}: {e}") from None
-        prev = raw, values
+        basis = _elements(raw, prev, lineno, ints)
+        prev = raw, basis
         branch = row.get("branch")
         if branch not in ("positive", "negative"):
             raise TraceFormatError(f"line {lineno}: branch must be 'positive' or 'negative'")

@@ -18,9 +18,10 @@ def _dump_line(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def serialize(trace):
+def rows(trace):
+    """The stage rows as dicts, every integer converted with str() on every row."""
     with decimal_io():
-        lines = [_dump_line({"format": "urbasis-trace", "version": "1", "mode": trace.mode})]
+        out = []
         for step in trace.steps:
             row = {
                 "k": step.k,
@@ -31,8 +32,19 @@ def serialize(trace):
             }
             if step.reach is not None:
                 row["c"] = str(step.reach)
-            lines.append(_dump_line(row))
+            out.append(row)
+    return out
+
+
+def dump(mode, stage_rows):
+    """The trace file of a mode and its stage rows."""
+    lines = [_dump_line({"format": "urbasis-trace", "version": "1", "mode": mode})]
+    lines += [_dump_line(row) for row in stage_rows]
     return "\n".join(lines) + "\n"
+
+
+def serialize(trace):
+    return dump(trace.mode, rows(trace))
 
 
 def parse(text):

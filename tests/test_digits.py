@@ -1,7 +1,9 @@
 """The decimal I/O block: its digit limit, its conversion memo and power tables, and the split
 conversions of long values; and how a message quotes a value."""
 
+import builtins
 import os
+import random
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -17,6 +19,7 @@ from urbasis import digits, tracefile
 from urbasis.digits import canonical_int, decimal_int, decimal_io, decimal_str, quote
 from urbasis.tracefile import parse, serialize, step_rows
 
+import reference_codec
 from undecimal import Undecimal
 
 LONG = digits._MEMO_FLOOR + 100  # digits of a value the memo records
@@ -270,6 +273,79 @@ def str_of(n):
         return str(n)
 
 
+def _no_scratch(*args):
+    raise AssertionError("converted from scratch")
+
+
+class TestDerivedFromNear:
+    """decimal_str(n, near=r) writes |n| = q*|r| + s, 1 <= q <= 3, 0 <= s < 2**64, from r's recorded text."""
+
+    SIGNS = [(n, r, recorded) for n in (1, -1) for r in (1, -1) for recorded in (1, -1)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_str_without_converting_from_scratch(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        length = (3_500, 20_000, *(rng.randint(3_500, 20_000) for _ in range(4)))[seed]
+        r_text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(length - 1))
+        sizes = {}
+        with decimal_io():
+            r = canonical_int(r_text, "a reach")
+            for q in (1, 2, 3):
+                for s in (0, 1, 17, 2**64 - 1):
+                    sizes[q, s] = q * r + s, str(q * r + s)
+        monkeypatch.setattr(digits, "_write_decimal", _no_scratch)  # the split writer; Undecimal refuses str()
+        for (q, s), (size, text) in sizes.items():
+            for n_sign, r_sign, recorded_sign in self.SIGNS:
+                with decimal_io():
+                    canonical_int(("-" if recorded_sign < 0 else "") + r_text, "a reach")
+                    n = Undecimal(n_sign * size)
+                    assert decimal_str(n, near=r_sign * r) == ("-" if n_sign < 0 else "") + text, (q, s)
+
+    @pytest.mark.parametrize("case", ["q=4", "q=0", "s=2**64", "r=0", "r-not-recorded"])
+    @mock.patch.object(digits, "_SPLITS", True)  # on every interpreter, so that the fallback is seen
+    def test_a_hint_that_does_not_fit_falls_back(self, monkeypatch, case):
+        r = 7**12_000 + 1  # 33,689 bits, and each n below has more than _WRITE_CUTOFF: the split writer's
+        n, near = {"q=4": (4 * r + 5, r), "q=0": (r // 2 - 1, r), "s=2**64": (3 * r + 2**64, r),
+                   "r=0": (3 * r, 0), "r-not-recorded": (3 * (r + 2) + 1, r + 2)}[case]
+        expected = str_of(n)
+        written = []
+        write_decimal = digits._write_decimal
+        monkeypatch.setattr(digits, "_write_decimal", lambda *args: written.append(args) or write_decimal(*args))
+        for sign in (1, -1):
+            with decimal_io():
+                canonical_int(str_of(r), "a reach")
+                assert decimal_str(sign * n, near=sign * near) == ("-" if sign < 0 else "") + expected
+        assert len(written) == 2
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_no_hint_is_read_up_to_10_000_bits(self, monkeypatch, q):
+        r = 10**2_999  # 9,963 bits; 3r + 1 has 9,965
+        monkeypatch.setattr(digits, "_derived", _no_scratch)
+        with decimal_io():
+            canonical_int(str_of(r), "a reach")
+            assert (q * r + 1).bit_length() <= digits._WRITE_SPLIT
+            assert decimal_str(q * r + 1, near=r) == str_of(q * r + 1)
+
+    @mock.patch.object(digits, "_SPLITS", True)  # on every interpreter
+    def test_step_rows_write_each_new_pair_from_the_last_reach(self, monkeypatch):
+        reaches = tuple(10**e for e in (1, 700, 2_000, 3_500, 5_000, 9_000, 12_000))
+        trace = run_with_growth(ExplicitReaches(reaches), len(reaches) + 1)
+        expected = reference_codec.rows(trace)
+
+        def short_str(value):  # str() of no integer past the derived floor
+            if isinstance(value, int) and value.bit_length() > digits._WRITE_SPLIT:
+                _no_scratch()
+            return builtins.str(value)
+
+        with decimal_io():
+            for c in reaches:  # as `build` reads its --c-list
+                canonical_int(str_of(c), "a reach")
+            monkeypatch.setattr(digits, "_write_decimal", _no_scratch)
+            monkeypatch.setattr(digits, "str", short_str, raising=False)
+            assert list(step_rows(trace.steps)) == expected
+            assert max(len(a.lstrip("-")) for a in expected[-1]["elements"]) == 12_001  # digits of 3 * 10**12_000
+
+
 class TestPowerTables:
     def test_dropped_with_the_outermost_block(self):
         assert digits._powers is None
@@ -298,7 +374,8 @@ class TestPowerTables:
 
 
 def test_small_integers_do_not_load_decimal():
-    """Only an integer past the write cutoff imports the decimal module (from Python 3.12, int() and str() do)."""
+    """Without a recorded text to derive it from, only an integer past the write cutoff imports the decimal module
+    (from Python 3.12, int() and str() do)."""
     code = ("import sys\n"
             "from urbasis.digits import decimal_io, decimal_str, canonical_int\n"
             "with decimal_io():\n"

@@ -38,6 +38,52 @@ class TestConstruction:
         assert len(empty) == 0 and not empty
 
 
+class TestWithEnds:
+    """IntSet.with_ends adds one element at each end, and compares only those two."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=small_sets, low=st.integers(-60, 60), high=st.integers(-60, 60))
+    def test_equals_the_constructor(self, base, low, high):
+        values = (low,) + base.elements + (high,)
+        try:
+            expected = IntSet(values)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as got:
+                base.with_ends(low, high)
+            assert str(got.value) == str(refused)
+        else:
+            assert base.with_ends(low, high) == expected
+
+    @pytest.mark.parametrize("low, high, message", [
+        (-14, 13, "-14 then -14"), (-15, 12, "12 then 12"), (0, 0, "0 then -14"), (-15, 13, None),
+    ])
+    def test_reports_the_first_pair_out_of_order(self, low, high, message):
+        if message is None:
+            assert A3.with_ends(low, high).elements == (-15,) + A3.elements + (13,)
+        else:
+            with pytest.raises(ValueError, match=f"^elements must be strictly increasing: {message}$"):
+                A3.with_ends(low, high)
+
+    def test_on_the_empty_set(self):
+        assert IntSet().with_ends(-1, 1) == IntSet((-1, 1))
+        with pytest.raises(ValueError, match="^elements must be strictly increasing: 1 then 1$"):
+            IntSet().with_ends(1, 1)
+
+    def test_compares_only_the_new_elements(self):
+        compared = []
+
+        class Counted(int):
+            def __ge__(self, other):
+                compared.append((int(self), int(other)))
+                return int(self) >= int(other)
+
+        base = IntSet(tuple(Counted(v) for v in range(-50, 50)))
+        compared.clear()
+        widened = base.with_ends(Counted(-60), Counted(60))
+        assert compared == [(-60, -50), (49, 60)]
+        assert widened.elements == (-60, *range(-50, 50), 60)
+
+
 class TestSumset:
     def test_seed(self):
         assert IntSet((0, 1)).self_sumset().elements == (0, 1, 2)

@@ -1,8 +1,9 @@
 """Package layering: no module reaches into another module's private names,
 the oracle and the bounds import no kernel module at run time,
-only a log or log-log budget loads mpmath, no command on small integers loads decimal,
-each command loads only the modules it runs, the lazily loaded package keeps its
-public names, and every span group of the benchmark's tracer still finds a name to wrap."""
+only a log or log-log budget loads mpmath, no command on small integers loads decimal
+(greedy K=160 and log-log K=10 builds included), each command loads only the modules
+it runs, the lazily loaded package keeps its public names, and every span group of the
+benchmark's tracer still finds a name to wrap."""
 
 import ast
 import importlib.util
@@ -131,7 +132,7 @@ print(json.dumps(modules if only else loaded))
 
 
 def test_only_a_log_budget_loads_mpmath(tmp_path):
-    """And no step, all on small integers, loads decimal: only an integer past 30,000 bits is written through it."""
+    """And no step, all on small integers, loads decimal: only an integer past 10,000 bits is written through it."""
     reaches = tmp_path / "c.txt"
     reaches.write_text("1 4 14\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -141,6 +142,25 @@ def test_only_a_log_budget_loads_mpmath(tmp_path):
     assert len(loaded) == 10
     assert loaded.pop("build log") == {"mpmath": True, "decimal": False}  # mpmath once a budget is inverted
     assert loaded == dict.fromkeys(loaded, {"mpmath": False, "decimal": False})
+
+
+_BUILD_PROBE = """
+import contextlib, io, sys
+from urbasis.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print("decimal" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [["--greedy", "160"], ["--threshold", "loglog,2,4,3", "10"]],
+                         ids=["greedy-160", "loglog-10"])
+def test_builds_below_10_000_bits_do_not_load_decimal(tmp_path, argv):
+    # greedy K=160's radius has 77 digits, loglog,2,4,3 K=10's 1,296: none reaches the derived writer's floor
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    cmd = [sys.executable, "-c", _BUILD_PROBE, "build", *argv, "-o", str(tmp_path / "t.trace")]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False"]
 
 
 def test_every_tracer_group_resolves_a_callable():

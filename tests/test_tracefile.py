@@ -200,6 +200,63 @@ class TestMemoisedCodec:
         assert serialize(trace) == text
 
 
+def replay_shaped_trace(seed):
+    """31 reaches 10**D, D from 1 by seeded steps of 1 to 1000 digits: radii of up to ~15,500 digits."""
+    rng, exponent, reaches = random.Random(seed), 1, []
+    for _ in range(31):
+        reaches.append(10**exponent)
+        exponent += rng.randint(1, 1000)
+    return run_with_growth(ExplicitReaches(tuple(reaches)), 32)
+
+
+JOINED_TRACES = {
+    **{f"greedy-{k}": (lambda k=k: run_greedy(k)) for k in range(1, 41)},
+    "loglog-10": lambda: run_with_growth(LogLogGrowth(2, 4, 3), 10),
+    "replay-3": lambda: replay_shaped_trace(3),
+    "replay-4": lambda: replay_shaped_trace(4),
+    "c-list-200000": lambda: run_with_growth(ExplicitReaches((10**199_999,)), 2),
+    "mode-quote": lambda: replace(run_greedy(3), mode='say "greedy"'),
+    "mode-backslash": lambda: replace(run_greedy(3), mode="C:\\trace\\"),
+    "mode-non-ascii": lambda: replace(run_greedy(3), mode="gr\u00e9edy \u03a3 \U0001d4b7"),
+    "mode-line-separator": lambda: replace(run_greedy(3), mode="one\u2028two\u2029three\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def joined_reference():
+    """name -> (trace, its rows by the reference codec), each made when first asked for."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            trace = JOINED_TRACES[name]()
+            made[name] = trace, reference_codec.rows(trace)
+        return made[name]
+    return get
+
+
+class TestJoinedRows:
+    """Rows are joined from their texts, byte for byte as JSON-encoding them writes them."""
+
+    @pytest.mark.parametrize("name", list(JOINED_TRACES))
+    def test_serialize_matches_the_reference(self, joined_reference, name):
+        trace, rows = joined_reference(name)
+        assert serialize(trace) == reference_codec.dump(trace.mode, rows)  # reference_codec.serialize(trace)
+
+    @pytest.mark.parametrize("name", list(JOINED_TRACES))
+    def test_export_json_matches_json_dumps(self, joined_reference, name):
+        from urbasis.cli import _json_steps
+        trace, rows = joined_reference(name)
+        assert "".join(_json_steps(trace)) == json.dumps({"mode": trace.mode, "steps": rows}, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
+    def test_any_row_as_json_dumps_writes_it(self, separators):
+        rows = [{"k": 1, "elements": [], "d": "1", "b": "1", "branch": "positive"},
+                {"k": True, "elements": ["-9", "0"], "d": "9", "b": "2", "branch": "negative", "c": "12"}]
+        expected = [json.dumps(row, sort_keys=True, separators=separators) for row in rows]
+        assert list(tracefile.joined_rows(rows, separators)) == expected
+
+
 class TestMalformed:
     def test_empty(self):
         with pytest.raises(TraceFormatError):
@@ -386,8 +443,12 @@ class TestStreamingReader:
 
 
 def _every_element(raw, prev, lineno, ints):
-    # the reader with the nested-row path switched off: every element string of the row is parsed
-    return tuple(tracefile._parse_int(v, "element", lineno, ints) for v in raw)
+    # the reader with the nested-row path switched off: every element string of the row is parsed and compared
+    values = tuple(tracefile._parse_int(v, "element", lineno, ints) for v in raw)
+    try:
+        return urbasis.IntSet(values)
+    except ValueError as e:
+        raise TraceFormatError(f"line {lineno}: {e}") from None
 
 
 class TestNestedRows:
