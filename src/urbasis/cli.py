@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterator
 
 from .digits import DigitLimitError, decimal_int, decimal_io, decimal_str, quote
@@ -75,18 +76,28 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-_encode = json.JSONEncoder(allow_nan=False).encode  # made once: json.dumps makes an encoder per call for these options
-
-
 def _json(value) -> str:
-    """json.dumps(value, sort_keys=True, allow_nan=False) for str keys, with every integer written by decimal_str."""
+    """json.dumps(value, sort_keys=True, allow_nan=False) for str keys, with every integer written by decimal_str.
+
+    Scalars are written as json.dumps writes them, without the encoder it makes per call.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
-        return "{" + ", ".join(json.dumps(k) + ": " + _json(v) for k, v in sorted(value.items())) + "}"
+        return "{" + ", ".join(encode_basestring_ascii(k) + ": " + _json(v) for k, v in sorted(value.items())) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_json, value)) + "]"
-    if isinstance(value, int) and not isinstance(value, bool):
+    if value is None:
+        return "null"
+    if value is True or value is False:  # before int, which bool is
+        return "true" if value else "false"
+    if isinstance(value, int):
         return decimal_str(value)
-    return _encode(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -7,12 +7,15 @@ the pair lands is the per-stage "reach"; choosing it as small as possible
 gives logarithmic density, choosing it huge makes the set as sparse as
 desired.  Growth policies encapsulate that choice.
 
-Only the log and log-log budgets need real arithmetic.  mpmath is imported
-inside the three functions that use it, `_least_x` and the two `value`
-methods, so it loads only when such a budget is inverted or valued; greedy,
-explicit and table builds run on integers alone.  The stages are built as
-`record`'s ConstructionStep and BasisTrace, which this module re-exports;
-a command that only reads a trace loads neither this module nor mpmath.
+Only the log and log-log budgets need real arithmetic.  Their inverse,
+`_least_x`, encloses exp on plain integers: the Taylor series of a cut
+argument summed with floors, squared back, and widened by a proved
+relative error bound (`_exp_series` holds the proof), one exp per nesting
+level.  So every build runs on integers alone, and no command loads
+mpmath; the two `value` methods import it to evaluate a budget at a
+point.  The stages are built as `record`'s ConstructionStep and
+BasisTrace, which this module re-exports; a command that only reads a
+trace does not load this module.
 """
 
 from __future__ import annotations
@@ -213,14 +216,21 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
     """Least integer x >= 1 with scale * g(x + shift) + offset >= m, for g = ln or ln(ln).
 
     Since scale > 0 this is x + shift >= E, with E = exp(t), or exp(exp(t))
-    when nested, and t = (m - offset) / scale.  E is enclosed by interval
-    arithmetic at a precision of its own digit count, ln(E) / ln(10), plus
-    guard digits; the least x is exact once both ends of the enclosure give
-    the same max(1, ceil(end) - shift).  Until then the precision doubles,
-    at most _MAX_DOUBLINGS times.
-    """
-    from mpmath import iv, libmp
+    when nested, and t = (m - offset) / scale.  t is taken exactly, as the
+    ratio of integers that the parameters' integer ratios give.  E is
+    enclosed in [L, U] on plain integers (`_exp`), at a relative precision
+    of 2**-bits: E's own digit count, ln(E) / ln(10), plus guard digits, in
+    bits.  The least x is exact once both ends give the same
+    max(1, ceil(end) - shift).  Until then the precision doubles, at most
+    _MAX_DOUBLINGS times.
 
+    Nested, the inner enclosure [a, b] of y = exp(t) carries 2 more bits
+    than y has before its point, so d = b - a <= 2**-bits.  Then exp(a) is
+    enclosed as any exp is, and exp(b) = exp(a) * exp(d) <= U * (1 + 2d),
+    since exp(d) <= 1 + (e - 1) * d on [0, 1] by convexity: one exp per
+    level (`_exp_span`).  Every end is a floor or a ceiling of integer
+    arithmetic, so the enclosure trusts no rounding but Python's own.
+    """
     try:
         t = (m - offset) / scale  # a float estimate, used only to size the precision
     except OverflowError:  # m past float range, where t has m's sign
@@ -235,21 +245,140 @@ def _least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -
         raise GrowthConfigError(
             f"threshold({quote(m)}) has {about} decimal digits, more than the limit of {DECIMAL_DIGIT_LIMIT}"
         )
+    (a, b), (c, d) = scale.as_integer_ratio(), offset.as_integer_ratio()
+    p, q = (m * d - c) * b, a * d  # t = p / q, with q > 0
+    sigma = (q & -q).bit_length() - 1  # q's factor 2**sigma becomes a shift
+    q >>= sigma
     dps = int(digits) + _GUARD_DPS
-    saved = iv.prec
-    try:
-        for _ in range(_MAX_DOUBLINGS + 1):
-            iv.dps = dps
-            e = iv.exp((iv.mpf(m) - offset) / scale)
-            if nested:
-                e = iv.exp(e)
-            lo, hi = (max(1, libmp.to_int(end, libmp.round_ceiling) - shift) for end in e._mpi_)
-            if lo == hi:
-                return lo
-            dps *= 2
-    finally:
-        iv.prec = saved
+    for _ in range(_MAX_DOUBLINGS + 1):
+        bits = dps * 3322 // 1000 + 1  # more than dps digits' worth
+        if nested:
+            low, high, f = _exp_span(*_exp(p, q, sigma, bits + int(ln_e).bit_length() + 2), bits)
+        else:
+            low, high, f = _exp(p, q, sigma, bits)
+        lo, hi = (max(1, _ceil(end, f) - shift) for end in (low, high))
+        if lo == hi:
+            return lo
+        dps *= 2
     raise GrowthConfigError(f"threshold({quote(m)}) is still undecided at {dps // 2} digits of precision")
+
+
+def _ceil(n: int, f: int) -> int:
+    # ceil(n * 2**f)
+    return n << f if f >= 0 else -(-n >> -f)
+
+
+def _exp_span(low: int, high: int, f: int, bits: int) -> tuple[int, int, int]:
+    """(L, U, g) with L * 2**g <= exp(y) <= U * 2**g for y in [low * 2**f, high * 2**f], a span at most 1 wide.
+
+    exp(high * 2**f) = exp(low * 2**f) * exp(d), with d = (high - low) * 2**f, and exp(d) <= 1 + 2d for d <= 1.
+    """
+    if f > 0:
+        low, high, f = low << f, high << f, 0
+    lo, hi, g = _exp(low, 1, -f, bits)
+    return lo, hi + _ceil(2 * (high - low) * hi, f), g
+
+
+def _exp(p: int, q: int, sigma: int, bits: int) -> tuple[int, int, int]:
+    """(L, U, f) with L * 2**f <= exp(p / (q * 2**sigma)) <= U * 2**f, for q >= 1 and sigma >= 0.
+
+    U - L is about L * 2**-bits or less.  exp(0) is exactly 1, and a positive
+    argument goes to `_exp_series`.  A negative one, -a, has exp(-a) =
+    1 / exp(a), divided down for L and up for U; for a >= bits, exp(-a) <
+    e**-bits < 2**-bits, and [0, 2**-bits] encloses it with no exp at all.
+    """
+    if p > 0:
+        return _exp_series(p, q, sigma, bits)
+    if p == 0:
+        return 1, 1, 0
+    if -p >= (bits * q) << sigma:
+        return 0, 1, -bits
+    low, high, f = _exp_series(-p, q, sigma, bits + 2)
+    w = high.bit_length() + bits + 2  # 2**w / high keeps bits + 2 bits
+    return (1 << w) // high, -(-(1 << w) // low), -f - w
+
+
+def _exp_series(p: int, q: int, sigma: int, bits: int) -> tuple[int, int, int]:
+    """(L, U, f) with L * 2**f <= exp(x) <= U * 2**f <= (L + L * 2**-bits + 1) * 2**f, for x = p / (q * 2**sigma) > 0.
+
+    exp(x) = exp(r)**(2**k) for r = x / 2**k < 2**-s, with s >= 1 about the cube
+    root of bits, which balances k squarings against the series' length.
+    The Taylor series of exp(r) is summed in u concurrent sums, one full
+    multiplication per u terms (Smith, Math. Comp. 52, 1989), and the sum
+    squared k times.  An integer N stands for N units of 2**-w.  Every step
+    rounds down and every term left out is positive, so each value is at
+    most the true one; its deficit, true minus computed, is bounded here.
+    Multiplying by r is exact before its one floor: floor(N * p / q) >> (sigma + k).
+
+    1. Power.  r**u is exact, p**u / q**u, while that is short; otherwise
+       it is floor(r * 2**w) raised to u by squares and multiplications with
+       floors.  A step on powers of r <= 1/2 adds at most one unit, or halves
+       the deficit and adds 3/2, so after i steps it is below i + 1: below
+       2u at the end.
+    2. Terms.  T_0 = 2**w, and T_n = floor(T_(n-1) / n), times r**u with a
+       floor when u divides n.  T_n stands for B_n = r**(n - n mod u) / n!.
+       Its deficit c_n <= c_(n-1) / n + 4: 1 for each floor, and at most 2
+       for r**u's deficit, 2u units, on a factor T_(n-1) / n <= 2**w / n with
+       n >= u.  So c_n <= 8 for every n.
+    3. Tail.  The sum stops at the first N with T_N = 0.  Then B_N <= 8
+       units, and the series from r**N / N! on is at most B_N / (1 - r),
+       16 units.  B_n < 2**(s * (u - 1 - n)) for n >= u, so N <= w / s + u.
+    4. Sum.  S_j adds the T_n with n mod u = j, and Horner's rule takes the
+       sum of r**j * S_j in u - 1 multiplications by r, each a floor of at
+       most one unit, while r < 1 shrinks the deficit carried in.  So the
+       sum falls short of exp(r) >= 1 by less than 8N + u + 16 units, a
+       relative error below (8N + u + 16) * 2**-w.
+    5. Squares.  Each squaring keeps the top w + 1 bits, a floor of
+       relative cost below 2**-w, and doubles the relative error before it.
+       After k squarings it is below delta = 2**k * (8N + u + 17) * 2**-w.
+    6. Bounds.  L >= exp(x) * (1 - delta), so exp(x) <= L / (1 - delta)
+       <= L * (1 + 2 delta) = U before its ceiling.  w = bits + k + guard,
+       where the guard bits cover 8N + u + 17 once more by N's bound in 3
+       (w < bits + k + 64), so 2 delta <= 2**-bits.
+    """
+    s = max(1, round(bits ** (1 / 3)))
+    k = max(0, p.bit_length() - q.bit_length() + 1 - sigma + s)  # x < 2**(k - s)
+    sigma += k
+    n_max = (bits + k + 64) // s + 1
+    u = math.isqrt(n_max)  # the sums in 4 cost u multiplications, the terms in 2 n_max / u
+    n_max += u
+    w = bits + k + (8 * n_max + u + 17).bit_length() + 1
+    if u * (p.bit_length() + q.bit_length()) <= w:
+        pu, qu, su = p**u, q**u, sigma * u
+    else:
+        r = p << w
+        if q != 1:
+            r //= q
+        r >>= sigma
+        pu, qu, su = r, 1, w
+        for bit in bin(u)[3:]:
+            pu = pu * pu >> w
+            if bit == "1":
+                pu = pu * r >> w
+    sums = [0] * u
+    term, n = 1 << w, 0
+    while term:
+        sums[n % u] += term
+        n += 1
+        term //= n
+        if n % u == 0:
+            term *= pu
+            if qu != 1:
+                term //= qu
+            term >>= su
+    h = sums[-1]
+    for partial in reversed(sums[:-1]):
+        h *= p
+        if q != 1:
+            h //= q
+        h = (h >> sigma) + partial
+    f = -w
+    for _ in range(k):
+        h *= h
+        cut = h.bit_length() - w - 1
+        h >>= cut
+        f = 2 * f + cut
+    return h, h + (h * (8 * n + u + 17) >> (w - k - 1)) + 1, f
 
 
 def _shortest(v: float) -> str:

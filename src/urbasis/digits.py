@@ -251,7 +251,8 @@ def canonical_int(text: str, what: str) -> int | None:
     """The integer that canonical decimal text spells, or None for any other text.
 
     The text is matched against CANONICAL_DECIMAL once, and not at all when
-    the memo holds it, since the memo holds only canonical text.  Raises
+    the memo holds it or its negation, since the memo holds only canonical
+    text; a text whose negation it holds is recorded, not converted.  Raises
     DigitLimitError that names `what` for a value past the limit.  Callers
     run inside decimal_io().
     """
@@ -260,6 +261,14 @@ def canonical_int(text: str, what: str) -> int | None:
         n = memo.get(text)
         if n is not None:
             return n
+        if len(text) >= _MEMO_FLOOR:  # the memo may hold the text of -n, as decimal_str reads it
+            negative = text[0] == "-"
+            n = memo.get(text[1:] if negative else "-" + text)
+            if n is not None and (n > 0) is negative:  # never a doubled sign
+                n = -n
+                memo[text] = n
+                memo[n] = text
+                return n
     if not CANONICAL_DECIMAL.fullmatch(text):
         return None
     negative = text[0] == "-"

@@ -1,5 +1,6 @@
 """Staged construction: worked stages, drivers, growth policies."""
 
+import hashlib
 import math
 import random
 import re
@@ -9,7 +10,7 @@ from collections import Counter
 from records import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from urbasis import (
@@ -34,6 +35,7 @@ from urbasis import (
 from urbasis import DigitLimitError, construction
 from urbasis.digits import decimal_io
 
+import reference_budget
 import reference_kernel
 from budget_check import budget_at_least
 from undecimal import Undecimal
@@ -511,10 +513,19 @@ class TestBudgetFamilies:
         assert family.threshold(-(10**400)) == 1
 
     def test_undecided_threshold_raises(self, monkeypatch):
-        # a 1295-digit answer at 5, 10, ..., 80 digits of precision stays undecided
+        # a 1295-digit answer at 4, 8, ..., 64 digits of precision stays undecided: one enclosure per precision
+        spans = []
+        exp_span = construction._exp_span
+
+        def counted(*args):
+            spans.append(args[-1])
+            return exp_span(*args)
+
         monkeypatch.setattr(construction, "_GUARD_DPS", -1290)
-        with pytest.raises(GrowthConfigError, match="undecided"):
+        monkeypatch.setattr(construction, "_exp_span", counted)
+        with pytest.raises(GrowthConfigError, match=r"^threshold\(20\) is still undecided at 64 digits of precision$"):
             LogLogGrowth(2, 4, 3).threshold(20)
+        assert spans == [14, 27, 54, 107, 213]  # bits for 4, 8, 16, 32 and 64 digits
 
     def test_budget_respected_on_run(self):
         f = LogLogGrowth(2, 4, 3)
@@ -562,6 +573,117 @@ class TestBudgetFamilies:
             LogLogGrowth(2, 4, 0)
         with pytest.raises(ValueError):
             LogLogGrowth(2, 4, 3).value(0)
+
+
+# loglog,2,4,3's threshold(m) as (decimal digits, SHA-256 of the text), recorded from the interval inversion that
+# reference_budget keeps; tier-1 checks m <= 26, and the CI smoke m = 27 and 28, which take seconds
+LOGLOG_2_4_3_THRESHOLDS = {
+    4: (1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    5: (1, "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce"),
+    6: (2, "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"),
+    7: (2, "434c9b5ae514646bbd91b50032ca579efec8f22bf0b4aac12e65997c418e0dd6"),
+    8: (4, "ee09198e46224875cf39928511ef2b855895c43ee86d1de894ee82bc7c990afa"),
+    9: (6, "7a0a102f3678c83d1b549d7e6c52594f499f4d0b393a942caf1305cb6b3a53f9"),
+    10: (9, "bdaf42ad74305e4809bd5d8fd21538c664f0a2a713a3e94bd3d7b4b0f3b619cc"),
+    11: (15, "f31a256e8942d31ead5926b3a6d0d400ab332d164ef996edcc3bdf33e417d833"),
+    12: (24, "bf7c051fe5b87e345df849311aff823bc26e5b26b7106ef092cae54e2ea1627c"),
+    13: (40, "2af31744dd2fe950c9d0e57361ab8dd494b014e2efe54ddfcd638e10b5b5294e"),
+    14: (65, "ed9f702d1c77d4d8e46c730b33da514fd05ee5ab7502491b1fa0564c0b311a63"),
+    15: (107, "d95fb0b70d083941d9b5452f2b5e3230f00cac09c04aacba45cd1de0ac52aa88"),
+    16: (176, "a66caa6aaedd5259ad8a9f66faa41f538e1eb468243f25785930ce98a57281e9"),
+    17: (289, "512cc158a148f1268577c6b91f20351773e1b2ba42d385e4774771e23172dd36"),
+    18: (477, "1cc62d242a134394bd0d20ed90478671e9a1515e1efc6c67d641cf2f1c000638"),
+    19: (786, "01505c021ffe55691591f5bd0a7b32e9b30504f715ae400ff0fa1f7306d8af72"),
+    20: (1295, "e64a2f96b7132c969122476f2a29db428b2a47bc182c50903685bcd87185ba16"),
+    21: (2135, "01ed68a36b18f360f1d486f6d63f8fd2e80fc146d27c3e1755df677c929daf68"),
+    22: (3520, "8e45fa935329aa19912f3927e59b17e7ff6014e15ff9c0cbf7c31f87754d2687"),
+    23: (5803, "77397f3b0f8765c3407ed4f4f42620f8834cbc1e97e57e4ad640c6813a6bc48c"),
+    24: (9566, "07e148ae342e147bbdd2db080ddd34aedc5b89aa4d141b53bd2a36c76a189197"),
+    25: (15772, "ce34ec2847e256e4ead9359c1175dd35058ada37e20601fcbdd508de72a79f0a"),
+    26: (26004, "207dce1212c52983f42ef9e90d5794fb2727559aa1fde011e1459be08d2b0cfc"),
+    27: (42872, "ae7d4fbcf565aa776a1bff5fc3971e10363e151a1e80d23330d9d72676404afa"),
+    28: (70684, "347a2c7ac81349860f1c37cd50d410b5f16adcbb368c9f7a96e3db9ee9550fb5"),
+}
+
+
+@pytest.mark.parametrize("m", [m for m in LOGLOG_2_4_3_THRESHOLDS if m <= 26])
+def test_loglog_thresholds_as_recorded(m):
+    x = LogLogGrowth(2, 4, 3).threshold(m)
+    with decimal_io():
+        text = str(x)
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == LOGLOG_2_4_3_THRESHOLDS[m]
+
+
+def _threshold_or_refusal(invert, *args, **kwargs):
+    try:
+        return invert(*args, **kwargs)
+    except GrowthConfigError as e:
+        return str(e)
+
+
+@st.composite
+def inversions(draw):
+    """(m, scale, offset, nested, shift) for a threshold of at most ~5,000 digits, or a target below the offset."""
+    nested = draw(st.booleans())
+    scale = draw(st.floats(0.05, 40) | st.integers(1, 40))
+    offset = draw(st.floats(-40, 40) | st.integers(-40, 40))
+    digits = draw(st.integers(-50, 5000))  # about E's digit count, or t = digits / 5 < 0
+    ln_e = (digits + 0.5) * math.log(10)
+    t = digits / 5 if digits < 0 else math.log(ln_e) if nested else ln_e
+    m = math.floor(offset + scale * t)  # (m - offset) / scale <= t
+    return m, scale, offset, nested, draw(st.integers(1, 5)) if nested else 0
+
+
+class TestIntegerInversion:
+    """The integer enclosure of exp against the interval inversion it replaced, and against mpmath."""
+
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None)
+    @given(inversions())
+    @example((4, 1.0, 4.0, False, 0))  # t = 0, so E = 1 exactly
+    @example((4, 2, 4, True, 1))  # t = 0, E = e: int scale and offset
+    @example((4, 4.0, 5.0, True, 1))  # t = -1/4: E = exp(exp(-1/4)) > 2, so x = 2
+    @example((4, 8.0, 7.0, True, 1))  # t = -3/8: E < 2, so x = 1
+    @example((4, 2.0, 30.0, True, 3))  # t = -13
+    @example((10, 1.5, 4.0, True, 1))  # t = 4: a scale that is no power of two
+    @example((20, 3, 1, False, 0))  # t = 19/3
+    @example((-(10**400), 1.0, 0.0, False, 0))  # m past float range: x = 1
+    @example((-(10**400), 2.0, 4.0, True, 1))
+    @example((10**400, 1e300, 0.0, False, 0))  # refused: too many digits
+    @example((60, 2.0, 4.0, True, 3))
+    def test_thresholds_equal_the_interval_inversion(self, case):
+        m, scale, offset, nested, shift = case
+        expected = _threshold_or_refusal(reference_budget.least_x, m, scale, offset, nested=nested, shift=shift)
+        assert _threshold_or_refusal(construction._least_x, m, scale, offset, nested=nested, shift=shift) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**200), st.integers(1, 10**30), st.integers(-300, 11), st.integers(1, 2000))
+    def test_exp_series_encloses_exp(self, p, q, magnitude, bits):
+        """L <= exp(x) <= U <= L * (1 + 2**-bits) + 1, in units of 2**f, for x = p / (q * 2**sigma) < 2**12."""
+        import mpmath
+
+        sigma = max(0, p.bit_length() - q.bit_length() - magnitude)
+        low, high, f = construction._exp_series(p, q, sigma, bits)
+        with mpmath.workprec(bits + 6200):
+            exact = mpmath.exp(mpmath.mpf(p) / q / mpmath.mpf(2) ** sigma) / mpmath.mpf(2) ** f
+        assert low <= exact <= high
+        assert high << bits <= (low << bits) + low + (1 << bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2**100), 2**100), st.integers(1, 10**20), st.integers(-300, 11), st.integers(1, 500),
+           st.integers(0, 2**12), st.integers(0, 2**40))
+    def test_exp_and_its_span_enclose_exp(self, p, q, magnitude, bits, width, fraction):
+        """_exp for any sign, and _exp_span from low to low + width * 2**-12, a span at most 1 wide."""
+        import mpmath
+
+        sigma = max(0, abs(p).bit_length() - q.bit_length() - magnitude)
+        low, high, f = construction._exp(p, q, sigma, bits)
+        span_low, span_high, g = construction._exp_span(fraction, fraction + (width << 28), -40, bits)
+        with mpmath.workprec(bits + 6200):
+            two = mpmath.mpf(2)
+            assert low <= mpmath.exp(mpmath.mpf(p) / q / two**sigma) / two**f <= high
+            assert span_low <= mpmath.exp(fraction / two**40) / two**g
+            assert mpmath.exp((fraction + (width << 28)) / two**40) / two**g <= span_high
 
 
 def _bookkeeping_count(trace, x):

@@ -415,6 +415,19 @@ def test_parse_matches_each_long_text_once(monkeypatch):
     assert len(long_texts) == len(set(long_texts))
 
 
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_text_whose_negation_was_read_is_not_converted(monkeypatch, sign):
+    n = sign * 7**3000  # 2,536 digits
+    text, negated, doubled = str_of(n), str_of(-n), "--" + str_of(abs(n))
+    with decimal_io():
+        assert canonical_int(text, "a value") == n
+        monkeypatch.setattr(digits, "CANONICAL_DECIMAL", None)  # neither matched nor converted
+        assert canonical_int(negated, "a value") == -n
+        assert digits._memo[negated] == -n and digits._memo[-n] is negated  # recorded, as a conversion is
+        monkeypatch.undo()
+        assert canonical_int(doubled, "a value") is None
+
 class TestQuoteIntegers:
     @settings(max_examples=200)
     @given(st.integers(-(10**40 - 1), 10**40 - 1))

@@ -1,6 +1,6 @@
 """Package layering: no module reaches into another module's private names,
 the oracle and the bounds import no kernel module at run time,
-only a log or log-log budget loads mpmath, no command on small integers loads decimal
+no command loads mpmath or fractions, and none on small integers loads decimal
 (greedy K=160 and log-log K=10 builds included), each command loads only the modules
 it runs, the lazily loaded package keeps its public names, and every span group of the
 benchmark's tracer still finds a name to wrap."""
@@ -96,13 +96,14 @@ def test_only_decimal_text_io_names_decimal_io():
 
 
 # Runs in a fresh interpreter.  Given only the trace and reach-list paths, it runs the commands below but the
-# last, in order, and prints whether mpmath and decimal are loaded after each step.  Given command names after
-# the paths, it runs only those, and prints the loaded modules named dataclasses, inspect or urbasis* after each step.
+# last, in order, and prints whether mpmath, decimal and fractions are loaded after each step.  Given command
+# names after the paths, it runs only those, and prints the loaded modules named dataclasses, inspect or
+# urbasis* after each step.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 loaded, modules = {}, {}
 def probe(step):
-    loaded[step] = {module: module in sys.modules for module in ("mpmath", "decimal")}
+    loaded[step] = {module: module in sys.modules for module in ("mpmath", "decimal", "fractions")}
     modules[step] = sorted(m for m in sys.modules
                            if m in ("dataclasses", "inspect") or m.partition(".")[0] == "urbasis")
 import urbasis
@@ -131,8 +132,8 @@ print(json.dumps(modules if only else loaded))
 """
 
 
-def test_only_a_log_budget_loads_mpmath(tmp_path):
-    """And no step, all on small integers, loads decimal: only an integer past 10,000 bits is written through it."""
+def test_no_command_loads_mpmath_decimal_or_fractions(tmp_path):
+    """Budgets invert on plain integers, and only an integer past 10,000 bits is written through decimal."""
     reaches = tmp_path / "c.txt"
     reaches.write_text("1 4 14\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -140,8 +141,7 @@ def test_only_a_log_budget_loads_mpmath(tmp_path):
     out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
     loaded = json.loads(out.stdout)
     assert len(loaded) == 10
-    assert loaded.pop("build log") == {"mpmath": True, "decimal": False}  # mpmath once a budget is inverted
-    assert loaded == dict.fromkeys(loaded, {"mpmath": False, "decimal": False})
+    assert loaded == dict.fromkeys(loaded, {"mpmath": False, "decimal": False, "fractions": False})
 
 
 _BUILD_PROBE = """
@@ -149,18 +149,19 @@ import contextlib, io, sys
 from urbasis.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
-print("decimal" in sys.modules)
+print(*(module in sys.modules for module in ("mpmath", "decimal", "fractions")))
 """
 
 
 @pytest.mark.parametrize("argv", [["--greedy", "160"], ["--threshold", "loglog,2,4,3", "10"]],
                          ids=["greedy-160", "loglog-10"])
 def test_builds_below_10_000_bits_do_not_load_decimal(tmp_path, argv):
-    # greedy K=160's radius has 77 digits, loglog,2,4,3 K=10's 1,296: none reaches the derived writer's floor
+    # greedy K=160's radius has 77 digits, loglog,2,4,3 K=10's 1,296: none reaches the derived writer's floor,
+    # and neither build loads mpmath or fractions
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     cmd = [sys.executable, "-c", _BUILD_PROBE, "build", *argv, "-o", str(tmp_path / "t.trace")]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_every_tracer_group_resolves_a_callable():
