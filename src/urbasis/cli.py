@@ -100,6 +100,20 @@ def _json(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _repr(value) -> str:
+    """repr(value) for the dicts, lists, tuples, strings, integers, None and bools of a witness, with every
+    integer written by decimal_str, so a long one costs linear time."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(_repr(k) + ": " + _repr(v) for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_repr, value)) + "]"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_repr, value)) + ("," if len(value) == 1 else "") + ")"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return decimal_str(value)
+    return repr(value)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import verify_trace
     from .tracefile import read_file
@@ -110,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         for row in rows:
             status = "PASS" if row["ok"] else "FAIL"
-            detail = "" if row["ok"] else f"  witness={row['witness']}"
+            detail = "" if row["ok"] else f"  witness={_repr(row['witness'])}"
             print(f"{status} {row['name']}{detail}")
         print(f"verification: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

@@ -5,18 +5,28 @@ calling IntSet.self_sumset or min_abs_missing, so agreement between this
 module and the kernel is evidence, not tautology.  At run time it imports
 no kernel module, only `digits` and `record`.
 
-`verify_trace` decides its rows in one pass over the pair sums of the
-trace's last nested stage (`_walk`).  The nested prefix is the longest
-run of stages in which each stage holds every element of the one
-before; `_nested_stages` works out once what each of its stages adds.
-Each of its elements is tagged with the first stage that holds
-it, and a pair a + a' (a <= a') is live from the later of its two tags
-on.  The pass (`_repeats`) enumerates the sums one half-open value range
-at a time, each of at most _RANGE_SUMS sums and _RANGE_WORDS words of
-digits unless they are all equal, and within a range in tag order.
-Equal sums fall in the same range, so the first time a sum is met again
-is the stage at which it repeats, and memory stays bounded by one range
-whatever K or the integers' length.  From that pass:
+`verify_trace` decides its rows from one pass over the trace's nested
+prefix (`_walk`): the longest run of stages in which each stage holds
+every element of the one before; `_nested_stages` works out once what
+each of its stages adds.
+
+The pieces pass (`_pieces`) runs first.  Where each stage adds one
+element below the old ones and one above, the stage's sums split into
+picture pieces whose intervals meet only near their ends, so a few
+bisections of the old elements per stage show that no sum repeats; its
+docstring has the proof.  At the first stage it cannot decide that way
+(a stage that adds other than such a pair, pieces that share a sum or
+meet on too many sums, an added pair whose sum lies far from zero), the
+whole prefix goes to the pair-sum pass (`_repeats`), which is also the
+reference the tests compare the pieces pass with.  It makes every pair
+sum: each element of the prefix is tagged with the first stage that
+holds it, and a pair a + a' (a <= a') is live from the later of its two
+tags on.  It enumerates the sums one half-open value range at a time,
+each of at most _RANGE_SUMS sums and _RANGE_WORDS words of digits unless
+they are all equal, and within a range in tag order.  Equal sums fall
+in the same range, so the first time a sum is met again is the stage at
+which it repeats, and memory stays bounded by one range whatever K or
+the integers' length.  From either pass:
 
 - `unique-window` reads the least stage at which a sum repeats, and
   `decomposition` the least stage >= 2 at which an arriving pair meets a
@@ -32,16 +42,18 @@ whatever K or the integers' length.  From that pass:
 `decomposition` also checks each added pair against the branch rule and
 the recorded reach (`_placement`), and `radius` reads each stage's
 largest |a|; both cost O(k) per stage.  `verify_decomposition` checks
-one pair of stages by the same placement and a pass over the two.
-A K-stage trace costs O(K^2) sums in all.
+one pair of stages by the same placement and a pair-sum pass over the
+two.  The pair-sum pass costs a K-stage trace O(K^2) sums; the pieces
+pass O(log K) bisections per stage, and the sums near zero it records.
 
 A stage that drops an element ends the nested prefix, and
 `decomposition` refuses it.  `unique-window` and `gap` then report their
 failure within the prefix if there is one, and otherwise fail with a
 `not-nested` witness naming that stage.  `radius` and `rep-scan` stay
-exact on every trace, `rep-scan` by a second, untagged pass over the
-final set.  `verify_trace` makes one row per check, in a fixed order,
-from the witnesses `_walk` returns; `urbasis verify` only prints them.
+exact on every trace, `rep-scan` by a second, untagged pair-sum pass
+over the final set.  `verify_trace` makes one row per check, in a fixed
+order, from the witnesses `_walk` returns; `urbasis verify` only prints
+them.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ if TYPE_CHECKING:
 _RANGE_SUMS = 16384  # the most pair sums one range of the pass holds, unless all of them are equal
 _RANGE_WORDS = 1 << 17  # the most 64-bit words of digits that one range's sums hold, unless all are equal
 _SAMPLES_PER_RANGE = 16  # sampled sums behind each cut when a range is split
+_MEET_SUMS = 64  # the most sums the pieces pass compares where old + old meets a shifted piece, per stage and side
 
 # the picture pieces of a decomposition, in the order their overlaps are checked
 _PIECES = ("old-sums", "shift-by-first", "shift-by-second", "new-pair-sums")
@@ -244,11 +257,11 @@ def verify_gap_growth(trace: BasisTrace) -> Verdict:
     return Verdict(True, "gap-growth")
 
 
-# --- the tagged pass -------------------------------------------------------
+# --- the passes ------------------------------------------------------------
 
 
 class _Repeats:
-    """What `_repeats` finds among the pair sums of a nested run of stages.
+    """What `_repeats` or `_pieces` finds among the pair sums of a nested run of stages.
 
     count    how many sums have two pairs or more in the last stage
     least    the least of those sums by witness order, or None
@@ -276,6 +289,106 @@ class _Repeats:
             self.overlap = (stage, set(sums))
         elif self.overlap is not None and stage == self.overlap[0]:
             self.overlap[1].update(sums)
+
+
+def _pieces(stages: list[tuple[Sequence[int], Sequence[int]]], near: int) -> _Repeats | None:
+    """What `_repeats(stages, near)` finds on a run in which no stage repeats a sum, read from the picture pieces.
+
+    Returns None, and leaves the run to `_repeats`, at the first stage it
+    cannot decide.  Stage 1 must add two elements e1 < e2.  A later stage,
+    with old elements lo..hi, must add e1 < lo and e2 > hi, and its sums
+    are the pieces P0 = old + old, P1 = e1 + old, P2 = e2 + old and the
+    three sums 2e1, e1 + e2 and 2e2.  It is decided when
+
+    (a) P0 and P1 share no sum on [2lo, e1 + hi], nor P0 and P2 on
+        [e2 + lo, 2hi] (`_meets`, by bisecting old, which gives up past
+        _MEET_SUMS sums on a side), and
+    (b) |e1 + e2| <= near, and none of the stage's new sums with
+        |n| <= near (e1 + e2, 2e1 and 2e2 when near, and the e + a of P1
+        and P2 there, by bisecting old) is in `first` yet; each is then
+        entered with the stage.
+
+    Claim: when every stage is decided, (i) no stage repeats a sum, and
+    (ii) after stage s, `first` holds exactly the sums of stage s with
+    |n| <= near, each mapped to the least stage that holds it.  So
+    `_repeats` would find count 0, no `least`, `second` or `overlap`, and
+    the same `first`, which is what this returns.
+
+    Proof, by induction on s.  Stage 1's sums are 2e1 < e1 + e2 < 2e2,
+    distinct, and `first` starts empty.  At a stage s >= 2, a pair
+    a <= a' of its elements lies in exactly one piece, read from which of
+    e1 and e2 it holds: e1 is the least element, so a pair of e1 and an
+    old element is (e1, a'), and likewise for e2, the greatest.  Within a
+    piece the sums are distinct: in P0 by (i) at s - 1, whose elements
+    are old; in P1 and P2 because a -> e + a is one-to-one; and
+    2e1 < e1 + e2 < 2e2.  So the stage repeats a sum exactly when two
+    pieces share one.  Every pair but (e1, e1) holds an element above e1
+    and none below, so 2e1 lies below every other sum, and 2e2 likewise
+    above.  P1 lies in [e1 + lo, e1 + hi] and P2 in [e2 + lo, e2 + hi],
+    which lie apart, as e1 + hi < lo + hi < e2 + lo; and
+    e1 + hi < e1 + e2 < e2 + lo puts e1 + e2 strictly between them.  P0
+    lies in [2lo, 2hi]; as e1 + lo < 2lo and e1 + hi < 2hi, P0 and P1 can
+    share only sums in [2lo, e1 + hi], and likewise P0 and P2 only in
+    [e2 + lo, 2hi], and (a) finds none there.  Last, e1 + e2 against P0:
+    stage s - 1's sums are P0, so by (ii) at s - 1 `first` holds exactly
+    P0's sums with |n| <= near, and (b) finds e1 + e2 there exactly when
+    it is in P0.  That is (i) at s.  The sums of stage s are P0 and the
+    new sums, which (i) keeps out of P0; the stages nest, so every earlier
+    stage's sums lie in P0, and s is the least stage that holds each new
+    sum, which is (ii) at s.
+
+    The builder's `_extend` trusts the same argument, so this pass is not
+    independent of it the way `_repeats` is; `_repeats` stays the
+    reference the tests compare this pass with.  A stage costs O(log k)
+    bisections of its k old elements, plus the sums it compares in (a)
+    and enters in (b); nothing else of old is read.
+    """
+    first: dict[int, int] = {}
+    for s, (old, added) in enumerate(stages, 1):
+        if len(added) != 2:
+            return None
+        e1, e2 = added
+        if abs(e1 + e2) > near:
+            return None
+        new = [n for n in (2 * e1, e1 + e2, 2 * e2) if -near <= n <= near]
+        if old:
+            lo, hi = old[0], old[-1]
+            if not e1 < lo <= hi < e2:
+                return None
+            if _meets(old, e1, 2 * lo, e1 + hi) or _meets(old, e2, e2 + lo, 2 * hi):
+                return None
+            for e in added:
+                new += map(e.__add__, old[bisect_left(old, -near - e):bisect_right(old, near - e)])
+        for n in new:
+            if n in first:
+                return None
+            first[n] = s
+    found = _Repeats()
+    found.first = first
+    return found
+
+
+def _meets(old: Sequence[int], e: int, lo: int, hi: int) -> bool:
+    """Whether e + old and old + old may share a sum in [lo, hi]: True when they do, or hold more than
+    _MEET_SUMS sums there between them.
+
+    Called with lo = 2 * old[0] or hi = 2 * old[-1], so every a of old from lo - old[-1] to hi / 2 heads
+    a sum of old + old there (a + a, or a + old[-1]), and the loop reads at most _MEET_SUMS + 1 of them.
+    """
+    i, j = bisect_left(old, lo - e), bisect_right(old, hi - e)
+    if i >= j:
+        return False
+    budget = _MEET_SUMS - (j - i)
+    if budget < 0:
+        return True
+    shifted = set(map(e.__add__, old[i:j]))
+    for x in range(bisect_left(old, lo - old[-1]), bisect_right(old, hi // 2)):
+        a = old[x]
+        y, z = bisect_left(old, lo - a, x), bisect_right(old, hi - a, x)
+        budget -= z - y
+        if budget < 0 or not shifted.isdisjoint(map(a.__add__, old[y:z])):
+            return True
+    return False
 
 
 def _words(e: int, c0: int, c1: int) -> int:
@@ -418,7 +531,7 @@ def _overlap(elements: tuple[int, ...], pair: list[int], sums: Collection[int], 
 
 
 def _walk(trace: BasisTrace) -> tuple[dict[str, dict | None], int]:
-    """Decide every row but `gap-growth` in one tagged pass.
+    """Decide every row but `gap-growth` in one pass over the nested prefix: `_pieces`, else `_repeats`.
 
     Returns each check's witness, None on a pass, keyed by check name in
     row order (`rep-scan`, `unique-window`, `decomposition`, `radius` and
@@ -439,7 +552,8 @@ def _walk(trace: BasisTrace) -> tuple[dict[str, dict | None], int]:
             break
 
     m = len(steps[nested - 1].basis)
-    found = _repeats(stages, near=m * (m + 1) // 4 + 1)
+    near = m * (m + 1) // 4 + 1
+    found = _pieces(stages, near) or _repeats(stages, near=near)
     if found.overlap is not None and found.overlap[0] < placed_before:  # the least overlap decides if any does
         s, sums = found.overlap
         decomposition = _overlap(steps[s - 1].basis.elements, stages[s - 1][1], sums, s)
@@ -513,8 +627,8 @@ def verify_trace(trace: BasisTrace) -> list[dict]:
     legal extension fails with a `refused` witness naming the stage, and
     a reach recorded on the final stage with a `final-reach` witness),
     `gap-growth` when there are two stages or more, `radius` and `gap`.
-    One tagged pass over the last nested stage's pair sums feeds every
-    check but `gap-growth`.
+    One pass over the nested prefix feeds every check but `gap-growth`:
+    the pieces pass, or the pair-sum pass where that cannot decide.
     """
     witnesses, violations = _walk(trace)
     rows = [{"name": check, "ok": w is None, "witness": w} for check, w in witnesses.items()]

@@ -150,16 +150,21 @@ def _rows(raw_lines: Iterable[bytes]) -> Iterator[tuple[int, object]]:
     lineno = 0
     for raw in raw_lines:
         try:
-            line = raw.rstrip(b"\r\n").decode("utf-8")
+            line = raw.decode("utf-8")  # CR and LF are ASCII: stripping them first changes no verdict
         except UnicodeDecodeError:
             raise TraceFormatError(f"line {lineno + 1}: not valid UTF-8") from None
-        if not line.strip():
+        if not line or line.isspace():
             continue
         lineno += 1
         try:
-            obj = json.loads(line)
+            obj = json.loads(line)  # JSON skips the CRs and LFs the line ends with
         except json.JSONDecodeError as e:
-            raise TraceFormatError(f"line {lineno}: not valid JSON ({e.msg})") from None
+            msg = e.msg
+            try:  # the message of the line without them: a string cut at the line end is unterminated
+                json.loads(line.rstrip("\r\n"))
+            except json.JSONDecodeError as stripped:
+                msg = stripped.msg
+            raise TraceFormatError(f"line {lineno}: not valid JSON ({msg})") from None
         yield lineno, obj
 
 

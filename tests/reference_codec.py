@@ -5,7 +5,8 @@ distinct integer once per call: `str()` on every element of every row when
 writing, `int()` on every element string when reading.  It shares no code
 with the package's codec beyond the trace classes, and it checks nothing
 but what a well-formed trace needs, so the tests compare the two only on
-traces the builder wrote.
+traces the builder wrote.  `raw_rows` is the package's line reader as it
+was when it stripped each line's end before decoding it.
 """
 
 import json
@@ -62,3 +63,22 @@ def parse(text):
             for row in rows
         )
     return BasisTrace(steps=steps, mode=header["mode"])
+
+
+def raw_rows(raw_lines):
+    """(line number, decoded JSON) for each nonblank byte line, numbered from 1; a fault raises ValueError
+    with the message the package's reader gives."""
+    lineno = 0
+    for raw in raw_lines:
+        try:
+            line = raw.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"line {lineno + 1}: not valid UTF-8") from None
+        if not line.strip():
+            continue
+        lineno += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"line {lineno}: not valid JSON ({e.msg})") from None
+        yield lineno, obj

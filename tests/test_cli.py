@@ -441,6 +441,32 @@ class TestVerify:
         else:
             assert cli._json(value) == expected
 
+    @pytest.mark.parametrize("source", ["greedy12-corrupt", "long-corrupt"])
+    def test_text_witnesses_are_repr_of_the_rows(self, tmp_path, capsys, request, source):
+        """verify prints each failed row's witness as repr prints it, whatever its integers' size."""
+        path = str(tmp_path / "t.trace")
+        trace = long_explicit_trace() if source.startswith("long") else request.getfixturevalue(source.split("-")[0])
+        write_file(trace, path)
+        rewrite_row(path, len(trace.steps), d=str(trace.final.radius + 1))
+        rows = verify_trace(read_file(path))
+        with digits.decimal_io():
+            expected = [f"{'PASS' if row['ok'] else 'FAIL'} {row['name']}"
+                        + ("" if row["ok"] else f"  witness={row['witness']!r}") for row in rows]
+        capsys.readouterr()
+        assert run_cli("verify", path) == 1
+        assert capsys.readouterr().out.splitlines() == expected + ["verification: FAIL"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.text() | st.integers() | st.integers(-(10**700), 10**700),
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=4),
+        max_leaves=12,
+    ))
+    def test_witness_writer_is_repr(self, value):
+        with digits.decimal_io():
+            assert cli._repr(value) == repr(value)
+
 
 class TestAnalyze:
     def test_defaults_pass(self, tmp_path, capsys):

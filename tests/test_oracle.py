@@ -26,7 +26,8 @@ from urbasis import (
     verify_unique_window,
 )
 import urbasis.oracle
-from urbasis.oracle import _nested_stages, _repeats, verify_trace
+from urbasis.cli import _repr
+from urbasis.oracle import _nested_stages, _pieces, _repeats, verify_trace
 
 import reference_oracle
 
@@ -318,28 +319,38 @@ class TestVerifyTrace:
 
     @pytest.mark.parametrize("corrupted", [False, True], ids=["greedy-12", "corrupted"])
     def test_makes_one_tagged_pass(self, monkeypatch, corrupted):
+        # the pieces pass decides the legal nested prefix, so the tagged pass runs only on the final set
+        # of the corrupted trace, whose stages 7-12 hold -12 for -14
         trace = run_greedy(12)
-        if corrupted:  # stages 7-12 hold -12 for -14, so the final set gets an untagged pass of its own
+        if corrupted:
             trace = _corrupt(random.Random(0), trace)
         nested = len(_nested_stages([step.basis.elements for step in trace.steps]))
         assert (nested < 12) is corrupted
         expected = verify_trace(trace)
         assert expected[0]["ok"] is not corrupted  # the corrupted trace fails rep-scan
-        passes = []
+        passes, decided = [], []
 
         def counted(stages, *args, **kwargs):
             passes.append(len(stages))
             return _repeats(stages, *args, **kwargs)
 
+        def recorded(stages, near):
+            found = _pieces(stages, near)
+            decided.append((len(stages), found is not None))
+            return found
+
         def forbidden(*args):
             raise AssertionError("rep-scan recounted the final set")
         monkeypatch.setattr(urbasis.oracle, "_repeats", counted)
+        monkeypatch.setattr(urbasis.oracle, "_pieces", recorded)
         monkeypatch.setattr(urbasis.oracle, "brute_rep_report", forbidden)
         assert verify_trace(trace) == expected
-        assert passes == ([nested, 1] if corrupted else [12])
+        assert decided == [(nested, True)]
+        assert passes == ([1] if corrupted else [])
 
-    def test_memory_stays_bounded(self):
+    def test_memory_stays_bounded(self, monkeypatch):
         trace = run_greedy(320)  # 205,120 pair sums, which a table of every sum held in 26.7 MB
+        monkeypatch.setattr(urbasis.oracle, "_pieces", lambda stages, near: None)  # the pair-sum pass's bound
         tracemalloc.start()
         try:
             assert all(row["ok"] for row in verify_trace(trace))
@@ -348,15 +359,21 @@ class TestVerifyTrace:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
-    def test_memory_stays_bounded_on_long_integers(self):
-        # the benchmark's replay-digits trace (seed 7): its final set's 2,080 sums of up to 15k digits
-        # hold 8.6 MB, which one range of the pass held before a range was bounded in words
-        rng, length, step, reaches = random.Random(7), 1, 0, []
-        for i in range(31):
-            reaches.append(10**length)
-            step = rng.randint(1, 1000) if i % 2 == 0 else 1001 - step
-            length += step
-        trace = run_with_growth(ExplicitReaches(tuple(reaches)), 32)
+    def test_pieces_pass_holds_only_the_sums_near_zero(self):
+        trace = run_greedy(320)  # 70 kB traced, where the pair-sum pass peaks at 1.7 MB
+        tracemalloc.start()
+        try:
+            assert all(row["ok"] for row in verify_trace(trace))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**18
+
+    def test_memory_stays_bounded_on_long_integers(self, monkeypatch):
+        # its final set's 2,080 sums of up to 15k digits hold 8.6 MB, which one range of the pair-sum pass
+        # held before a range was bounded in words
+        trace = _replay_trace(7)
+        monkeypatch.setattr(urbasis.oracle, "_pieces", lambda stages, near: None)
         tracemalloc.start()
         try:
             assert all(row["ok"] for row in verify_trace(trace))
@@ -364,6 +381,16 @@ class TestVerifyTrace:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
+
+
+def _replay_trace(seed):
+    """The benchmark's replay-digits trace: 31 reaches 10**e, whose exponents step by a seeded walk."""
+    rng, length, step, reaches = random.Random(seed), 1, 0, []
+    for i in range(31):
+        reaches.append(10**length)
+        step = rng.randint(1, 1000) if i % 2 == 0 else 1001 - step
+        length += step
+    return run_with_growth(ExplicitReaches(tuple(reaches)), 32)
 
 
 def _explicit_trace(rng, k_max):
@@ -603,6 +630,113 @@ class TestAgainstReference:
         trace = BasisTrace(steps=steps[:2] + (replace(steps[1], k=3),))
         rows = _assert_reference_rows(trace)
         assert rows["decomposition"]["witness"]["refused"].startswith("next stage does not extend")
+
+
+def _nested_trace(rng, k_max):
+    """Nested stages out of a random pair, each adding one element below the last stage's elements and one
+    above, each 1 to 3w + 3 past its end, for w their width.
+
+    The recorded radius is each stage's; the gap and branch are random.
+    """
+    elements = sorted(rng.sample(range(-3, 4), 2))
+    steps = []
+    for k in range(1, k_max + 1):
+        if k > 1:
+            w = elements[-1] - elements[0]
+            low, high = (rng.randint(1, 3 * w + 3) for _ in range(2))
+            elements = [elements[0] - low, *elements, elements[-1] + high]
+        basis = IntSet(tuple(elements))
+        steps.append(ConstructionStep(k=k, basis=basis, radius=basis.max_abs(), gap=rng.randint(1, 2 * k),
+                                      positive_branch=rng.random() < 0.5))
+    return BasisTrace(steps=tuple(steps), mode="corrupt")
+
+
+def _fields(found):
+    return found.count, found.least, found.second, found.overlap, found.first
+
+
+def _near(trace, stages):
+    m = len(trace.steps[len(stages) - 1].basis)
+    return m * (m + 1) // 4 + 1
+
+
+class TestPieces:
+    """The pieces pass, which decides a trace whose stages repeat no sum, against the tagged pass."""
+
+    def test_rows_equal_with_the_pass_forced_off(self, monkeypatch):
+        pieces, decided = urbasis.oracle._pieces, []
+
+        def recorded(stages, near):
+            found = pieces(stages, near)
+            decided.append(found is not None)
+            if found is not None:
+                assert _fields(found) == _fields(_repeats(stages, near=near))
+            return found
+        monkeypatch.setattr(urbasis.oracle, "_pieces", recorded)
+        rng = random.Random(0x91EC)
+        for case in range(2000):
+            if case % 2:
+                trace = run_greedy(rng.randint(1, 14))
+                for _ in range(rng.randint(1, 3)):
+                    trace = _corrupt(rng, trace)
+            else:
+                trace = _nested_trace(rng, rng.randint(1, 14))
+            rows = verify_trace(trace)
+            with monkeypatch.context() as forced_off:
+                forced_off.setattr(urbasis.oracle, "_pieces", lambda stages, near: None)
+                assert verify_trace(trace) == rows
+            for row in rows:  # how `urbasis verify` prints a witness
+                assert _repr(row["witness"]) == repr(row["witness"])
+        assert decided.count(True) >= 500 and decided.count(False) >= 500
+
+    @pytest.mark.parametrize("name", ["greedy-160", "loglog-10", "replay-7"])
+    def test_decides_without_the_tagged_pass(self, monkeypatch, slow10, name):
+        make = {"greedy-160": lambda: run_greedy(160), "loglog-10": lambda: slow10, "replay-7": lambda: _replay_trace(7)}
+        trace = make[name]()
+        stages = _nested_stages([step.basis.elements for step in trace.steps])
+        assert len(stages) == len(trace.steps)
+        assert _fields(_pieces(stages, _near(trace, stages))) == _fields(_repeats(stages, near=_near(trace, stages)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the tagged pass ran")
+        monkeypatch.setattr(urbasis.oracle, "_repeats", forbidden)
+        assert all(row["ok"] for row in verify_trace(trace))
+
+    def _assert_falls_back(self, monkeypatch, trace):
+        """The trace repeats no sum, the pieces pass leaves it to the tagged pass, and the rows are exact."""
+        stages = _nested_stages([step.basis.elements for step in trace.steps])
+        assert len(stages) == len(trace.steps) and _repeats(stages).count == 0
+        assert _pieces(stages, _near(trace, stages)) is None
+        passes = []
+        repeats = urbasis.oracle._repeats
+        monkeypatch.setattr(urbasis.oracle, "_repeats",
+                            lambda stages, **kwargs: passes.append(len(stages)) or repeats(stages, **kwargs))
+        rows = _assert_reference_rows(trace)
+        assert passes == [len(trace.steps)]
+        return rows
+
+    def test_shifted_pieces_that_meet_fall_back(self, monkeypatch):
+        # stage 4 adds 25 and 31, both above stage 3's -14..12: 25 + old lies in [11, 37] and
+        # 31 + old in [17, 43], and no sum repeats
+        steps = run_greedy(3).steps
+        stage4 = replace(steps[2], k=4, basis=IntSet.of(steps[2].basis.elements + (25, 31)))
+        rows = self._assert_falls_back(monkeypatch, BasisTrace(steps=steps + (stage4,), mode="corrupt"))
+        assert rows["unique-window"]["ok"]
+        assert rows["decomposition"]["witness"]["refused"].startswith("added pair [25, 31]")
+
+    def test_meeting_pieces_past_the_budget_fall_back(self, monkeypatch):
+        # three times greedy's stages, whose sums are all 0 mod 3, then a stage that adds e1 = lo - 2 and
+        # e2 = 4 - lo, both 1 mod 3: no sum repeats, but old + old and e1 + old hold more than _MEET_SUMS
+        # sums on [2lo, e1 + hi], where their intervals meet
+        steps = tuple(replace(s, basis=IntSet(tuple(3 * a for a in s.basis.elements)), radius=3 * s.radius)
+                      for s in run_greedy(12).steps)
+        old = steps[-1].basis.elements
+        last = replace(steps[-1], k=13, basis=IntSet((old[0] - 2, *old, 4 - old[0])))
+        trace = BasisTrace(steps=steps + (last,), mode="corrupt")
+        self._assert_falls_back(monkeypatch, trace)
+        stages = _nested_stages([step.basis.elements for step in trace.steps])
+        monkeypatch.setattr(urbasis.oracle, "_MEET_SUMS", 10**6)
+        assert _pieces(stages, _near(trace, stages)) is not None
 
 
 class TestDualRoute:

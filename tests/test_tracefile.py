@@ -1,6 +1,7 @@
 """Trace file format: round-trips, canonical bytes, malformed inputs."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -440,6 +441,43 @@ class TestStreamingReader:
         with pytest.raises(TraceFormatError) as refused:
             read_file(str(path))
         assert str(refused.value) == message
+
+
+def _read_lines(reader, data):
+    """What a line reader yields on the bytes, then its error message if it stops at a fault."""
+    out = []
+    try:
+        out.extend(reader(io.BytesIO(data)))
+    except ValueError as e:  # TraceFormatError is one
+        out.append(str(e))
+    return out
+
+
+class TestRawLines:
+    """The line reader decodes each line with its end, and gives the rows and faults of stripping it first."""
+
+    # JSON, blank and whitespace-only lines (VT, FF, FS, NEL, U+3000), strings cut at the line end, bad UTF-8
+    BODIES = [b'{"k":1}', b'[1, "a"]', b"7", b"", b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(),
+              "\u3000".encode(), " \u3000\x0c ".encode(), b'{"k":"ab', b'"', b'{"a":"\r', b'{"k":1}\xc2\x85',
+              b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b'{"k":1', b"[", b"\r{}"]
+    ENDS = [b"\n", b"\r\n", b"\r\r\n", b"\r", b"\r\r", b""]
+
+    def test_matches_the_reader_that_stripped_first(self):
+        rng = random.Random(0x11E5)
+        faults = set()
+        for _ in range(3000):
+            data = b"".join(rng.choice(self.BODIES) + rng.choice(self.ENDS) for _ in range(rng.randint(1, 5)))
+            expected = _read_lines(reference_codec.raw_rows, data)
+            assert _read_lines(tracefile._rows, data) == expected
+            if expected and isinstance(expected[-1], str):
+                faults.add(expected[-1].split(": ", 1)[1])
+        assert {"not valid UTF-8", "not valid JSON (Unterminated string starting at)",
+                "not valid JSON (Invalid control character at)", "not valid JSON (Extra data)"} <= faults
+
+    @pytest.mark.parametrize("data", [b'{"k":"ab\n', b'{"k":"ab\r\n', b'\n\x0c\r\n{"k":"ab\r\r'])
+    def test_a_string_cut_at_the_line_end_is_unterminated(self, data):
+        with pytest.raises(TraceFormatError, match=r"^line 1: not valid JSON \(Unterminated string starting at\)$"):
+            list(tracefile._rows(io.BytesIO(data)))
 
 
 def _every_element(raw, prev, lineno, ints):
