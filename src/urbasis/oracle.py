@@ -21,12 +21,9 @@ whole prefix goes to the pair-sum pass (`_repeats`), which is also the
 reference the tests compare the pieces pass with.  It makes every pair
 sum: each element of the prefix is tagged with the first stage that
 holds it, and a pair a + a' (a <= a') is live from the later of its two
-tags on.  It enumerates the sums one half-open value range at a time,
-each of at most _RANGE_SUMS sums and _RANGE_WORDS words of digits unless
-they are all equal, and within a range in tag order.  Equal sums fall
-in the same range, so the first time a sum is met again is the stage at
-which it repeats, and memory stays bounded by one range whatever K or
-the integers' length.  From either pass:
+tags on.  One k-way merge of sorted runs of sums reads them in (sum,
+tag) order, so the second pair of each sum names the stage at which it
+repeats, and memory holds one pending sum per run.  From either pass:
 
 - `unique-window` reads the least stage at which a sum repeats, and
   `decomposition` the least stage >= 2 at which an arriving pair meets a
@@ -43,8 +40,9 @@ the integers' length.  From either pass:
 the recorded reach (`_placement`), and `radius` reads each stage's
 largest |a|; both cost O(k) per stage.  `verify_decomposition` checks
 one pair of stages by the same placement and a pair-sum pass over the
-two.  The pair-sum pass costs a K-stage trace O(K^2) sums; the pieces
-pass O(log K) bisections per stage, and the sums near zero it records.
+two.  The pair-sum pass costs a K-stage trace O(K^2) sums, each one
+step of a heap of O(K) runs; the pieces pass O(log K) bisections per
+stage, and the sums near zero it records.
 
 A stage that drops an element ends the nested prefix, and
 `decomposition` refuses it.  `unique-window` and `gap` then report their
@@ -59,8 +57,8 @@ them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heappush
-from itertools import combinations, repeat
+from heapq import merge
+from itertools import combinations, groupby, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Container, Mapping, Sequence
 
@@ -71,9 +69,6 @@ if TYPE_CHECKING:
     from .intset import IntSet
     from .record import BasisTrace, ConstructionStep
 
-_RANGE_SUMS = 16384  # the most pair sums one range of the pass holds, unless all of them are equal
-_RANGE_WORDS = 1 << 17  # the most 64-bit words of digits that one range's sums hold, unless all are equal
-_SAMPLES_PER_RANGE = 16  # sampled sums behind each cut when a range is split
 _MEET_SUMS = 64  # the most sums the pieces pass compares where old + old meets a shifted piece, per stage and side
 
 # the picture pieces of a decomposition, in the order their overlaps are checked
@@ -280,16 +275,6 @@ class _Repeats:
         self.overlap: tuple[int, set[int]] | None = None
         self.first: dict[int, int] = {}
 
-    def meet(self, stage: int, sums: list[int]) -> None:
-        # `sums` arrive at `stage` and were met before, at this stage or an earlier one
-        n = min(sums, key=_witness_order)
-        if self.second is None or (stage, _witness_order(n)) < (self.second[0], _witness_order(self.second[1])):
-            self.second = (stage, n)
-        if stage >= 2 and (self.overlap is None or stage < self.overlap[0]):
-            self.overlap = (stage, set(sums))
-        elif self.overlap is not None and stage == self.overlap[0]:
-            self.overlap[1].update(sums)
-
 
 def _pieces(stages: list[tuple[Sequence[int], Sequence[int]]], near: int) -> _Repeats | None:
     """What `_repeats(stages, near)` finds on a run in which no stage repeats a sum, read from the picture pieces.
@@ -391,101 +376,43 @@ def _meets(old: Sequence[int], e: int, lo: int, hi: int) -> bool:
     return False
 
 
-def _words(e: int, c0: int, c1: int) -> int:
-    # 64-bit words of digits enough for any e + c with c from c0 to c1, read from bit lengths alone
-    return (max(e.bit_length(), c0.bit_length(), c1.bit_length()) + 1) // 64 + 1
-
-
 def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None = None) -> _Repeats:
     """One pass over the pair sums of the last of `stages`, a nested run.
 
     `stages` holds (old, added) per stage: the sorted elements of the stage
     before it, and the sorted elements that arrive.  The pairs are cut into
-    segments, the sums e + c for c in cols[start:] with e an added element
-    and cols either old, or added from e on; so every pair lies in exactly
-    one segment, which carries the pair's stage.  The segments wait in a
-    heap keyed by their next sum, each with its place in stage order.  A
-    value range takes those whose next sum lies below its end.  Before any
-    of its sums is made, it is split if it holds too many sums, or too many
-    words by a bound read from the bit lengths of each segment's element
-    and end columns.  Else it reads the slices in stage order, and its
-    `seen` maps each sum to the first stage that holds it.  `first` is
-    kept at |n| <= `near`, when a near bound is given.
+    runs, the sums e + c for c in old, or in added from e on, with e an
+    added element; so every pair lies in exactly one run, which carries the
+    pair's stage.  Each run is sorted, and one k-way merge reads them all in
+    (sum, stage) order, so each group of equal sums lists the stages of its
+    pairs from the first: the first stage that holds the sum, then each
+    stage at which it is met again.  Memory holds one pending sum per run
+    and one group: O(K) sums for K stages, not the O(K^2) pair sums.
+    `first` is kept at |n| <= `near`, when a near bound is given.
     """
     found = _Repeats()
-    heap = []  # (next sum, place in stage order, stage, e, cols, start)
-    for s, (old, added) in enumerate(stages, 1):
-        for i, e in enumerate(added):
-            for cols, start in ((old, 0), (added, i)):
-                if start < len(cols):
-                    heap.append((e + cols[start], len(heap), s, e, cols, start))
-    heapify(heap)
-    pending = [(heap[0][0], 2 * max(seg[3] for seg in heap) + 1)]  # every element heads a segment
-    while pending:
-        lo, hi = pending.pop()
-        segments = []
-        while heap and heap[0][0] < hi:
-            segments.append(heappop(heap))
-        segments.sort(key=itemgetter(1))
-        ends = [bisect_left(cols, hi - e, start) for _, _, _, e, cols, start in segments]
-        count = sum(ends) - sum(seg[5] for seg in segments)
-        words = sum((end - start) * _words(e, cols[start], cols[end - 1])
-                    for (_, _, _, e, cols, start), end in zip(segments, ends) if end > start)
-        if (count > _RANGE_SUMS or words > _RANGE_WORDS) and hi - lo > 1:
-            heap += segments
-            heapify(heap)
-            pending += reversed(_split(segments, ends, lo, hi, count, words))
+    runs = [zip(map(e.__add__, cols), repeat(s))
+            for s, (old, added) in enumerate(stages, 1)
+            for i, e in enumerate(added)
+            for cols in (old, islice(added, i, None))]
+    for n, group in groupby(merge(*runs), itemgetter(0)):
+        first, *later = map(itemgetter(1), group)
+        if near is not None and -near <= n <= near:
+            found.first[n] = first
+        if not later:
             continue
-        seen: dict[int, int] = {}
-        repeated: set[int] = set()
-        for (_, place, s, e, cols, start), end in zip(segments, ends):
-            if end < len(cols):
-                heappush(heap, (e + cols[end], place, s, e, cols, end))
-            sums = list(map(e.__add__, cols[start:end]))
-            if seen.keys().isdisjoint(sums):
-                seen.update(zip(sums, repeat(s)))
-                continue
-            met = [n for n in sums if n in seen]
-            found.meet(s, met)
-            repeated.update(met)
-            for n in sums:
-                seen.setdefault(n, s)
-        if repeated:
-            found.count += len(repeated)
-            found.least = min(repeated | {found.least} - {None}, key=_witness_order)
-        if near is not None and lo <= near and -near < hi:
-            found.first.update((n, s) for n, s in seen.items() if -near <= n <= near)
+        found.count += 1
+        order = _witness_order(n)
+        if found.least is None or order < _witness_order(found.least):
+            found.least = n
+        if found.second is None or (later[0], order) < (found.second[0], _witness_order(found.second[1])):
+            found.second = (later[0], n)
+        s = next((s for s in later if s >= 2), None)  # the least stage >= 2 at which a pair meets n again
+        if s is not None and (found.overlap is None or s < found.overlap[0]):
+            found.overlap = (s, {n})
+        elif found.overlap is not None and s == found.overlap[0]:
+            found.overlap[1].add(n)
     return found
-
-
-def _split(segments: list[tuple], ends: list[int], lo: int, hi: int, count: int, words: int) -> list[tuple[int, int]]:
-    """Cut [lo, hi), which holds too many sums or words for one range, into ranges of about half the weight.
-
-    The range holds `count` sums of at most `words` words, and its weight
-    is the larger of count / _RANGE_SUMS and words / _RANGE_WORDS.
-
-    The cuts are read off a systematic sample of the range's sums, one in
-    every `stride` in segment order, which holds at most about _RANGE_SUMS
-    sums and _RANGE_WORDS words whatever the range; a range the sample
-    misjudges is split again when it is reached.  Every cut lies above lo,
-    so each new range is narrower than [lo, hi).
-    """
-    weight = max(2 * count // _RANGE_SUMS, 2 * words // _RANGE_WORDS)
-    parts = max(2, min(weight + 1, _RANGE_SUMS // _SAMPLES_PER_RANGE))
-    stride = max(1, count // (parts * _SAMPLES_PER_RANGE), -(-words // _RANGE_WORDS))
-    sample: list[int] = []
-    taken = 0
-    for (_, _, _, e, cols, start), end in zip(segments, ends):
-        sample += map(e.__add__, cols[start + (-taken) % stride:end:stride])
-        taken += end - start
-    sample.sort()
-    step = max(1, len(sample) // parts)
-    cuts = sorted({n for n in sample[step::step] if n > lo})
-    if not cuts:  # the sample is lo but for a few sums at most: cut at the least sum above lo
-        i = bisect_right(sample, lo)
-        cuts = [sample[i] if i < len(sample) else lo + 1]
-    bounds = [lo, *cuts, hi]
-    return list(zip(bounds, bounds[1:]))
 
 
 def _nested_stages(element_lists: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], list[int]]]:

@@ -370,8 +370,8 @@ class TestVerifyTrace:
         assert peak <= 2**18
 
     def test_memory_stays_bounded_on_long_integers(self, monkeypatch):
-        # its final set's 2,080 sums of up to 15k digits hold 8.6 MB, which one range of the pair-sum pass
-        # held before a range was bounded in words
+        # its final set's 2,080 sums of up to 15k digits hold 8.6 MB, where the pair-sum pass holds one
+        # pending sum per run (0.46 MiB traced)
         trace = _replay_trace(7)
         monkeypatch.setattr(urbasis.oracle, "_pieces", lambda stages, near: None)
         tracemalloc.start()
@@ -506,9 +506,9 @@ def _assert_reference_rows(trace):
     return rows
 
 
-def _ap_trace(k_max):
-    """Stage k holds -k+1..k: nested, and nearly every pair sum repeats."""
-    steps = tuple(ConstructionStep(k=k, basis=IntSet(tuple(range(1 - k, k + 1))), radius=k, gap=1,
+def _ap_trace(k_max, low=1):
+    """Stage k holds low-k..k: nested, and nearly every pair sum repeats (from stage 1 on when low <= 0)."""
+    steps = tuple(ConstructionStep(k=k, basis=IntSet(tuple(range(low - k, k + 1))), radius=k, gap=1,
                                    positive_branch=True) for k in range(1, k_max + 1))
     return BasisTrace(steps=steps, mode="corrupt")
 
@@ -521,7 +521,7 @@ class TestAgainstReference:
     prefix and fail with a `not-nested` witness where that prefix passes.
     """
 
-    def _compare_corrupted_traces(self):
+    def test_corrupted_traces_give_identical_rows(self):
         rng = random.Random(0xD1FF)
         reasons = set()
         for case in range(400):
@@ -538,74 +538,44 @@ class TestAgainstReference:
             "radius-mismatch", "not-nested",
         }
 
-    def test_corrupted_traces_give_identical_rows(self):
-        self._compare_corrupted_traces()
-
-    def test_corrupted_traces_give_identical_rows_in_ranges_of_five_sums(self, monkeypatch):
-        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", 5)
-        self._compare_corrupted_traces()
-
-    @pytest.mark.parametrize("range_words", [1 << 17, 40], ids=["one-range", "ranges-of-40-words"])
-    def test_long_integers_split_by_words(self, monkeypatch, range_words):
-        # 231 sums of up to 2 words: far below _RANGE_SUMS, so only the words can split a range
-        # (the reference oracle writes integers in full, so they stay below 40 digits)
+    def test_long_integers(self):
+        # sums of up to 2 words (the reference oracle writes integers in full, so they stay below 40 digits)
         rng = random.Random(0x10AD)
         trace = run_with_growth(ExplicitReaches(tuple(10**(4 * e) + rng.randint(0, 9) for e in range(10))), 11)
-        splits = []
-        split = urbasis.oracle._split
-
-        def recorded(*args):
-            splits.append(args[-1])  # the range's words
-            return split(*args)
-        monkeypatch.setattr(urbasis.oracle, "_RANGE_WORDS", range_words)
-        monkeypatch.setattr(urbasis.oracle, "_split", recorded)
         for corrupted in (trace, *(_corrupt(rng, trace) for _ in range(20))):
             _assert_reference_rows(corrupted)
-        assert bool(splits) is (range_words == 40)
-        assert all(words > 40 for words in splits)
 
-    @pytest.mark.parametrize("range_sums", [16384, 5], ids=["one-range", "ranges-of-5"])
-    def test_arithmetic_progression(self, monkeypatch, range_sums):
-        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", range_sums)
-        rows = _assert_reference_rows(_ap_trace(12))  # the sum 1 has 12 pairs: a range of one value
+    def test_arithmetic_progression(self):
+        rows = _assert_reference_rows(_ap_trace(12))  # the sum 1 has 12 pairs
         assert rows["rep-scan"]["violations"] == 43  # every sum but -22, -21, 23 and 24
-        # 0, 2, ..., 58 and 1: an even sum has up to 15 pairs and the odd sum above it one, so the sample
-        # of a range can be its least sum alone, and _split, the one caller of bisect_right, cuts past it
-        fallbacks = []
-        bisect_right = urbasis.oracle.bisect_right
-        monkeypatch.setattr(urbasis.oracle, "bisect_right", lambda *args: fallbacks.append(args) or bisect_right(*args))
+        # 0, 2, ..., 58 and 1: an even sum has up to 15 pairs and the odd sum above it one
         evens = ConstructionStep(k=1, basis=IntSet((0, 1, *range(2, 60, 2))), radius=58, gap=1, positive_branch=True)
         rows = _assert_reference_rows(BasisTrace(steps=(evens,), mode="corrupt"))
         assert rows["rep-scan"]["violations"] == 56  # every even sum but 0, 114 and 116
-        assert bool(fallbacks) is (range_sums == 5)
 
-    def test_only_repeat_on_a_range_boundary(self, monkeypatch):
+    def test_only_repeat_on_a_range_boundary(self):
+        # a stray -188 in greedy K=6's final set: -188 + 0 = -146 + -42 is the only repeat
         greedy = run_greedy(6)
         spiked = replace(greedy.final, basis=IntSet.of(greedy.final.basis.elements + (-188,)))
         trace = BasisTrace(steps=greedy.steps[:-1] + (spiked,), mode="corrupt")
-        cuts = []
-        split = urbasis.oracle._split
-
-        def recorded(*args):
-            ranges = split(*args)
-            cuts.extend(lo for lo, _ in ranges[1:])
-            return ranges
-        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", 6)
-        monkeypatch.setattr(urbasis.oracle, "_split", recorded)
         rows = _assert_reference_rows(trace)
         assert rows["rep-scan"]["violations"] == 1
-        assert rows["rep-scan"]["witness"]["n"] == -188 in cuts  # a range starts at the repeated sum
+        assert rows["rep-scan"]["witness"]["n"] == -188
 
-    @pytest.mark.parametrize("range_sums", [16384, 5], ids=["one-range", "ranges-of-5"])
-    def test_pass_matches_recount_at_every_stage(self, monkeypatch, range_sums):
-        monkeypatch.setattr(urbasis.oracle, "_RANGE_SUMS", range_sums)
+    def test_pass_matches_recount_at_every_stage(self):
+        # corrupted greedy traces, random nested ones, and progressions, in which nearly every sum repeats
         order = lambda n: (abs(n), n < 0)  # noqa: E731
         near = 40
         rng = random.Random(0x7AB1E)
+        traces = []
         for _ in range(100):
             trace = run_greedy(rng.randint(2, 10))
             for _ in range(rng.randint(1, 3)):
                 trace = _corrupt(rng, trace)
+            traces.append(trace)
+        traces += [_nested_trace(rng, rng.randint(1, 14)) for _ in range(100)]
+        traces += [_ap_trace(k, low) for k in range(1, 15) for low in (1, 0)]
+        for trace in traces:
             stages = _nested_stages([step.basis.elements for step in trace.steps])
             steps = trace.steps[:len(stages)]
             assert len(steps) == _nested_length(trace)
