@@ -513,6 +513,17 @@ def _ap_trace(k_max, low=1):
     return BasisTrace(steps=steps, mode="corrupt")
 
 
+def _route(monkeypatch, pair_sums_only):
+    """Leave `verify_trace` its route (the pieces pass, else the pair-sum pass), or force the pair-sum pass.
+
+    The case ids are the ones these cases carried while the pair-sum pass
+    cut its sums into value ranges: the first runs as `verify` does, the
+    second through the pair-sum pass alone.
+    """
+    if pair_sums_only:
+        monkeypatch.setattr(urbasis.oracle, "_pieces", lambda stages, near: None)
+
+
 class TestAgainstReference:
     """The tagged pass against the from-scratch recount it replaced.
 
@@ -538,14 +549,18 @@ class TestAgainstReference:
             "radius-mismatch", "not-nested",
         }
 
-    def test_long_integers(self):
+    @pytest.mark.parametrize("pair_sums_only", [False, True], ids=["one-range", "ranges-of-40-words"])
+    def test_long_integers_split_by_words(self, monkeypatch, pair_sums_only):
         # sums of up to 2 words (the reference oracle writes integers in full, so they stay below 40 digits)
+        _route(monkeypatch, pair_sums_only)
         rng = random.Random(0x10AD)
         trace = run_with_growth(ExplicitReaches(tuple(10**(4 * e) + rng.randint(0, 9) for e in range(10))), 11)
         for corrupted in (trace, *(_corrupt(rng, trace) for _ in range(20))):
             _assert_reference_rows(corrupted)
 
-    def test_arithmetic_progression(self):
+    @pytest.mark.parametrize("pair_sums_only", [False, True], ids=["one-range", "ranges-of-5"])
+    def test_arithmetic_progression(self, monkeypatch, pair_sums_only):
+        _route(monkeypatch, pair_sums_only)
         rows = _assert_reference_rows(_ap_trace(12))  # the sum 1 has 12 pairs
         assert rows["rep-scan"]["violations"] == 43  # every sum but -22, -21, 23 and 24
         # 0, 2, ..., 58 and 1: an even sum has up to 15 pairs and the odd sum above it one
@@ -562,8 +577,10 @@ class TestAgainstReference:
         assert rows["rep-scan"]["violations"] == 1
         assert rows["rep-scan"]["witness"]["n"] == -188
 
-    def test_pass_matches_recount_at_every_stage(self):
-        # corrupted greedy traces, random nested ones, and progressions, in which nearly every sum repeats
+    @pytest.mark.parametrize("pair_sums_only", [False, True], ids=["one-range", "ranges-of-5"])
+    def test_pass_matches_recount_at_every_stage(self, pair_sums_only):
+        # corrupted greedy traces, random nested ones, and progressions, in which nearly every sum repeats;
+        # read as `verify` reads them (the pieces pass, else the pair-sum pass), or by the pair-sum pass alone
         order = lambda n: (abs(n), n < 0)  # noqa: E731
         near = 40
         rng = random.Random(0x7AB1E)
@@ -579,7 +596,7 @@ class TestAgainstReference:
             stages = _nested_stages([step.basis.elements for step in trace.steps])
             steps = trace.steps[:len(stages)]
             assert len(steps) == _nested_length(trace)
-            found = _repeats(stages, near=near)
+            found = (None if pair_sums_only else _pieces(stages, near)) or _repeats(stages, near=near)
             counts, met, first = {}, [], {}
             for step in steps:  # met: the sums whose count grows to 2 or more at the stage
                 before, counts = counts, reference_oracle._pair_counts(step.basis.elements)
