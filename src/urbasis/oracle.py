@@ -11,19 +11,20 @@ every element of the one before; `_nested_stages` works out once what
 each of its stages adds.
 
 The pieces pass (`_pieces`) runs first.  Where each stage adds one
-element below the old ones and one above, the stage's sums split into
-picture pieces whose intervals meet only near their ends, so a few
-bisections of the old elements per stage show that no sum repeats; its
-docstring has the proof.  At the first stage it cannot decide that way
-(a stage that adds other than such a pair, pieces that share a sum or
-meet on too many sums, an added pair whose sum lies far from zero), the
-whole prefix goes to the pair-sum pass (`_repeats`), which is also the
-reference the tests compare the pieces pass with.  It makes every pair
-sum: each element of the prefix is tagged with the first stage that
-holds it, and a pair a + a' (a <= a') is live from the later of its two
-tags on.  One k-way merge of sorted runs of sums reads them in (sum,
-tag) order, so the second pair of each sum names the stage at which it
-repeats, and memory holds one pending sum per run.  From either pass:
+element far enough below the old ones and one far enough above, the
+stage's sums split into picture pieces whose intervals lie apart, as
+their end points show, and only the added pair's sum can repeat an old
+one, which the sums near zero decide; its docstring has the proof.  At
+the first stage it cannot decide that way (a stage that adds other than
+such a pair, pieces whose intervals touch or overlap, an added pair
+whose sum lies far from zero or repeats), the whole prefix goes to the
+pair-sum pass (`_repeats`), which is also the reference the tests
+compare the pieces pass with.  It makes every pair sum: each element of
+the prefix is tagged with the first stage that holds it, and a pair
+a + a' (a <= a') is live from the later of its two tags on.  One k-way
+merge of sorted runs of sums reads them in (sum, tag) order, so the
+second pair of each sum names the stage at which it repeats, and memory
+holds one pending sum per run.  From either pass:
 
 - `unique-window` reads the least stage at which a sum repeats, and
   `decomposition` the least stage >= 2 at which an arriving pair meets a
@@ -68,8 +69,6 @@ from .record import Record
 if TYPE_CHECKING:
     from .intset import IntSet
     from .record import BasisTrace, ConstructionStep
-
-_MEET_SUMS = 64  # the most sums the pieces pass compares where old + old meets a shifted piece, per stage and side
 
 # the picture pieces of a decomposition, in the order their overlaps are checked
 _PIECES = ("old-sums", "shift-by-first", "shift-by-second", "new-pair-sums")
@@ -281,17 +280,22 @@ def _pieces(stages: list[tuple[Sequence[int], Sequence[int]]], near: int) -> _Re
 
     Returns None, and leaves the run to `_repeats`, at the first stage it
     cannot decide.  Stage 1 must add two elements e1 < e2.  A later stage,
-    with old elements lo..hi, must add e1 < lo and e2 > hi, and its sums
+    with old elements lo..hi, must add two elements e1 < e2, and its sums
     are the pieces P0 = old + old, P1 = e1 + old, P2 = e2 + old and the
     three sums 2e1, e1 + e2 and 2e2.  It is decided when
 
-    (a) P0 and P1 share no sum on [2lo, e1 + hi], nor P0 and P2 on
-        [e2 + lo, 2hi] (`_meets`, by bisecting old, which gives up past
-        _MEET_SUMS sums on a side), and
+    (a) e1 + hi < 2lo and 2hi < e2 + lo, so P1 ends below P0 and P2
+        starts above it, and
     (b) |e1 + e2| <= near, and none of the stage's new sums with
         |n| <= near (e1 + e2, 2e1 and 2e2 when near, and the e + a of P1
         and P2 there, by bisecting old) is in `first` yet; each is then
         entered with the stage.
+
+    Every stage the builder places meets (a).  With reach c >= radius d,
+    one side of (a) fails only when c = d and both +-d are old, and the
+    other only when, besides, the gap is 0: the touching case that
+    `construction._extend` refuses.  A stage whose pieces touch or
+    overlap is left to `_repeats`.
 
     Claim: when every stage is decided, (i) no stage repeats a sum, and
     (ii) after stage s, `first` holds exactly the sums of stage s with
@@ -300,33 +304,31 @@ def _pieces(stages: list[tuple[Sequence[int], Sequence[int]]], near: int) -> _Re
     the same `first`, which is what this returns.
 
     Proof, by induction on s.  Stage 1's sums are 2e1 < e1 + e2 < 2e2,
-    distinct, and `first` starts empty.  At a stage s >= 2, a pair
-    a <= a' of its elements lies in exactly one piece, read from which of
-    e1 and e2 it holds: e1 is the least element, so a pair of e1 and an
-    old element is (e1, a'), and likewise for e2, the greatest.  Within a
-    piece the sums are distinct: in P0 by (i) at s - 1, whose elements
-    are old; in P1 and P2 because a -> e + a is one-to-one; and
+    distinct, and `first` starts empty.  At a stage s >= 2, (a) gives
+    e1 < 2lo - hi <= lo and e2 > 2hi - lo >= hi, so e1 is the least
+    element and e2 the greatest.  A pair a <= a' of the stage's elements
+    lies in exactly one piece, read from which of e1 and e2 it holds: a
+    pair of e1 and an old element is (e1, a'), and likewise for e2.
+    Within a piece the sums are distinct: in P0 by (i) at s - 1, whose
+    elements are old; in P1 and P2 because a -> e + a is one-to-one; and
     2e1 < e1 + e2 < 2e2.  So the stage repeats a sum exactly when two
     pieces share one.  Every pair but (e1, e1) holds an element above e1
     and none below, so 2e1 lies below every other sum, and 2e2 likewise
-    above.  P1 lies in [e1 + lo, e1 + hi] and P2 in [e2 + lo, e2 + hi],
-    which lie apart, as e1 + hi < lo + hi < e2 + lo; and
-    e1 + hi < e1 + e2 < e2 + lo puts e1 + e2 strictly between them.  P0
-    lies in [2lo, 2hi]; as e1 + lo < 2lo and e1 + hi < 2hi, P0 and P1 can
-    share only sums in [2lo, e1 + hi], and likewise P0 and P2 only in
-    [e2 + lo, 2hi], and (a) finds none there.  Last, e1 + e2 against P0:
-    stage s - 1's sums are P0, so by (ii) at s - 1 `first` holds exactly
-    P0's sums with |n| <= near, and (b) finds e1 + e2 there exactly when
-    it is in P0.  That is (i) at s.  The sums of stage s are P0 and the
-    new sums, which (i) keeps out of P0; the stages nest, so every earlier
-    stage's sums lie in P0, and s is the least stage that holds each new
-    sum, which is (ii) at s.
+    above.  P0 lies in [2lo, 2hi], and by (a) P1 in [e1 + lo, e1 + hi]
+    lies below it and P2 in [e2 + lo, e2 + hi] above it; and
+    e1 + hi < e1 + e2 < e2 + lo puts e1 + e2 strictly between P1 and P2.
+    Last, e1 + e2 against P0: stage s - 1's sums are P0, so by (ii) at
+    s - 1 `first` holds exactly P0's sums with |n| <= near, and (b) finds
+    e1 + e2 there exactly when it is in P0.  That is (i) at s.  The sums
+    of stage s are P0 and the new sums, which (i) keeps out of P0; the
+    stages nest, so every earlier stage's sums lie in P0, and s is the
+    least stage that holds each new sum, which is (ii) at s.
 
     The builder's `_extend` trusts the same argument, so this pass is not
     independent of it the way `_repeats` is; `_repeats` stays the
-    reference the tests compare this pass with.  A stage costs O(log k)
-    bisections of its k old elements, plus the sums it compares in (a)
-    and enters in (b); nothing else of old is read.
+    reference the tests compare this pass with.  A stage costs four
+    bisections of its k old elements and the sums it enters in (b);
+    nothing else of old is read.
     """
     first: dict[int, int] = {}
     for s, (old, added) in enumerate(stages, 1):
@@ -338,9 +340,7 @@ def _pieces(stages: list[tuple[Sequence[int], Sequence[int]]], near: int) -> _Re
         new = [n for n in (2 * e1, e1 + e2, 2 * e2) if -near <= n <= near]
         if old:
             lo, hi = old[0], old[-1]
-            if not e1 < lo <= hi < e2:
-                return None
-            if _meets(old, e1, 2 * lo, e1 + hi) or _meets(old, e2, e2 + lo, 2 * hi):
+            if not (e1 + hi < 2 * lo and 2 * hi < e2 + lo):
                 return None
             for e in added:
                 new += map(e.__add__, old[bisect_left(old, -near - e):bisect_right(old, near - e)])
@@ -351,29 +351,6 @@ def _pieces(stages: list[tuple[Sequence[int], Sequence[int]]], near: int) -> _Re
     found = _Repeats()
     found.first = first
     return found
-
-
-def _meets(old: Sequence[int], e: int, lo: int, hi: int) -> bool:
-    """Whether e + old and old + old may share a sum in [lo, hi]: True when they do, or hold more than
-    _MEET_SUMS sums there between them.
-
-    Called with lo = 2 * old[0] or hi = 2 * old[-1], so every a of old from lo - old[-1] to hi / 2 heads
-    a sum of old + old there (a + a, or a + old[-1]), and the loop reads at most _MEET_SUMS + 1 of them.
-    """
-    i, j = bisect_left(old, lo - e), bisect_right(old, hi - e)
-    if i >= j:
-        return False
-    budget = _MEET_SUMS - (j - i)
-    if budget < 0:
-        return True
-    shifted = set(map(e.__add__, old[i:j]))
-    for x in range(bisect_left(old, lo - old[-1]), bisect_right(old, hi // 2)):
-        a = old[x]
-        y, z = bisect_left(old, lo - a, x), bisect_right(old, hi - a, x)
-        budget -= z - y
-        if budget < 0 or not shifted.isdisjoint(map(a.__add__, old[y:z])):
-            return True
-    return False
 
 
 def _repeats(stages: list[tuple[Sequence[int], Sequence[int]]], near: int | None = None) -> _Repeats:

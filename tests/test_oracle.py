@@ -13,6 +13,9 @@ from urbasis import (
     ConstructionStep,
     ExplicitReaches,
     IntSet,
+    LogGrowth,
+    LogLogGrowth,
+    ThresholdTable,
     brute_rep_report,
     default_window,
     extend,
@@ -647,6 +650,21 @@ def _near(trace, stages):
     return m * (m + 1) // 4 + 1
 
 
+class _DrawnReaches:
+    """Each stage's reach drawn from d, d + 1, d + j, 2d and the least power of ten >= d, for d its radius."""
+
+    descriptor = "explicit"
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def reach_for(self, step):
+        d, power = step.radius, 1
+        while power < d:
+            power *= 10
+        return self.rng.choice((d, d + 1, d + self.rng.randint(2, 99), 2 * d, power))
+
+
 class TestPieces:
     """The pieces pass, which decides a trace whose stages repeat no sum, against the tagged pass."""
 
@@ -711,19 +729,56 @@ class TestPieces:
         assert rows["unique-window"]["ok"]
         assert rows["decomposition"]["witness"]["refused"].startswith("added pair [25, 31]")
 
-    def test_meeting_pieces_past_the_budget_fall_back(self, monkeypatch):
+    def test_meeting_pieces_fall_back(self, monkeypatch):
         # three times greedy's stages, whose sums are all 0 mod 3, then a stage that adds e1 = lo - 2 and
-        # e2 = 4 - lo, both 1 mod 3: no sum repeats, but old + old and e1 + old hold more than _MEET_SUMS
-        # sums on [2lo, e1 + hi], where their intervals meet
+        # e2 = 4 - lo, both 1 mod 3: no sum repeats, but the intervals of old + old and e1 + old overlap
+        # on [2lo, e1 + hi]
         steps = tuple(replace(s, basis=IntSet(tuple(3 * a for a in s.basis.elements)), radius=3 * s.radius)
                       for s in run_greedy(12).steps)
         old = steps[-1].basis.elements
         last = replace(steps[-1], k=13, basis=IntSet((old[0] - 2, *old, 4 - old[0])))
-        trace = BasisTrace(steps=steps + (last,), mode="corrupt")
-        self._assert_falls_back(monkeypatch, trace)
+        self._assert_falls_back(monkeypatch, BasisTrace(steps=steps + (last,), mode="corrupt"))
+
+    @pytest.mark.parametrize("d", [1, 10], ids=["near-zero", "far-from-zero"])
+    @pytest.mark.parametrize("positive, shifted", [(True, "shift-by-first"), (False, "shift-by-second")],
+                             ids=["left", "right"])
+    def test_touching_pieces_fall_back(self, positive, shifted, d):
+        # reach d at radius d with both +-d old, the pair the builder refuses: on the positive branch
+        # e1 + hi = 2lo = -2d, on the negative one 2hi = e2 + lo = 2d; for d = 1 the stages are
+        # (-1, 1), (-3, -1, 1, 4) and (-1, 1), (-4, -1, 1, 3), and for d = 10 the repeated sum lies
+        # past the sums kept near zero
+        e1, e2 = (-3 * d, 3 * d + 1) if positive else (-3 * d - 1, 3 * d)
+        stage1 = ConstructionStep(k=1, basis=IntSet((-d, d)), radius=d, gap=1, positive_branch=positive)
+        stage2 = ConstructionStep(k=2, basis=IntSet((e1, -d, d, e2)), radius=3 * d + 1, gap=1,
+                                  positive_branch=not positive)
+        trace = BasisTrace(steps=(stage1, stage2), mode="corrupt")
         stages = _nested_stages([step.basis.elements for step in trace.steps])
-        monkeypatch.setattr(urbasis.oracle, "_MEET_SUMS", 10**6)
-        assert _pieces(stages, _near(trace, stages)) is not None
+        assert _pieces(stages, _near(trace, stages)) is None
+        rows = _assert_reference_rows(trace)
+        unique = rows["unique-window"]["witness"]
+        assert (unique["reason"], unique["stage"], unique["n"]) == ("repeated-sum", 2, -2 * d if positive else 2 * d)
+        assert rows["decomposition"]["witness"]["parts"] == ["old-sums", shifted]
+
+    def test_decides_every_built_trace(self):
+        # reaches drawn per stage around the radius d, and log, log-log and table budgets at small K
+        rng = random.Random(0xB1D5)
+        traces = [run_with_growth(_DrawnReaches(rng), rng.randint(2, 24)) for _ in range(240)]
+        traces += [run_with_growth(LogGrowth(rng.choice((0.5, 1, 2)), rng.randint(-2, 4)), rng.randint(2, 10))
+                   for _ in range(20)]
+        traces += [run_with_growth(LogLogGrowth(rng.choice((2, 3)), rng.randint(3, 5), rng.randint(1, 4)),
+                                   rng.randint(2, 8)) for _ in range(20)]
+        for _ in range(20):
+            k_max, x = rng.randint(2, 12), 0
+            table = {}
+            for m in range(4, 2 * k_max + 1, 2):
+                x += rng.choice((0, 1, rng.randint(2, 10**rng.randint(1, 12))))
+                table[m] = x
+            traces.append(run_with_growth(ThresholdTable(table), k_max))
+        for trace in traces:
+            stages = _nested_stages([step.basis.elements for step in trace.steps])
+            found = _pieces(stages, _near(trace, stages))
+            assert found is not None, trace.mode
+            assert _fields(found) == _fields(_repeats(stages, near=_near(trace, stages)))
 
 
 class TestDualRoute:
