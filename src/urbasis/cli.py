@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterator
 
@@ -79,7 +79,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _json(value) -> str:
     """json.dumps(value, sort_keys=True, allow_nan=False) for str keys, with every integer written by decimal_str.
 
-    Scalars are written as json.dumps writes them, without the encoder it makes per call.
+    Scalars are written as json.dumps writes them, without the encoder it makes per call.  The text is
+    one copy of value: a report's rows are written by _print_json, which calls this once per row.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -98,6 +99,26 @@ def _json(value) -> str:
             raise ValueError("Out of range float values are not JSON compliant")
         return float.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _print_json(report: dict) -> None:
+    """print(_json(report)), written one row at a time: each item of a list in `report` is one text.
+
+    Every row is converted before the first is written, so a value past the digit limit prints
+    nothing, and no text of a whole list, or of the whole report, is made.
+    """
+    pieces = []
+    for key, value in sorted(report.items()):
+        pieces += (", " if pieces else "{", encode_basestring_ascii(key), ": ")
+        if isinstance(value, list):
+            pieces.append("[")
+            for i, row in enumerate(value):
+                pieces += (", " if i else "", _json(row))
+            pieces.append("]")
+        else:
+            pieces.append(_json(value))
+    pieces.append("}\n")
+    sys.stdout.writelines(pieces)
 
 
 def _repr(value) -> str:
@@ -120,7 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = verify_trace(read_file(args.trace))
     ok = all(row["ok"] for row in rows)
     if args.format == "json":
-        print(_json({"ok": ok, "checks": rows}))
+        _print_json({"ok": ok, "checks": rows})
     else:
         for row in rows:
             status = "PASS" if row["ok"] else "FAIL"
@@ -203,7 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload = {"bounds": [_bound_row(c) for c in checks], "ok": ok}
         if rep_block is not None:
             payload["rep_window"] = rep_block
-        print(_json(payload))
+        _print_json(payload)
     else:
         for c in checks:
             status = "HOLD" if c.holds else "VIOL"
@@ -224,18 +245,20 @@ def _json_steps(trace: BasisTrace) -> Iterator[str]:
     Every integer is converted before this returns, as in trace_lines.
     """
     from .tracefile import joined_rows, step_rows
-    rows = joined_rows(step_rows(trace.steps), (", ", ": "))
-    head = '{"mode": ' + json.dumps(trace.mode) + ', "steps": ['
-    body = islice(chain.from_iterable((", ", row) for row in rows), 1, None)  # no separator before the first
-    return chain([head], body, ["]}\n"])
+    rows = joined_rows(step_rows(trace.steps), (", ", ": "), between=", ")
+    return chain(['{"mode": ' + json.dumps(trace.mode) + ', "steps": ['], rows, ["]}\n"])
 
 
 def cmd_export(args: argparse.Namespace) -> int:
     from .tracefile import read_file, trace_lines
     trace = read_file(args.trace)
     if args.what == "elements":
-        values = [decimal_str(a) for a in trace.final.basis.elements]
-        pieces = [(json.dumps(values) if args.format == "json" else "\n".join(values)) + "\n"]
+        values = [decimal_str(a) for a in trace.final.basis.elements]  # all of them before a byte is written
+        if args.format == "json":  # json.dumps(values) + "\n", a text at a time: decimal text needs no escaping
+            quoted = chain.from_iterable((", " if i else "", '"', v, '"') for i, v in enumerate(values))
+            pieces = chain(["["], quoted, ["]\n"])
+        else:
+            pieces = chain.from_iterable((v, "\n") for v in values)
     elif args.format == "json":
         pieces = _json_steps(trace)
     else:

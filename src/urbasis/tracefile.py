@@ -34,13 +34,18 @@ accepted and re-serialize to other bytes.
 
 Files stream one row at a time, so memory follows the parsed stages, not
 the text, which grows as K^3 bytes.  `write_file` writes each line of
-`trace_lines` as it is made, and `step_rows` makes each row when taken.
-`read_file` and `parse` share one reader of raw byte lines; `parse`
-reads its text's UTF-8 bytes, a lone surrogate included.  A line ends at
-LF alone; the CRs and LFs it ends with are dropped.  Each nonblank line
-is numbered from 1 and decoded as UTF-8, then as JSON, and its row is
-converted before the next line is read.  The first fault in file order
-is the one reported, and nothing after it is read.
+`trace_lines` as it is made, and `step_rows` makes each row when taken;
+`joined_rows` makes each line, newline included, in one piece, and holds
+none while it joins the next.  `read_file` and `parse` share one reader
+of raw byte lines; `parse` reads its text's UTF-8 bytes, a lone
+surrogate included.  A line ends at LF alone; the CRs and LFs it ends
+with are dropped.  Each nonblank line is numbered from 1 and decoded as
+UTF-8, then as JSON, and its row is converted before the next line is
+read.  The reader drops a line's text once its JSON is parsed, and keeps
+its bytes until the next line is read: dropping them too left the peak
+RSS of replay-shaped traces as it was and raised greedy K=640 `verify`'s
+by ~1.4 MB, through how the C allocator reuses freed blocks.  The first
+fault in file order is the one reported, and nothing after it is read.
 """
 
 from __future__ import annotations
@@ -91,20 +96,25 @@ def _row(step: ConstructionStep, texts: dict[int, str]) -> dict:
     return row
 
 
-def joined_rows(rows: Iterable[dict], separators: tuple[str, str]) -> Iterator[str]:
-    """json.dumps(row, sort_keys=True, separators=separators) for each row of step_rows, joined from its texts.
+def joined_rows(rows: Iterable[dict], separators: tuple[str, str], *,
+                between: str = "", end: str = "") -> Iterator[str]:
+    """json.dumps(row, sort_keys=True, separators=separators) for each row of step_rows, joined from its texts,
+    after `between` for every row but the first and before `end`.
 
     Every value but k is canonical decimal text or a branch word, so none needs escaping.
     """
     item, key = separators
-    between = '"' + item + '"'
+    apart = '"' + item + '"'
+    lead = ""
     for row in rows:
         elements = row["elements"]
-        quote = '"' if elements else ""  # an empty list is []
+        mark = '"' if elements else ""  # an empty list is []
         reach = f'"c"{key}"{row["c"]}"{item}' if "c" in row else ""
-        # one f-string, so no part of a long row outlives the line it is joined into
-        yield (f'{{"b"{key}"{row["b"]}"{item}"branch"{key}"{row["branch"]}"{item}{reach}"d"{key}"{row["d"]}"{item}'
-               f'"elements"{key}[{quote}{between.join(elements)}{quote}]{item}"k"{key}{json.dumps(row["k"])}}}')
+        # one f-string, yielded unnamed: the row is copied once from its joined elements, and held by no name here
+        yield (f'{lead}{{"b"{key}"{row["b"]}"{item}"branch"{key}"{row["branch"]}"{item}{reach}'
+               f'"d"{key}"{row["d"]}"{item}"elements"{key}[{mark}{apart.join(elements)}{mark}]{item}'
+               f'"k"{key}{json.dumps(row["k"])}}}{end}')
+        lead = between
 
 
 def trace_lines(trace: BasisTrace) -> Iterator[str]:
@@ -113,10 +123,10 @@ def trace_lines(trace: BasisTrace) -> Iterator[str]:
     Every integer is converted before this returns, so a value past the
     digit limit raises here and not between lines.
     """
-    rows = joined_rows(step_rows(trace.steps), (",", ":"))
+    rows = joined_rows(step_rows(trace.steps), (",", ":"), end="\n")
     header = json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "mode": trace.mode},
                         sort_keys=True, separators=(",", ":"))
-    return map("{}\n".format, chain([header], rows))  # map holds no line while the next is written
+    return chain([header + "\n"], rows)
 
 
 def serialize(trace: BasisTrace) -> str:
@@ -165,6 +175,7 @@ def _rows(raw_lines: Iterable[bytes]) -> Iterator[tuple[int, object]]:
             except json.JSONDecodeError as stripped:
                 msg = stripped.msg
             raise TraceFormatError(f"line {lineno}: not valid JSON ({msg})") from None
+        del line  # the row holds its own strings: the line's text is not kept while the next line is read
         yield lineno, obj
 
 

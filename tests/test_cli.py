@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbasis import ExplicitReaches, ThresholdTable, cli, digits, run_greedy, run_with_growth
+from urbasis import ExplicitReaches, ThresholdTable, cli, digits, run_greedy, run_with_growth, tracefile
 from urbasis.bounds import growth_report
 from urbasis.cli import main
 from urbasis.construction import LogLogGrowth
@@ -862,6 +862,46 @@ class TestDigitLimit:
         assert run_cli("build", "--c-list", str(reaches), "-o", path) == 0
         for command in ("verify", "analyze", "export"):
             assert run_cli(command, path) == 0
+
+
+class TestNothingWrittenBeforeConversion:
+    """A report converts every integer in it before it writes a byte, so a refusal on its last row prints nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "T", "--format", "json"],
+        ["analyze", "T", "--format", "json"],
+        ["export", "T"],
+        ["export", "T", "--format", "text"],
+        ["export", "T", "--what", "elements"],
+        ["export", "T", "--what", "elements", "--format", "text"],
+        ["export", "T", "-o", "OUT"],
+        ["export", "T", "--what", "elements", "-o", "OUT"],
+    ], ids=["verify-json", "analyze-json", "export", "export-text", "export-elements", "export-elements-text",
+            "export-file", "export-elements-file"])
+    def test_refusal_on_the_last_row_prints_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        paths = {"T": long_c_list_trace(tmp_path)[0], "OUT": str(tmp_path / "out")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        calls = []  # the integers converted, in order; the last belongs to the last row written
+        refuse_at = None
+
+        def converting(n, near=None):
+            calls.append(n)
+            if len(calls) == refuse_at:
+                raise digits.DigitLimitError("refused on the last row")
+            return digits.decimal_str(n, near)
+
+        monkeypatch.setattr(cli, "decimal_str", converting)
+        monkeypatch.setattr(tracefile, "decimal_str", converting)
+        assert run_cli(*argv) == 0
+        refuse_at, written = len(calls), calls[:]
+        calls.clear()
+        if os.path.exists(paths["OUT"]):
+            os.remove(paths["OUT"])
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", "error: refused on the last row\n")
+        assert calls == written
+        assert not os.path.exists(paths["OUT"])
 
 
 _FOURS = "4" * 200_000

@@ -1,5 +1,6 @@
 """Trace file format: round-trips, canonical bytes, malformed inputs."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -27,7 +28,7 @@ from urbasis import (
     run_with_growth,
 )
 import urbasis
-from urbasis import digits, tracefile
+from urbasis import cli, digits, tracefile
 from urbasis.tracefile import read_file, serialize, write_file
 
 import reference_codec
@@ -586,3 +587,82 @@ class TestStreamedMemory:
         assert _peak(lambda: write_file(trace, path)) <= 1.5 * 2**20
         with open(path, encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == 641
+
+
+@pytest.fixture(scope="module")
+def replay7(tmp_path_factory):
+    """replay_shaped_trace(7), written to a file, and its longest line in bytes (0.36 MiB)."""
+    path = str(tmp_path_factory.mktemp("replay7") / "r.trace")
+    trace = replay_shaped_trace(7)
+    write_file(trace, path)
+    with open(path, "rb") as fh:
+        return trace, path, max(map(len, fh))
+
+
+def _peak_after(monkeypatch, module, name, fn):
+    """(memory live as module.name returns, the peak from then until fn returns), by tracemalloc."""
+    real, live = getattr(module, name), []
+
+    def marked(*args):
+        result = real(*args)
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(module, name, marked)
+    tracemalloc.start()
+    try:
+        fn()
+        return live[0], tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLongRowsHeldOnce:
+    """Each command holds a long row's text in as few copies as its writer needs, on a trace whose rows run to
+    0.36 MiB.  Each bound is the memory live when the trace is read, or its integers converted, plus a
+    multiple of the longest line; the figures are Python 3.11-3.13's, here and at the parent of this bound."""
+
+    def test_read_file(self, replay7):
+        trace, path, longest = replay7
+        tracemalloc.start()
+        try:
+            read = read_file(path)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == trace
+        assert peak <= live + 6 * longest  # 5.4-5.5 lines; 6.4-6.5 with each line's text kept while the next is read
+
+    def test_write_file(self, tmp_path, monkeypatch, replay7):
+        trace, _, longest = replay7
+        path = str(tmp_path / "w.trace")
+        live, peak = _peak_after(monkeypatch, tracefile, "trace_lines", lambda: write_file(trace, path))
+        # 2.02 lines, the line and its encoded bytes; 2.27 with a newline appended to each line by a second copy
+        assert peak <= live + 2.15 * longest
+        with open(path, "rb") as fh:
+            assert fh.read() == serialize(trace).encode()
+
+    @pytest.mark.parametrize("what, lines", [("steps", 2.5), ("elements", 1)])
+    def test_export_output(self, tmp_path, monkeypatch, replay7, what, lines):
+        # steps: 2.04 lines, one row's text as it is joined or written; 2.97 with the last row held while the next
+        # is joined.  elements: 0.05 lines, one element at a time; 1.94 with the whole list joined, then a newline
+        trace, path, longest = replay7
+        out = str(tmp_path / "out")
+        argv = ["export", path, "--what", what, "-o", out]
+        live, peak = _peak_after(monkeypatch, tracefile, "read_file", lambda: cli.main(argv))
+        assert peak <= live + lines * longest
+        with open(out, encoding="utf-8") as fh:
+            exported = json.load(fh)
+        if what == "elements":
+            assert len(exported) == len(trace.final.basis.elements)
+        else:
+            assert len(exported["steps"]) == len(trace.steps)
+
+    def test_analyze_json_output(self, monkeypatch, replay7):
+        # 1.12 lines, the text of each row of the report; 2.06 with the whole report joined from them
+        _, path, longest = replay7
+        with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stdout(devnull):
+            live, peak = _peak_after(monkeypatch, tracefile, "read_file",
+                                     lambda: cli.main(["analyze", path, "--format", "json"]))
+        assert peak <= live + 1.6 * longest
