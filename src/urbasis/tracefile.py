@@ -44,8 +44,9 @@ UTF-8, then as JSON, and its row is converted before the next line is
 read.  The reader drops a line's text once its JSON is parsed, and keeps
 its bytes until the next line is read: dropping them too left the peak
 RSS of replay-shaped traces as it was and raised greedy K=640 `verify`'s
-by ~1.4 MB, through how the C allocator reuses freed blocks.  The first
-fault in file order is the one reported, and nothing after it is read.
+by 0.7 MB and `analyze`'s by 1.5 MB, through how the C allocator reuses
+freed blocks.  The first fault in file order is the one reported, and
+nothing after it is read.
 """
 
 from __future__ import annotations

@@ -621,7 +621,8 @@ def _peak_after(monkeypatch, module, name, fn):
 class TestLongRowsHeldOnce:
     """Each command holds a long row's text in as few copies as its writer needs, on a trace whose rows run to
     0.36 MiB.  Each bound is the memory live when the trace is read, or its integers converted, plus a
-    multiple of the longest line; the figures are Python 3.11-3.13's, here and at the parent of this bound."""
+    multiple of the longest line.  The figures in the comments are Python 3.11.7's, first for this code, then
+    for the code the bound refuses."""
 
     def test_read_file(self, replay7):
         trace, path, longest = replay7
@@ -632,7 +633,7 @@ class TestLongRowsHeldOnce:
         finally:
             tracemalloc.stop()
         assert read == trace
-        assert peak <= live + 6 * longest  # 5.4-5.5 lines; 6.4-6.5 with each line's text kept while the next is read
+        assert peak <= live + 6 * longest  # 5.5 lines; 6.5 with each line's text kept while the next is read
 
     def test_write_file(self, tmp_path, monkeypatch, replay7):
         trace, _, longest = replay7
@@ -646,7 +647,7 @@ class TestLongRowsHeldOnce:
     @pytest.mark.parametrize("what, lines", [("steps", 2.5), ("elements", 1)])
     def test_export_output(self, tmp_path, monkeypatch, replay7, what, lines):
         # steps: 2.04 lines, one row's text as it is joined or written; 2.97 with the last row held while the next
-        # is joined.  elements: 0.05 lines, one element at a time; 1.94 with the whole list joined, then a newline
+        # is joined.  elements: 0.06 lines, one element at a time; 1.96 with the whole list joined, then a newline
         trace, path, longest = replay7
         out = str(tmp_path / "out")
         argv = ["export", path, "--what", what, "-o", out]
@@ -660,7 +661,7 @@ class TestLongRowsHeldOnce:
             assert len(exported["steps"]) == len(trace.steps)
 
     def test_analyze_json_output(self, monkeypatch, replay7):
-        # 1.12 lines, the text of each row of the report; 2.06 with the whole report joined from them
+        # 1.11 lines, the text of each row of the report; 2.06 with the whole report joined from them
         _, path, longest = replay7
         with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stdout(devnull):
             live, peak = _peak_after(monkeypatch, tracefile, "read_file",
