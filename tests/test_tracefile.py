@@ -259,6 +259,114 @@ class TestJoinedRows:
         assert list(tracefile.joined_rows(rows, separators)) == expected
 
 
+class _Hashed(int):
+    """An int that counts the hashes taken of it: each dict lookup or insertion of it takes one."""
+
+    taken = 0
+
+    def __hash__(self):
+        _Hashed.taken += 1
+        return int.__hash__(self)
+
+
+class TestStepRowsFollowTheNesting:
+    """A stage that extends the last one at its ends converts and looks up only its two new elements."""
+
+    def test_greedy_converts_and_looks_up_two_elements_per_stage(self, monkeypatch):
+        trace, converted = run_greedy(160), []
+        shared = {}  # one _Hashed per value: a stage's middle is the last stage's elements themselves, as built
+        steps = tuple(replace(step, basis=urbasis.IntSet(tuple(shared.setdefault(a, _Hashed(a)) for a in step.basis)))
+                      for step in trace.steps)
+        real = tracefile.decimal_str
+        monkeypatch.setattr(tracefile, "decimal_str", lambda n, near=None: converted.append(n) or real(n, near))
+        _Hashed.taken = 0
+        rows = list(tracefile.step_rows(steps))
+        # four for each new element: the membership test, decimal_str's memo, the insertion and the row's lookup;
+        # 52,160 with every element of every stage looked up
+        assert _Hashed.taken <= 8 * len(steps)
+        assert rows == reference_codec.rows(trace)
+        scalars = sum(2 + (step.reach is not None) for step in trace.steps)  # d, b and c
+        assert len(converted) <= 2 * len(steps) + scalars
+        assert len(converted) == len(set(converted))
+
+    def test_each_row_holds_the_last_rows_texts(self):
+        rows = list(tracefile.step_rows(replay_shaped_trace(3).steps))
+        for before, row in zip(rows, rows[1:]):
+            assert len(row["elements"]) == len(before["elements"]) + 2
+            assert all(a is b for a, b in zip(row["elements"][1:-1], before["elements"], strict=True))
+
+    def test_a_stage_that_drops_an_element(self, monkeypatch):
+        steps = list(run_greedy(6).steps)
+        now = steps[3].basis.elements
+        i = next(i for i in range(1, len(now) - 2) if now[i] + 1 < now[i + 1])
+        # stage 4 drops a middle element of stage 3 and takes one beside it: two more elements, but no nesting,
+        # and stage 5 nests the real stage 4, not this one
+        moved = now[:i] + (now[i] + 1,) + now[i + 1:]
+        steps[3] = replace(steps[3], basis=urbasis.IntSet(moved))
+        trace, converted = replace(run_greedy(6), steps=tuple(steps)), []
+        real = tracefile.decimal_str
+        monkeypatch.setattr(tracefile, "decimal_str", lambda n, near=None: converted.append(n) or real(n, near))
+        rows = list(tracefile.step_rows(trace.steps))
+        assert now[i] + 1 in converted and len(converted) == len(set(converted))
+        for k in (3, 4):  # each element of stages 4 and 5 looked up
+            assert rows[k]["elements"] == [str(a) for a in steps[k].basis.elements]
+        assert all(a is b for a, b in zip(rows[5]["elements"][1:-1], rows[4]["elements"], strict=True))
+        assert serialize(trace) == reference_codec.dump(trace.mode, reference_codec.rows(trace))
+        assert parse(serialize(trace)) == trace
+
+
+def _row_of(*elements):
+    return {"k": 1, "elements": list(elements), "d": elements[-1], "b": "7", "branch": "negative", "c": "12"}
+
+
+def _totalling(count, size):
+    """A row of `count` element texts in increasing order, of lengths that differ by at most one, totalling `size`."""
+    short, longer = divmod(size, count)
+    return _row_of(*("1" + str(i).zfill(short - (i < count - longer)) for i in range(count)))
+
+
+GROUP_ROWS = {  # lengths differ by at most one: the total and the count times the longest fall on one side of _GROUP
+    "one-under": _totalling(255, tracefile._GROUP - 1),
+    "at": _totalling(256, tracefile._GROUP),
+    "one-over": _totalling(256, tracefile._GROUP + 1),
+    "one-element-over": _row_of("-5", "1" + "0" * 70_000),
+    "empty": {"k": 1, "elements": [], "d": "0", "b": "1", "branch": "positive"},
+}
+
+
+class TestJoinedGroups:
+    """A row whose element texts may total more than the group size, their count times the longest, is joined in
+    groups of whole elements."""
+
+    @pytest.mark.parametrize("name", list(GROUP_ROWS))
+    @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
+    def test_pieces_join_to_json_dumps(self, name, separators):
+        row = GROUP_ROWS[name]
+        pieces = list(tracefile.joined_rows([row], separators))
+        expected = json.dumps(row, sort_keys=True, separators=separators)
+        assert "".join(pieces) == expected
+        total = sum(map(len, row["elements"]))
+        if total <= tracefile._GROUP:
+            assert len(pieces) == 1
+        else:  # the head, groups of at most the group size or one element each, the tail
+            assert len(pieces) >= 3 and max(map(len, pieces)) < len(expected)
+            for piece in pieces[1:-1]:
+                texts = piece.strip(separators[0] + '"').split('"' + separators[0] + '"')
+                assert "".join(texts) in "".join(row["elements"])
+                assert len(texts) == 1 or sum(map(len, texts)) <= tracefile._GROUP
+
+    @pytest.mark.parametrize("name", [name for name in GROUP_ROWS if name != "empty"])
+    def test_round_trip_and_export(self, tmp_path, name):
+        row = GROUP_ROWS[name]
+        header = json.dumps({"format": "urbasis-trace", "mode": "m", "version": "1"}, separators=(",", ":"))
+        text = header + "\n" + json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        trace = parse(text)
+        assert serialize(trace) == text
+        write_file(trace, str(tmp_path / "t.trace"))
+        assert (tmp_path / "t.trace").read_bytes() == text.encode()
+        assert "".join(cli._json_steps(trace)) == json.dumps({"mode": "m", "steps": [row]}, sort_keys=True) + "\n"
+
+
 class TestMalformed:
     def test_empty(self):
         with pytest.raises(TraceFormatError):
@@ -544,6 +652,15 @@ class TestNestedRows:
             outcomes[nested[0][1] is None] += 1
         assert outcomes[True] > 50 and outcomes[False] > 50  # edits the reader refuses, and edits it reads
 
+    def test_a_nested_row_takes_the_last_rows_strings(self):
+        prev, ints = ([], urbasis.IntSet()), {}
+        with digits.decimal_io():
+            for lineno, line in enumerate(serialize(powers_of_ten_trace()).splitlines()[1:], 2):
+                raw = json.loads(line)["elements"]
+                basis = tracefile._elements(raw, prev, lineno, ints)
+                assert all(a is b for a, b in zip(raw[1:-1], prev[0], strict=True))  # not the strings JSON made
+                assert all(ints[a] is n for a, n in zip(raw, basis.elements, strict=True))
+                prev = raw, basis
 
     def test_both_new_strings_bad_reports_the_first(self):
         def edit(row):
@@ -633,21 +750,24 @@ class TestLongRowsHeldOnce:
         finally:
             tracemalloc.stop()
         assert read == trace
-        assert peak <= live + 6 * longest  # 5.5 lines; 6.5 with each line's text kept while the next is read
+        # 4.68 lines; 5.54 with a nested row's middle strings, as JSON made them, held beside the last row's
+        assert peak <= live + 5 * longest
 
     def test_write_file(self, tmp_path, monkeypatch, replay7):
         trace, _, longest = replay7
         path = str(tmp_path / "w.trace")
         live, peak = _peak_after(monkeypatch, tracefile, "trace_lines", lambda: write_file(trace, path))
-        # 2.02 lines, the line and its encoded bytes; 2.27 with a newline appended to each line by a second copy
-        assert peak <= live + 2.15 * longest
+        # 0.36 lines, a row's head and one group of its elements with its encoded bytes; 2.02 with each line
+        # joined whole, then encoded whole
+        assert peak <= live + 0.75 * longest
         with open(path, "rb") as fh:
             assert fh.read() == serialize(trace).encode()
 
-    @pytest.mark.parametrize("what, lines", [("steps", 2.5), ("elements", 1)])
+    @pytest.mark.parametrize("what, lines", [("steps", 0.75), ("elements", 1)])
     def test_export_output(self, tmp_path, monkeypatch, replay7, what, lines):
-        # steps: 2.04 lines, one row's text as it is joined or written; 2.97 with the last row held while the next
-        # is joined.  elements: 0.06 lines, one element at a time; 1.96 with the whole list joined, then a newline
+        # steps: 0.39 lines, a row's head and one group of its elements with its encoded bytes; 2.04 with each
+        # row joined whole, then encoded whole.  elements: 0.06 lines, one element at a time; 1.96 with the whole
+        # list joined, then a newline
         trace, path, longest = replay7
         out = str(tmp_path / "out")
         argv = ["export", path, "--what", what, "-o", out]
