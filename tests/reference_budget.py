@@ -1,6 +1,6 @@
 """Reference budget inversion by mpmath's interval arithmetic.
 
-This is the body `urbasis.construction._least_x` had before it enclosed
+This is the body `urbasis.policy._least_x` had before it enclosed
 exp on plain integers: `iv.exp` computes both ends of each level in full,
 and trusts mpmath's directed rounding.  It shares no arithmetic with the
 package; the tests require the same threshold, or the same refusal, from
@@ -10,8 +10,8 @@ both.
 import math
 
 from urbasis import GrowthConfigError
-from urbasis.construction import _GUARD_DPS, _MAX_DOUBLINGS
 from urbasis.digits import DECIMAL_DIGIT_LIMIT, quote
+from urbasis.policy import _GUARD_DPS, _MAX_DOUBLINGS
 
 
 def least_x(m: int, scale: float, offset: float, *, nested: bool, shift: int) -> int:

@@ -32,7 +32,7 @@ from urbasis import (
     run_with_growth,
     verify_trace,
 )
-from urbasis import DigitLimitError, construction
+from urbasis import DigitLimitError, construction, policy
 from urbasis.digits import decimal_io
 
 import reference_budget
@@ -462,13 +462,13 @@ class TestGrowthPolicies:
 
     def test_one_inversion_per_stage(self, monkeypatch):
         targets = []
-        least_x = construction._least_x
+        least_x = policy._least_x
 
         def counted(m, *args, **kwargs):
             targets.append(m)
             return least_x(m, *args, **kwargs)
 
-        monkeypatch.setattr(construction, "_least_x", counted)
+        monkeypatch.setattr(policy, "_least_x", counted)
         run_with_growth(LogLogGrowth(2, 4, 3), 10)
         assert targets == [4, 6, 8, 10, 12, 14, 16, 18, 20]  # 2k + 2 for stages 1..9, once each
 
@@ -515,14 +515,14 @@ class TestBudgetFamilies:
     def test_undecided_threshold_raises(self, monkeypatch):
         # a 1295-digit answer at 4, 8, ..., 64 digits of precision stays undecided: one enclosure per precision
         spans = []
-        exp_span = construction._exp_span
+        exp_span = policy._exp_span
 
         def counted(*args):
             spans.append(args[-1])
             return exp_span(*args)
 
-        monkeypatch.setattr(construction, "_GUARD_DPS", -1290)
-        monkeypatch.setattr(construction, "_exp_span", counted)
+        monkeypatch.setattr(policy, "_GUARD_DPS", -1290)
+        monkeypatch.setattr(policy, "_exp_span", counted)
         with pytest.raises(GrowthConfigError, match=r"^threshold\(20\) is still undecided at 64 digits of precision$"):
             LogLogGrowth(2, 4, 3).threshold(20)
         assert spans == [14, 27, 54, 107, 213]  # bits for 4, 8, 16, 32 and 64 digits
@@ -654,7 +654,7 @@ class TestIntegerInversion:
     def test_thresholds_equal_the_interval_inversion(self, case):
         m, scale, offset, nested, shift = case
         expected = _threshold_or_refusal(reference_budget.least_x, m, scale, offset, nested=nested, shift=shift)
-        assert _threshold_or_refusal(construction._least_x, m, scale, offset, nested=nested, shift=shift) == expected
+        assert _threshold_or_refusal(policy._least_x, m, scale, offset, nested=nested, shift=shift) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 2**200), st.integers(1, 10**30), st.integers(-300, 11), st.integers(1, 2000))
@@ -663,7 +663,7 @@ class TestIntegerInversion:
         import mpmath
 
         sigma = max(0, p.bit_length() - q.bit_length() - magnitude)
-        low, high, f = construction._exp_series(p, q, sigma, bits)
+        low, high, f = policy._exp_series(p, q, sigma, bits)
         with mpmath.workprec(bits + 6200):
             exact = mpmath.exp(mpmath.mpf(p) / q / mpmath.mpf(2) ** sigma) / mpmath.mpf(2) ** f
         assert low <= exact <= high
@@ -677,8 +677,8 @@ class TestIntegerInversion:
         import mpmath
 
         sigma = max(0, abs(p).bit_length() - q.bit_length() - magnitude)
-        low, high, f = construction._exp(p, q, sigma, bits)
-        span_low, span_high, g = construction._exp_span(fraction, fraction + (width << 28), -40, bits)
+        low, high, f = policy._exp(p, q, sigma, bits)
+        span_low, span_high, g = policy._exp_span(fraction, fraction + (width << 28), -40, bits)
         with mpmath.workprec(bits + 6200):
             two = mpmath.mpf(2)
             assert low <= mpmath.exp(mpmath.mpf(p) / q / two**sigma) / two**f <= high

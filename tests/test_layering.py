@@ -1,5 +1,5 @@
 """Package layering: no module reaches into another module's private names,
-the oracle and the bounds import no kernel module at run time,
+the oracle, the bounds and the policies import no kernel module at run time,
 no command loads mpmath or fractions, and none on small integers loads decimal
 (greedy K=160 and log-log K=10 builds included), each command loads only the modules
 it runs, the lazily loaded package keeps its public names, and every span group of the
@@ -55,10 +55,26 @@ def _runtime_imports(path):
     return found
 
 
-@pytest.mark.parametrize("module", ["oracle", "bounds"])
+@pytest.mark.parametrize("module", ["oracle", "bounds", "policy"])
 def test_readers_import_only_digits_and_record_at_run_time(module):
-    # the oracle's agreement with the kernel is evidence only while it runs none of the kernel's code
+    # the oracle's agreement with the kernel is evidence only while it runs none of the kernel's code,
+    # and the policies stay loadable by the reading commands without the builder
     assert _runtime_imports(PACKAGE / f"{module}.py") <= {"digits", "record"}
+
+
+_POLICY_PROBE = """
+import sys
+from urbasis.policy import parse_budget
+assert parse_budget("loglog,2,4,3").threshold(8) == 1616
+assert parse_budget("table,4:10;6:100").threshold(6) == 100
+print(*sorted(m for m in ("urbasis.construction", "urbasis.intset", "urbasis.tracefile") if m in sys.modules))
+"""
+
+
+def test_budgets_parse_and_invert_without_the_builder():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", _POLICY_PROBE], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == []
 
 
 # pickle.dumps(initial_state(), protocol=0), written while the class was defined in urbasis.construction
@@ -78,6 +94,27 @@ def test_trace_records_keep_their_construction_names():
     assert pickle.loads(_OLD_STEP_PICKLE) == urbasis.construction.initial_state()
 
 
+# pickle.dumps(policy, protocol=0), written while the policies were defined in urbasis.construction
+_OLD_POLICY_PICKLES = {
+    "greedy": b"ccopy_reg\n_reconstructor\np0\n(curbasis.construction\nGreedy\np1\nc__builtin__\nobject\np2\nNtp3\nRp4\n.",
+    "loglog,2,4,3": (
+        b"ccopy_reg\n_reconstructor\np0\n(curbasis.construction\nLogLogGrowth\np1\nc__builtin__\nobject\np2\nNtp3\n"
+        b"Rp4\n(dp5\nVscale\np6\nI2\nsVoffset\np7\nI4\nsVshift\np8\nI3\nsb."
+    ),
+    "table,4:10;6:100": (
+        b"ccopy_reg\n_reconstructor\np0\n(curbasis.construction\nThresholdTable\np1\nc__builtin__\nobject\np2\n"
+        b"Ntp3\nRp4\n(dp5\nVtable\np6\n((I4\nI10\ntp7\n(I6\nI100\ntp8\ntp9\nsb."
+    ),
+}
+
+
+def test_policies_keep_their_construction_names():
+    from urbasis.construction import Greedy, LogLogGrowth, ThresholdTable
+    loaded = {descriptor: pickle.loads(data) for descriptor, data in _OLD_POLICY_PICKLES.items()}
+    assert loaded == {"greedy": Greedy(), "loglog,2,4,3": LogLogGrowth(2, 4, 3),
+                      "table,4:10;6:100": ThresholdTable({4: 10, 6: 100})}  # records equal only within one class
+
+
 def _names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
@@ -92,7 +129,7 @@ def _names(path):
 def test_only_decimal_text_io_names_decimal_io():
     # error messages show values through digits.quote, so no other module needs the block
     naming = {path.stem for path in PACKAGE.glob("*.py") if "decimal_io" in set(_names(path))}
-    assert naming == {"digits", "construction", "tracefile", "cli"}
+    assert naming == {"digits", "construction", "policy", "tracefile", "cli"}
 
 
 # Runs in a fresh interpreter.  Given only the trace and reach-list paths, it runs the commands below but the
@@ -188,7 +225,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """And none loads dataclasses or inspect, which cost ~10 ms to import."""
     cli = {"urbasis", "urbasis.cli", "urbasis.digits"}
     reader = cli | {"urbasis.intset", "urbasis.record", "urbasis.tracefile"}  # no command that reads loads the builder
-    builder = reader | {"urbasis.construction"}
+    builder = reader | {"urbasis.construction", "urbasis.policy"}
     assert _modules_after(tmp_path, "build") == {"import urbasis": {"urbasis"}, "import urbasis.cli": cli,
                                                  "build": builder}  # and it writes the trace the others read
     expected = {
@@ -208,16 +245,16 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 # the public names of the package, by the module that defines each
 PUBLIC = {
     "bounds": ("BoundCheck", "growth_report", "log_envelope", "reach_envelope", "sqrt_cap"),
-    "construction": (
-        "ExplicitReaches", "Greedy", "GrowthConfigError", "GrowthPolicy", "LogGrowth", "LogLogGrowth",
-        "ThresholdReach", "ThresholdTable", "extend", "initial_state", "parse_budget", "run_greedy",
-        "run_with_growth",
-    ),
+    "construction": ("extend", "initial_state", "run_greedy", "run_with_growth"),
     "digits": ("DigitLimitError",),
     "intset": ("IntSet", "min_abs_missing"),
     "oracle": (
         "RepReport", "Verdict", "brute_rep_report", "default_window", "pairs_for", "verify_decomposition",
         "verify_gap_growth", "verify_trace", "verify_unique_window",
+    ),
+    "policy": (
+        "ExplicitReaches", "Greedy", "GrowthConfigError", "GrowthPolicy", "LogGrowth", "LogLogGrowth",
+        "ThresholdReach", "ThresholdTable", "parse_budget",
     ),
     "record": ("BasisTrace", "ConstructionStep"),
     "tracefile": ("TraceFormatError", "parse", "read_file", "serialize", "write_file"),
